@@ -63,6 +63,7 @@ from .saddle import (
     pole_gaussian_integral,
     sinh_ratio,
 )
+from .special import gauss_legendre
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -116,6 +117,12 @@ class SeriesResult:
     fitted_exponent: float
     passed: bool
     note: str = ""
+
+    def __post_init__(self) -> None:
+        # runners compute with numpy; reports carry plain Python numbers
+        object.__setattr__(self, "samples", tuple((int(n), float(err)) for n, err in self.samples))
+        object.__setattr__(self, "fitted_exponent", float(self.fitted_exponent))
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 @dataclass(frozen=True)
@@ -353,7 +360,7 @@ def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig, threads: i
 def _trace_d1_quadrature(tau: float, n: int) -> float:
     """Polar-grid integral of the diagonal kernel over C, d = 1."""
     r_max = math.sqrt(2.0 * n / (1.0 - tau)) + 8.0
-    x, w = np.polynomial.legendre.leggauss(400)
+    x, w = gauss_legendre(400)
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * w
     m_theta = 512

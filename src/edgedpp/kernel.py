@@ -12,11 +12,15 @@ all multiplied by (sqrt(1-tau^2)/pi)^d.  At tau = 0 the same structure
 holds with phi_j(z) = z^j / sqrt(j!) and omega(z) = exp(-|z|^2), and the
 whole sum collapses to a truncated exponential of the dot product.
 
-Evaluation is by per-coordinate degree sequences T_k[j] followed by a
-truncated convolution over coordinates, so the cost is O(d n^2) instead
-of the O(n^d) multi-index enumeration.  Every factor is carried as a
-(log magnitude, phase) pair because individual terms reach exp(O(n))
-while the kernel itself stays of order pi^{-d} near the droplet edge.
+Evaluation starts from per-coordinate degree sequences T_k[j], j < n.
+The sum needs only sum_{m<n} c_m of their convolution c, so the last
+coordinate enters through its prefix sums B: K = sum_i c_i B_{n-1-i},
+with c the degree-truncated convolution of the first d - 1 sequences.
+That costs O(n) time and memory for d <= 2 and O((d - 2) n^2) time with
+O(block * n) memory for d >= 3, instead of the O(n^d) multi-index
+enumeration.  Every factor is carried as a (log magnitude, phase) pair
+because individual terms reach exp(O(n)) while the kernel itself stays of
+order pi^{-d} near the droplet edge.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ __all__ = [
 ]
 
 _NEG_INF = -math.inf
+# Width in nats of one rescaling level of _prefix_sums: far inside the double
+# range even after summing n terms of a level.
+_LEVEL_NATS = 256.0
+# Elements per block of anti-diagonals in _convolve_truncated (about 2 MB of
+# complex128 per temporary).
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,8 @@ def _coordinate_sequence(
 
     Includes the per-coordinate prefactor sqrt(1-tau^2)/pi (1/pi at tau=0)
     and the weight factor sqrt(omega(z_k) omega(w_k)), so the kernel is the
-    plain truncated convolution of these sequences.
+    sum of prod_k T_k[j_k] over |j| < n.  On the diagonal z_k = w_k the
+    Hermite recurrence runs once.
     """
     tau, n = params.tau, params.n
     log_w = 0.5 * (log_weight_omega(zk, tau) + log_weight_omega(wk, tau))
@@ -183,11 +194,21 @@ def _coordinate_sequence(
         pref = log_w - math.log(math.pi)
     else:
         lz, pz = _phi_log_arrays(zk, tau, n)
-        lw, pw = _phi_log_arrays(wk, tau, n)
+        lw, pw = (lz, pz) if wk == zk else _phi_log_arrays(wk, tau, n)
         logs = lz + lw
         phases = pz * np.conj(pw)
         pref = log_w + 0.5 * math.log(1.0 - tau * tau) - math.log(math.pi)
     return logs + pref, phases
+
+
+def _log_phase(values: np.ndarray, shift: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """(shift + log |v|, v / |v|) for complex v, with (-inf, 1) for exact zeros."""
+    mag = np.abs(values)
+    nonzero = mag > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(nonzero, shift + np.log(mag), _NEG_INF)
+        phases = np.where(nonzero, values / mag, 1.0 + 0.0j)
+    return logs, phases
 
 
 def _convolve_truncated(
@@ -195,42 +216,98 @@ def _convolve_truncated(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Degree-truncated convolution of two (log, phase) sequences.
 
-    Computes c_m = sum_{i+j=m} a_i b_j for m < nmax with a per-degree
-    max-shift, which keeps the full exp(O(n)) dynamic range intact.
+    Computes c_m = sum_{i+j=m} a_i b_j for m < nmax.  Each anti-diagonal m
+    gets its own max-shift, which keeps the full exp(O(n)) dynamic range
+    intact.  Blocks of anti-diagonals are evaluated at once from a sliding
+    window over b, in O(block * n) memory.
     """
     la = np.asarray(la, dtype=float)
     lb = np.asarray(lb, dtype=float)
-    outer_log = la[:, None] + lb[None, :]
-    outer_phase = pa[:, None] * pb[None, :]
+    pa = np.asarray(pa, dtype=complex)
+    pb = np.asarray(pb, dtype=complex)
     ka, kb = la.size, lb.size
     m_count = min(nmax, ka + kb - 1)
-    logs = np.full(m_count, _NEG_INF)
-    phases = np.ones(m_count, dtype=complex)
-    flipped_log = outer_log[:, ::-1]
-    flipped_phase = outer_phase[:, ::-1]
-    for m in range(m_count):
-        dl = np.diagonal(flipped_log, offset=kb - 1 - m)
-        dp = np.diagonal(flipped_phase, offset=kb - 1 - m)
-        shift = float(np.max(dl))
+    width = min(ka, m_count)  # only a_i with i < m_count reach a kept degree
+    # ext[t] = b_{t - width + 1}, zero outside 0 <= t - width + 1 < kb, so that
+    # c_m = sum_t a_{width-1-t} ext[m + t] over one window of ext.
+    kept = min(kb, m_count)
+    ext_log = np.concatenate(
+        [np.full(width - 1, _NEG_INF), lb[:kept], np.full(m_count - kept, _NEG_INF)]
+    )
+    ext_phase = np.concatenate(
+        [np.ones(width - 1, dtype=complex), pb[:kept], np.ones(m_count - kept, dtype=complex)]
+    )
+    win_log = np.lib.stride_tricks.sliding_window_view(ext_log, width)
+    win_phase = np.lib.stride_tricks.sliding_window_view(ext_phase, width)
+    rev_log = la[:width][::-1]
+    rev_phase = pa[:width][::-1]
+    logs = np.empty(m_count)
+    phases = np.empty(m_count, dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    for m0 in range(0, m_count, rows):
+        m1 = min(m0 + rows, m_count)
+        # degrees m0..m1-1 need i <= m1 - 1 and i >= m0 - kb + 1 (t = width-1-i)
+        t0 = max(0, width - m1)
+        t1 = min(width, width + kb - 1 - m0)
+        block_log = rev_log[t0:t1] + win_log[m0:m1, t0:t1]
+        shift = np.max(block_log, axis=1)
+        shift[shift == _NEG_INF] = 0.0  # an all-zero anti-diagonal sums to zero
+        terms = np.exp(block_log - shift[:, None]) * rev_phase[t0:t1] * win_phase[m0:m1, t0:t1]
+        logs[m0:m1], phases[m0:m1] = _log_phase(np.sum(terms, axis=1), shift)
+    return logs, phases
+
+
+def _prefix_sums(lb: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums B_m = sum_{j <= m} b_j of a (log, phase) sequence, same form.
+
+    The running maximum of the log magnitudes is cut into levels
+    _LEVEL_NATS wide.  Within one level the terms are scaled by the level's
+    largest running maximum, so they lie in [0, 1] and every B_m keeps its
+    full relative accuracy whatever the dynamic range; the carry between
+    levels is rescaled once.  The sums are compensated: cumsum plus the
+    exact rounding error of each addition (Ogita-Rump-Oishi Sum2 in prefix
+    form).
+    """
+    run_max = np.maximum.accumulate(lb)
+    level = np.floor(run_max / _LEVEL_NATS)
+    cuts = (np.flatnonzero(level[1:] != level[:-1]) + 1).tolist()
+    logs = np.full(lb.size, _NEG_INF)
+    phases = np.ones(lb.size, dtype=complex)
+    carry, carry_shift = 0.0 + 0.0j, _NEG_INF
+    for s, e in zip([0] + cuts, cuts + [lb.size]):
+        shift = float(run_max[e - 1])
         if shift == _NEG_INF:
-            continue
-        s = complex(np.sum(dp * np.exp(dl - shift)))
-        if s == 0:
-            continue
-        logs[m] = shift + math.log(abs(s))
-        phases[m] = s / abs(s)
+            continue  # leading exact zeros
+        x = np.empty(e - s + 1, dtype=complex)
+        x[0] = carry * math.exp(carry_shift - shift)
+        x[1:] = pb[s:e] * np.exp(lb[s:e] - shift)
+        partial = np.cumsum(x)
+        a, t, b = partial[:-1], partial[1:], x[1:]
+        bb = t - a
+        sums = t + np.cumsum((a - (t - bb)) + (b - bb))
+        logs[s:e], phases[s:e] = _log_phase(sums, shift)
+        carry, carry_shift = sums[-1], shift
     return logs, phases
 
 
 def kernel_exact_log(params: ModelParams, z, w) -> LogMagnitudePhase:
-    """K_n(z, w) via the per-coordinate convolution, in log/phase form."""
+    """K_n(z, w) from the per-coordinate degree sequences, in log/phase form.
+
+    K = sum_{|j| < n} prod_k T_k[j_k].  The first d - 1 coordinates are
+    convolved with degree truncation into c; the last enters only through
+    its prefix sums B, K = sum_i c_i B_{n-1-i}.  d = 2 needs no convolution.
+    """
     z = as_point(params, z)
     w = as_point(params, w)
-    logs, phases = _coordinate_sequence(params, complex(z[0]), complex(w[0]))
-    for k in range(1, params.d):
-        lk, pk = _coordinate_sequence(params, complex(z[k]), complex(w[k]))
-        logs, phases = _convolve_truncated(logs, phases, lk, pk, params.n)
-    return stable_sum_arrays(logs, phases)
+    n = params.n
+    seqs = [_coordinate_sequence(params, complex(zk), complex(wk)) for zk, wk in zip(z, w)]
+    logs, phases = seqs[0]
+    if params.d == 1:
+        return stable_sum_arrays(logs, phases)
+    for lk, pk in seqs[1:-1]:
+        logs, phases = _convolve_truncated(logs, phases, lk, pk, n)
+    lb, pb = _prefix_sums(*seqs[-1])
+    return stable_sum_arrays(logs + lb[::-1], phases * pb[::-1])
 
 
 def kernel_exact(params: ModelParams, z, w) -> complex:
@@ -245,11 +322,43 @@ def kernel_exact(params: ModelParams, z, w) -> complex:
 
 
 def truncated_exp_series(x: complex, nterms: int) -> LogMagnitudePhase:
-    """sum_{j < nterms} x^j / j! in log/phase form."""
+    """sum_{j < nterms} x^j / j! in log/phase form.
+
+    For |x| < nterms it is e^x minus the tail sum_{j >= nterms} x^j / j!.
+    The tail is x^nterms / nterms!, a rescaled running product, times a
+    series whose terms shrink by |x| / (j + 1) < 1.  The log-domain sum of
+    the terms instead rounds each log j log|x| - lgamma(j + 1), which costs
+    about eps times its size, and is kept only for |x| >= nterms, where the
+    terms grow up to the last one.
+    """
     if nterms < 1:
         raise DomainError("nterms must be >= 1")
-    logs, phases = _monomial_log_arrays(complex(x), nterms)
-    return stable_sum_arrays(logs, phases)
+    x = complex(x)
+    size = abs(x)
+    if size >= nterms:
+        logs, phases = _monomial_log_arrays(x, nterms)
+        return stable_sum_arrays(logs, phases)
+    lead, lead_log = 1.0 + 0.0j, 0.0  # x^nterms / nterms! = lead e^lead_log
+    for j in range(1, nterms + 1):
+        lead = lead * x / j
+        mag = abs(lead)
+        if mag > 1e150 or 0.0 < mag < 1e-150:
+            lead /= mag
+            lead_log += math.log(mag)
+    terms = [1.0 + 0.0j]  # sum_{k >= 0} prod_{i=1..k} x / (nterms + i)
+    term, partial, k = 1.0 + 0.0j, 1.0 + 0.0j, nterms
+    # the terms from t_k on add up to at most |t_k| (k + 1) / (k + 1 - |x|)
+    while abs(term) * (k + 1) > 2.0**-56 * abs(partial) * (k + 1 - size):
+        k += 1
+        term = term * x / k
+        terms.append(term)
+        partial += term
+    ratio = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    tail = LogMagnitudePhase(lead_log, 1.0 + 0.0j).scaled(lead * ratio)
+    exp_x = LogMagnitudePhase.from_log(x)
+    return stable_sum_arrays(
+        np.array([exp_x.log_mag, tail.log_mag]), np.array([exp_x.phase, -tail.phase])
+    )
 
 
 def kernel_tau0_closed(params: ModelParams, z, w) -> complex:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, UsageError
 from .geometry import SaddleFrame, xi_for_tau
 from .kernel import ModelParams
-from .special import erfc_complex, erfcx_complex
+from .special import erfc_complex, erfcx_complex, gauss_legendre
 
 __all__ = [
     "PhiExpansion",
@@ -75,7 +75,7 @@ def _adaptive_path(f: Callable, pieces: list[tuple], tol: float, order: int = 32
     sampled integrand, which is what limits accuracy when the path carries
     large oscillating magnitudes.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     panels = 4
     prev = None
     for _ in range(10):

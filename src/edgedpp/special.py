@@ -22,11 +22,15 @@ with |phase| = 1, so magnitudes of order exp(+-n F) with n in the
 thousands stay representable.  stable_sum adds such quantities by
 shifting out the largest exponent and running an exactly rounded float
 summation on the shifted values.
+
+gauss_legendre caches the Gauss-Legendre rules that the quadratures in
+harness and saddle share.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,6 +43,7 @@ __all__ = [
     "LogMagnitudePhase",
     "erfc_complex",
     "erfcx_complex",
+    "gauss_legendre",
     "stable_sum",
     "stable_sum_arrays",
 ]
@@ -199,6 +204,18 @@ class LogMagnitudePhase:
         if diff > 709.0:
             return complex(math.inf, 0.0)
         return math.exp(diff) * self.phase / other.phase
+
+
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def stable_sum(terms: Sequence[LogMagnitudePhase] | Iterable[LogMagnitudePhase]) -> LogMagnitudePhase:

@@ -66,6 +66,17 @@ def test_report_json_round_trip():
     assert emit_report(back, fmt="json") == text
 
 
+def test_edge_kernel_report_carries_plain_numbers():
+    # the edge_kernel runner computes its band and errors in numpy
+    spec = default_spec("edge_kernel", params_grid=((1, 0.5),), n_grid=(16, 64), settings={"points": 2})
+    rep = run_experiment(spec)
+    text = emit_report([rep], fmt="json")
+    assert parse_report_json(text) == [rep]
+    csv_text = emit_report([rep], fmt="csv")
+    assert "np." not in text and "np." not in csv_text
+    assert len(csv_text.strip().split("\n")) == 3
+
+
 def test_reports_are_deterministic():
     a = run_experiment(default_spec("phi_expansion", seed=99))
     b = run_experiment(default_spec("phi_expansion", seed=99))

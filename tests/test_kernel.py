@@ -2,12 +2,15 @@
 convolution evaluator against brute-force enumeration, densities, and
 determinantal correlations."""
 
+import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from edgedpp import kernel
 from edgedpp.errors import DomainError, UsageError
 from edgedpp.kernel import (
     ModelParams,
@@ -18,8 +21,10 @@ from edgedpp.kernel import (
     log_weight_omega,
     phi_sequence,
     rho1_density,
+    truncated_exp_series,
     weight_omega,
 )
+from edgedpp.special import stable_sum_arrays
 
 from oracles import hermite_phi10_oracle
 
@@ -128,6 +133,124 @@ def test_kernel_matches_brute_force_enumeration_d3_n16():
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+def test_contraction_matches_brute_force_enumeration():
+    # d = 2 contracts against prefix sums only, d >= 3 convolves first; the
+    # diagonal pairs run each coordinate's Hermite recurrence once
+    rng = np.random.default_rng(2026)
+    for d in (2, 3, 4):
+        for tau in (0.0, 0.5, 0.9):
+            for n in (1, 2, 5, 12):
+                params = ModelParams(d=d, tau=tau, n=n)
+                z = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+                w = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+                for other in (w, z):
+                    got = kernel_exact(params, z, other)
+                    ref = kernel_brute_force(params, z, other)
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (d, tau, n, other is z)
+
+
+def test_diagonal_runs_one_recurrence_per_coordinate(monkeypatch):
+    calls = []
+    original = kernel._phi_log_arrays
+
+    def counting(x, tau, n):
+        calls.append(x)
+        return original(x, tau, n)
+
+    monkeypatch.setattr(kernel, "_phi_log_arrays", counting)
+    params = ModelParams(d=3, tau=0.5, n=8)
+    z = np.array([0.3 + 0.1j, -0.2j, 0.5])
+    rho1_density(params, z)
+    assert len(calls) == 3
+    calls.clear()
+    kernel_exact_log(params, z, z + 0.1)
+    assert len(calls) == 6
+
+
+def _random_log_phase(rng, size, step):
+    """A sequence whose log magnitudes wander over thousands of nats, with zeros."""
+    logs = np.cumsum(rng.normal(0.0, step, size))
+    logs[rng.random(size) < 0.05] = -math.inf
+    return logs, np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+
+
+def _gaps_in_eps(logs, phases, refs, l1_logs):
+    """|value - reference| / l1 for (log, phase) values, in units of eps (1 + |log l1|).
+
+    l1 is the sum of the terms' magnitudes; a log magnitude of size |log l1|
+    is itself only held to eps |log l1|.
+    """
+    gaps = []
+    for lg, ph, ref, l1 in zip(logs, phases, refs, l1_logs):
+        got = 0.0 if lg == -math.inf else cmath.exp(lg - l1) * ph
+        want = 0.0 if ref.log_mag == -math.inf else cmath.exp(ref.log_mag - l1) * ref.phase
+        gaps.append(abs(got - want) / (np.finfo(float).eps * (1.0 + abs(l1))))
+    return np.array(gaps)
+
+
+def _log_l1(logs):
+    shift = np.max(logs)
+    if shift == -math.inf:
+        return 0.0
+    return shift + math.log(np.sum(np.exp(logs - shift)))
+
+
+def test_convolve_truncated_matches_per_degree_loop():
+    # the loop reference sums each anti-diagonal exactly after its own max-shift
+    rng = np.random.default_rng(5)
+    for ka, kb, nmax in [(300, 300, 300), (120, 250, 400), (250, 90, 200), (7, 5, 50), (1, 1, 3)]:
+        la, pa = _random_log_phase(rng, ka, 40.0)
+        lb, pb = _random_log_phase(rng, kb, 40.0)
+        la[0] = -math.inf  # a leading zero
+        logs, phases = kernel._convolve_truncated(la, pa, lb, pb, nmax)
+        assert logs.size == min(nmax, ka + kb - 1)
+        refs, l1s = [], []
+        for m in range(logs.size):
+            i = np.arange(max(0, m - kb + 1), min(m, ka - 1) + 1)
+            refs.append(stable_sum_arrays(la[i] + lb[m - i], pa[i] * pb[m - i]))
+            l1s.append(_log_l1(la[i] + lb[m - i]))
+        assert np.max(_gaps_in_eps(logs, phases, refs, l1s)) <= 8.0
+
+
+def _check_prefix_sums(lb, pb, bound):
+    logs, phases = kernel._prefix_sums(lb, pb)
+    refs = [stable_sum_arrays(lb[: m + 1], pb[: m + 1]) for m in range(lb.size)]
+    l1s = [_log_l1(lb[: m + 1]) for m in range(lb.size)]
+    assert np.max(_gaps_in_eps(logs, phases, refs, l1s)) <= bound
+
+
+def test_prefix_sums_across_levels():
+    # log magnitudes span many 256-nat levels, rising and falling, so the
+    # carry between levels is rescaled and the small terms underflow
+    rng = np.random.default_rng(11)
+    for size, step in [(1000, 30.0), (3, 500.0)]:
+        lb, pb = _random_log_phase(rng, size, step)
+        lb[:2] = -math.inf  # leading zeros
+        _check_prefix_sums(lb, pb, 4.0)
+
+
+def test_prefix_sums_are_compensated():
+    # one unit term then 500 terms near 1/500: a plain running sum drifts by
+    # about 5 eps here, the compensated one stays within rounding
+    rng = np.random.default_rng(12)
+    lb = math.log(1.0 / 500) + rng.uniform(-0.1, 0.0, 500)
+    lb[0] = 0.0
+    pb = np.exp(1j * rng.uniform(0.0, 0.1, 500))
+    _check_prefix_sums(lb, pb, 2.0)
+
+
+def test_d2_evaluation_memory_is_linear_in_n():
+    params = ModelParams(d=2, tau=0.5, n=4096)
+    z = np.array([40.0 + 20.0j, -30.0 + 5.0j])
+    tracemalloc.start()
+    try:
+        kernel_exact_log(params, z, z + 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_tau0_closed_form_j_zero_case():
     params = ModelParams(d=2, tau=0.0, n=6)
     z = np.array([1.0, 1.0j])
@@ -148,6 +271,44 @@ def test_tau0_closed_matches_exact():
             a = kernel_exact(params, z, w)
             b = kernel_tau0_closed(params, z, w)
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_truncated_exp_series_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    assert truncated_exp_series(0.0, 1).value == 1.0
+    assert truncated_exp_series(3.0 - 2.0j, 1).value == 1.0
+    rng = np.random.default_rng(17)
+    for n in (1, 5, 16, 64, 256):
+        for _ in range(20):
+            x = n * rng.uniform(0.0, 0.999) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            got = truncated_exp_series(x, n)
+            with mp.workdps(50):
+                terms = [mp.mpc(x) ** j / mp.factorial(j) for j in range(n)]
+                ref = mp.fsum(terms)
+                # the best any double computation can promise: eps times the
+                # ratio of the terms' absolute sum to the result
+                cond = float(mp.fsum(abs(t) for t in terms) / abs(ref))
+                ratio = mp.exp(mp.mpf(got.log_mag) - mp.log(abs(ref))) * mp.mpc(got.phase) * abs(ref) / ref
+                assert float(abs(ratio - 1)) <= 16 * eps * cond, (x, n)
+
+
+def test_tau0_closed_form_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(9)  # the draws of test_tau0_closed_matches_exact
+    for d in (1, 2, 3):
+        params = ModelParams(d=d, tau=0.0, n=16)
+        for _ in range(50):
+            z = rng.uniform(-1.5, 1.5, d) + 1j * rng.uniform(-1.5, 1.5, d)
+            w = rng.uniform(-1.5, 1.5, d) + 1j * rng.uniform(-1.5, 1.5, d)
+            got = kernel_tau0_closed(params, z, w)
+            with mp.workdps(50):
+                zs = [mp.mpc(c) for c in z]
+                ws = [mp.mpc(c) for c in w]
+                x = mp.fsum(a * mp.conj(b) for a, b in zip(zs, ws))
+                size = mp.fsum(abs(c) ** 2 for c in zs + ws)
+                ref = mp.pi ** (-d) * mp.exp(-size / 2) * mp.fsum(x**j / mp.factorial(j) for j in range(16))
+                assert float(abs(mp.mpc(got) / ref - 1)) <= 1e-14
 
 
 def test_tau0_closed_is_ginibre_at_d1():

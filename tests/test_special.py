@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgedpp.errors import DomainError, UsageError
-from edgedpp.special import LogMagnitudePhase, erfc_complex, erfcx_complex, stable_sum
+from edgedpp.special import LogMagnitudePhase, erfc_complex, erfcx_complex, gauss_legendre, stable_sum
 
 from oracles import (
     dd_sum_log_phase,
@@ -175,3 +175,12 @@ def test_log_magnitude_phase_invariants():
     assert z.log_mag == -math.inf and z.value == 0.0
     prod = v * LogMagnitudePhase.from_complex(2.0j)
     assert abs(prod.value - (3.0 - 4.0j) * 2.0j) <= 1e-13 * 10.0
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    x, w = gauss_legendre(40)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(40)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert gauss_legendre(40)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
