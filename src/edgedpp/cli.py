@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import sys
 
@@ -37,25 +38,22 @@ from .predictors import edge_density_prediction
 
 __all__ = ["main", "config_defaults", "load_config"]
 
+# Kinds with a fixed structural (d, tau) grid: they take no d_grid/tau_grid keys.
+_FIXED_GRID_KINDS = ("refined_d1", "saddle_pole", "max_principle", "phi_expansion")
+
 
 def config_defaults() -> dict:
     """Built-in configuration: global keys, contour knobs, per-kind grids."""
     cfg = {
         "global": {"seed": 20260401, "threads": 1},
-        "contour": {
-            "node_count": 512,
-            "radius_offset": 1.0,
-            "tolerance": 1e-10,
-            "max_doublings": 8,
-        },
+        "contour": {f.name: f.default for f in dataclasses.fields(ContourConfig)},
     }
     for kind in EXPERIMENT_KINDS:
         spec = default_spec(kind)
-        cfg[kind] = {
-            "n_grid": ",".join(str(n) for n in spec.n_grid),
-            "d_grid": ",".join(str(d) for d in sorted({d for d, _ in spec.params_grid})),
-            "tau_grid": ",".join(repr(t) for t in sorted({t for _, t in spec.params_grid})),
-        }
+        cfg[kind] = {"n_grid": ",".join(str(n) for n in spec.n_grid)}
+        if kind not in _FIXED_GRID_KINDS:
+            cfg[kind]["d_grid"] = ",".join(str(d) for d in sorted({d for d, _ in spec.params_grid}))
+            cfg[kind]["tau_grid"] = ",".join(repr(t) for t in sorted({t for _, t in spec.params_grid}))
         for key, val in spec.tolerances.items():
             cfg[kind][key] = val
         for key, val in spec.settings.items():
@@ -94,8 +92,6 @@ def _spec_from_config(kind: str, cfg: dict):
     sec = cfg[kind]
     seed = int(cfg["global"]["seed"])
     n_grid = tuple(int(x) for x in str(sec["n_grid"]).split(","))
-    d_grid = tuple(int(x) for x in str(sec["d_grid"]).split(","))
-    tau_grid = tuple(float(x) for x in str(sec["tau_grid"]).split(","))
     base = default_spec(kind, seed=seed)
     tolerances = dict(base.tolerances)
     settings = dict(base.settings)
@@ -105,10 +101,11 @@ def _spec_from_config(kind: str, cfg: dict):
     for key in list(settings):
         if key in sec and isinstance(settings[key], (int, float, complex)):
             settings[key] = type(settings[key])(sec[key])
-    params_grid = tuple((d, t) for d in d_grid for t in tau_grid)
-    # keep kinds with a fixed structural grid on their defaults
-    if kind in ("refined_d1", "saddle_pole", "max_principle", "phi_expansion"):
-        params_grid = base.params_grid
+    params_grid = base.params_grid
+    if kind not in _FIXED_GRID_KINDS:
+        d_grid = tuple(int(x) for x in str(sec["d_grid"]).split(","))
+        tau_grid = tuple(float(x) for x in str(sec["tau_grid"]).split(","))
+        params_grid = tuple((d, t) for d in d_grid for t in tau_grid)
     return default_spec(
         kind,
         seed=seed,
@@ -120,13 +117,7 @@ def _spec_from_config(kind: str, cfg: dict):
 
 
 def _contour_from_config(cfg: dict) -> ContourConfig:
-    sec = cfg["contour"]
-    return ContourConfig(
-        node_count=int(sec["node_count"]),
-        radius_offset=float(sec["radius_offset"]),
-        tolerance=float(sec["tolerance"]),
-        max_doublings=int(sec["max_doublings"]),
-    )
+    return ContourConfig(**cfg["contour"])
 
 
 def _run_kinds(kinds, cfg) -> list[ConvergenceReport]:

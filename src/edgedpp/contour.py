@@ -21,22 +21,28 @@ to F(s) = zeta s - log s with the pole at s = 1 and
 
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
-the pole at distance ~ offset/sqrt(n); the default node count 64 sqrt(n)
-therefore already resolves it, and the adaptive doubling loop merely
-certifies convergence.
+the pole at relative distance ~ offset/sqrt(n); the default node count
+64 sqrt(n) therefore already resolves it, and the adaptive doubling loop
+merely certifies convergence (Trefethen and Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 2014).  The rules are nested:
+each doubling evaluates only the midpoints of the previous rule and
+reuses its node sum, so a value converged after one doubling of an
+N-node rule costs 2N node evaluations and sums, not 3N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContourError, DomainError, QuadratureError, UsageError
 from .geometry import SaddleFrame
 from .kernel import ModelParams, truncated_exp_series
-from .special import LogMagnitudePhase, stable_sum_arrays
+from .special import LogMagnitudePhase, stable_sum, stable_sum_arrays
 
 __all__ = [
     "ContourConfig",
@@ -46,7 +52,6 @@ __all__ = [
     "integral_I_zero_closed",
     "kernel_via_contour_log",
     "max_principle_check",
-    "pole_enclosed_tau",
 ]
 
 # Keep the circle out of the branch region of (1 - s^2)^{d/2}.
@@ -56,8 +61,11 @@ _MAX_RADIUS_TAU = 0.999
 # (|a|^{-1} > tau always holds there), the pole stays enclosed on either
 # circle, and by Cauchy's theorem the value is unchanged.
 _RADIUS_CAP_TAU = 0.93
-# Refuse when the pole ends up closer than this many 1/sqrt(n) units.
+# Refuse when the pole ends up closer than this many r/sqrt(n) units; the
+# radius nudge is relative, so the guard is too (tau -> 0 puts r near tau).
 _MIN_POLE_GAP = 1e-3
+
+_ONE = LogMagnitudePhase(0.0, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -133,28 +141,105 @@ def _reject_hopeless_cancellation(
         )
 
 
-def _trapezoid_nodes(count: int) -> np.ndarray:
-    return 2.0 * math.pi * np.arange(count) / count
+def _trapezoid_nodes(count: int, midpoints: bool = False) -> np.ndarray:
+    """count equispaced angles 2 pi k / count, or the count midpoints between them."""
+    k = np.arange(count) + 0.5 if midpoints else np.arange(count)
+    return 2.0 * math.pi * k / count
+
+
+def _nested_trapezoid(
+    node_values: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    count: int,
+    residue: bool,
+    config: ContourConfig,
+    r: float,
+    n: int,
+    where: str,
+) -> LogMagnitudePhase:
+    """Adaptive trapezoid rule on the circle, doubling with nested nodes.
+
+    node_values maps angles to the per-node (log magnitude, phase) of the
+    integrand sum without the 1/count weight.  Each doubling evaluates only
+    the count midpoints of the current rule, T_2N = (S_N + S_mid) / 2N with
+    S the plain node sums, and the residue +1 joins each estimate after the
+    weighting.  Two successive estimates agreeing to the relative tolerance
+    end the loop; every estimate passes the cancellation guard.
+    """
+    log_mag, phase = node_values(_trapezoid_nodes(count))
+    node_sum = stable_sum_arrays(log_mag, phase)
+
+    def estimate() -> LogMagnitudePhase:
+        weight = math.log(count)
+        val = LogMagnitudePhase(node_sum.log_mag - weight, node_sum.phase)
+        weighted = log_mag - weight
+        if residue:
+            val = stable_sum((val, _ONE))
+            weighted = np.append(weighted, 0.0)
+        _reject_hopeless_cancellation(weighted, val, r, n)
+        return val
+
+    prev = estimate()
+    for _ in range(config.max_doublings):
+        mid_log, mid_phase = node_values(_trapezoid_nodes(count, midpoints=True))
+        node_sum = stable_sum((node_sum, stable_sum_arrays(mid_log, mid_phase)))
+        log_mag = np.concatenate((log_mag, mid_log))
+        count *= 2
+        val = estimate()
+        if _converged(val, prev, config.tolerance):
+            return val
+        prev = val
+    raise QuadratureError(
+        f"contour integral did not converge: n={n}, {where}, "
+        f"final node count {count}, tolerance {config.tolerance:g}"
+    )
+
+
+def _start_count(config: ContourConfig, n: int) -> int:
+    return max(config.node_count, 64 * math.isqrt(n - 1) + 64)
+
+
+def _log_on_circle(r: float, theta: np.ndarray) -> np.ndarray:
+    """log s at s = r e^{i theta}, without a complex log.
+
+    The branch differs from the principal one by 2 pi i for theta > pi,
+    which the integer n multiplying it turns into a whole number of turns.
+    """
+    return math.log(r) + 1j * theta
 
 
 def _quadrature_tau(
-    frame: SaddleFrame, params: ModelParams, r: float, count: int
+    frame: SaddleFrame, params: ModelParams, r: float, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (log magnitude, phase) of the normalized integrand sum.
+    """Per-node (log magnitude, phase) of the normalized integrand at angles theta.
 
-    Contribution of node s: -(1/count) e^{n (F(s) - F(tau))} (1-tau^2)^{d/2}
-    * s / ((s - tau) (1 - s^2)^{d/2}).
+    Contribution of node s, before the 1/count weight: -e^{n (F(s) - F(tau))}
+    (1-tau^2)^{d/2} * s / ((s - tau) (1 - s^2)^{d/2}).
     """
     tau, d, n = params.tau, params.d, params.n
-    theta = _trapezoid_nodes(count)
     s = r * np.exp(1j * theta)
     one_minus_s2 = 1.0 - s * s
     if np.any(one_minus_s2.real <= 0.0):
         raise ContourError("contour touches the branch region of (1 - s^2)^{d/2}")
-    df = frame.phase.F(s) - frame.phase.F_at_pole()
-    rest = s / ((s - tau) * one_minus_s2 ** (0.5 * d))
+    df = frame.phase.F(s, _log_on_circle(r, theta)) - frame.phase.F_at_pole()
+    # (1 - s^2)^{d/2} through the principal square root: the branch of the
+    # complex power, without its cost for odd d
+    rest = s / ((s - tau) * np.sqrt(one_minus_s2) ** d)
     log_mag = n * df.real + np.log(np.abs(rest))
-    log_mag += 0.5 * d * math.log1p(-tau * tau) - math.log(count)
+    log_mag += 0.5 * d * math.log1p(-tau * tau)
+    phase = np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
+    return log_mag, phase
+
+
+def _quadrature_zero(zeta: complex, n: int, r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (log magnitude, phase) of the tau = 0 integrand at angles theta.
+
+    Contribution of node s, before the 1/count weight: -e^{n (zeta s - log s
+    - zeta)} * s / (s - 1).
+    """
+    s = r * np.exp(1j * theta)
+    df = zeta * s - _log_on_circle(r, theta) - zeta
+    rest = s / (s - 1.0)
+    log_mag = n * df.real + np.log(np.abs(rest))
     phase = np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
     return log_mag, phase
 
@@ -184,32 +269,17 @@ def integral_I_tau(
         r = min(r, 0.5 * (cap + 1.0) - 0.03)
     if r >= _MAX_RADIUS_TAU:
         raise ContourError(f"contour radius {r:.6f} reaches the branch region at |s| = 1")
-    if abs(r - tau) < _MIN_POLE_GAP / math.sqrt(n):
-        raise ContourError("pole lies within 1e-3/sqrt(n) of the contour")
-
-    count = max(config.node_count, 64 * math.isqrt(n - 1) + 64)
-    prev = None
-    for _ in range(config.max_doublings + 1):
-        log_mag, phase = _quadrature_tau(frame, params, r, count)
-        if pole_inside and include_residue:
-            log_mag = np.append(log_mag, 0.0)
-            phase = np.append(phase, 1.0 + 0.0j)
-        val = stable_sum_arrays(log_mag, phase)
-        _reject_hopeless_cancellation(log_mag, val, r, n)
-        if prev is not None and _converged(val, prev, config.tolerance):
-            return val
-        prev = val
-        count *= 2
-    raise QuadratureError(
-        f"contour integral did not converge: n={n}, radius={r:.6g}, "
-        f"final node count {count // 2}, tolerance {config.tolerance:g}"
+    if abs(r - tau) < _MIN_POLE_GAP * r / math.sqrt(n):
+        raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
+    return _nested_trapezoid(
+        functools.partial(_quadrature_tau, frame, params, r),
+        _start_count(config, n),
+        pole_inside and include_residue,
+        config,
+        r,
+        n,
+        f"radius={r:.6g}",
     )
-
-
-def pole_enclosed_tau(params: ModelParams, frame: SaddleFrame, config: ContourConfig = DEFAULT_CONTOUR) -> bool:
-    """Whether the chosen circle encloses the pole s = tau."""
-    r, inside = _choose_radius(frame.radius, params.tau, params.n, config.radius_offset)
-    return inside
 
 
 def integral_I_zero(
@@ -230,34 +300,20 @@ def integral_I_zero(
     if zeta == 0:
         if not include_residue:
             raise UsageError("zeta = 0 bypasses quadrature; no residue split exists")
-        return LogMagnitudePhase(0.0, 1.0 + 0.0j)
+        return _ONE
 
     base = 1.0 / abs(zeta)
     r, pole_inside = _choose_radius(base, 1.0, n, config.radius_offset)
-    if abs(r - 1.0) < _MIN_POLE_GAP / math.sqrt(n):
-        raise ContourError("pole lies within 1e-3/sqrt(n) of the contour")
-
-    count = max(config.node_count, 64 * math.isqrt(n - 1) + 64)
-    prev = None
-    for _ in range(config.max_doublings + 1):
-        theta = _trapezoid_nodes(count)
-        s = r * np.exp(1j * theta)
-        df = zeta * s - np.log(s) - zeta
-        rest = s / (s - 1.0)
-        log_mag = n * df.real + np.log(np.abs(rest)) - math.log(count)
-        phase = np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
-        if pole_inside and include_residue:
-            log_mag = np.append(log_mag, 0.0)
-            phase = np.append(phase, 1.0 + 0.0j)
-        val = stable_sum_arrays(log_mag, phase)
-        _reject_hopeless_cancellation(log_mag, val, r, n)
-        if prev is not None and _converged(val, prev, config.tolerance):
-            return val
-        prev = val
-        count *= 2
-    raise QuadratureError(
-        f"contour integral did not converge: n={n}, zeta={zeta!r}, "
-        f"final node count {count // 2}, tolerance {config.tolerance:g}"
+    if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
+        raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
+    return _nested_trapezoid(
+        functools.partial(_quadrature_zero, zeta, n, r),
+        _start_count(config, n),
+        pole_inside and include_residue,
+        config,
+        r,
+        n,
+        f"zeta={zeta!r}",
     )
 
 

@@ -21,7 +21,9 @@ LogMagnitudePhase represents a complex quantity as exp(log_mag) * phase
 with |phase| = 1, so magnitudes of order exp(+-n F) with n in the
 thousands stay representable.  stable_sum adds such quantities by
 shifting out the largest exponent and running an exactly rounded float
-summation on the shifted values.
+summation on the shifted values.  Terms whose shifted value underflows to
+exactly zero are dropped before the summation; an exact zero cannot move
+an exactly rounded sum, so the result is the same to the last bit.
 
 gauss_legendre caches the Gauss-Legendre rules that the quadratures in
 harness and saddle share.
@@ -239,13 +241,15 @@ def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudeP
     phases = np.asarray(phases, dtype=complex)
     if log_mags.size == 0:
         raise UsageError("stable_sum requires a non-empty sequence")
-    if np.any(np.isnan(log_mags)) or np.any(np.isposinf(log_mags)):
+    if not (log_mags < math.inf).all():  # nan or +inf
         raise DomainError("log magnitudes must be < +inf and not nan")
     shift = float(np.max(log_mags))
     if shift == -math.inf:
         return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
-    scaled = phases * np.exp(log_mags - shift)
-    total = complex(math.fsum(scaled.real), math.fsum(scaled.imag))
+    mags = np.exp(log_mags - shift)
+    live = mags > 0.0  # an underflowed term cannot move an exactly rounded sum
+    scaled = phases[live] * mags[live]
+    total = complex(math.fsum(scaled.real.tolist()), math.fsum(scaled.imag.tolist()))
     if total == 0:
         return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
     return LogMagnitudePhase(shift + math.log(abs(total)), total / abs(total))

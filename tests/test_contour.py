@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from edgedpp import contour
 from edgedpp.contour import (
     ContourConfig,
     _quadrature_tau,
+    _quadrature_zero,
+    _trapezoid_nodes,
     integral_I_tau,
     integral_I_zero,
     integral_I_zero_closed,
     kernel_via_contour_log,
     max_principle_check,
 )
-from edgedpp.errors import DomainError, UsageError
+from edgedpp.errors import DomainError, QuadratureError, UsageError
 from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
 from edgedpp.kernel import ModelParams, kernel_exact_log
 from edgedpp.special import stable_sum_arrays
@@ -119,11 +122,77 @@ def test_pole_side_consistency():
     count = 8192
     r_out = tau * 1.02
     r_in = tau * 0.98
-    lg_o, ph_o = _quadrature_tau(frame, params, r_out, count)
-    enclosed = stable_sum_arrays(np.append(lg_o, 0.0), np.append(ph_o, 1.0 + 0.0j))
-    lg_i, ph_i = _quadrature_tau(frame, params, r_in, count)
-    excluded = stable_sum_arrays(lg_i, ph_i)
+    theta, weight = _trapezoid_nodes(count), math.log(count)
+    lg_o, ph_o = _quadrature_tau(frame, params, r_out, theta)
+    enclosed = stable_sum_arrays(np.append(lg_o - weight, 0.0), np.append(ph_o, 1.0 + 0.0j))
+    lg_i, ph_i = _quadrature_tau(frame, params, r_in, theta)
+    excluded = stable_sum_arrays(lg_i - weight, ph_i)
     assert abs(enclosed.ratio_to(excluded) - 1.0) <= 1e-9
+
+
+def _record_passes(monkeypatch, node_function):
+    """Count the nodes of every pass and note the radius the rule runs on."""
+    counts, radii = [], []
+
+    def counted(count, *args, **kwargs):
+        counts.append(count)
+        return _trapezoid_nodes(count, *args, **kwargs)
+
+    def recorded(*args):
+        radii.append(args[-2])
+        return node_function(*args)
+
+    monkeypatch.setattr(contour, "_trapezoid_nodes", counted)
+    monkeypatch.setattr(contour, node_function.__name__, recorded)
+    return counts, radii
+
+
+def _single_pass(node_values, count, residue):
+    """The plain count-node trapezoid sum, all nodes evaluated at once."""
+    lg, ph = node_values(_trapezoid_nodes(count))
+    if residue:
+        return stable_sum_arrays(np.append(lg - math.log(count), 0.0), np.append(ph, 1.0 + 0.0j))
+    return stable_sum_arrays(lg - math.log(count), ph)
+
+
+def test_nested_doubling_evaluates_2n_nodes(monkeypatch):
+    # one doubling of an N-node rule evaluates the N midpoints only, and the
+    # nested value is the 2N-node rule summed in one pass
+    one = ContourConfig(max_doublings=1)
+    params = ModelParams(d=2, tau=0.4, n=256)
+    _, frame = edge_frame(params, 11)
+    count = 64 * math.isqrt(params.n - 1) + 64
+    for include_residue in (True, False):
+        counts, radii = _record_passes(monkeypatch, _quadrature_tau)
+        val = integral_I_tau(params, frame, one, include_residue)
+        assert counts == [count, count]
+        r = radii[0]
+        ref = _single_pass(
+            lambda theta: _quadrature_tau(frame, params, r, theta), 2 * count, include_residue and r > params.tau
+        )
+        assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
+        monkeypatch.undo()
+
+    params = ModelParams(d=1, tau=0.0, n=1024)
+    count = 64 * math.isqrt(params.n - 1) + 64
+    for zeta in (0.9 + 0.1j, 1.1 - 0.05j):
+        counts, radii = _record_passes(monkeypatch, _quadrature_zero)
+        val = integral_I_zero(params, zeta, one)
+        assert counts == [count, count]
+        r = radii[0]
+        ref = _single_pass(lambda theta: _quadrature_zero(zeta, params.n, r, theta), 2 * count, r > 1.0)
+        assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
+        monkeypatch.undo()
+
+
+def test_quadrature_error_when_rule_cannot_converge():
+    never = ContourConfig(tolerance=1e-300, max_doublings=1)
+    params = ModelParams(d=1, tau=0.5, n=256)
+    _, frame = edge_frame(params, 3)
+    with pytest.raises(QuadratureError, match="final node count 2048, tolerance 1e-300"):
+        integral_I_tau(params, frame, never)
+    with pytest.raises(QuadratureError, match="final node count 2048, tolerance 1e-300"):
+        integral_I_zero(ModelParams(d=1, tau=0.0, n=256), 0.95 + 0.1j, never)
 
 
 def test_branch_safety_on_contour():

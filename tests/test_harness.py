@@ -1,12 +1,15 @@
 """Harness machinery: rate fits, reports, configuration, CLI."""
 
+import configparser
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgedpp.cli import config_defaults, load_config, main
+from edgedpp.cli import _contour_from_config, config_defaults, load_config, main
+from edgedpp.contour import DEFAULT_CONTOUR
 from edgedpp.errors import DegenerateFitError, DomainError, EdgeDppError, UsageError
 from edgedpp.harness import (
     ConvergenceReport,
@@ -119,6 +122,19 @@ def test_config_defaults_and_overrides(tmp_path):
     bad.write_text("[global]\nnope = 3\n")
     with pytest.raises(EdgeDppError):
         load_config(str(bad))
+
+
+def test_example_config_is_the_defaults():
+    # every section, key and value of config.example.ini is the built-in default
+    path = Path(__file__).resolve().parents[1] / "config.example.ini"
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    defaults = config_defaults()
+    assert set(parser.sections()) == set(defaults)
+    for section in parser.sections():
+        assert set(parser[section]) == set(defaults[section]), section
+    assert load_config(str(path)) == defaults
+    assert _contour_from_config(defaults) == DEFAULT_CONTOUR
 
 
 def test_cli_kernel_eval(capsys):

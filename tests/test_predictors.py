@@ -200,6 +200,39 @@ def test_kernel_tau_to_zero_continuity():
     assert abs(tiny - zero) <= 1e-6 * abs(zero)
 
 
+def test_contour_kernel_tau_to_zero_continuity():
+    # the same limit through the contour route: near tau = 0 the circle
+    # radius is about tau, and the pole guard scales with it
+    from edgedpp.contour import kernel_via_contour_log
+    from edgedpp.kernel import kernel_tau0_closed
+
+    rng = np.random.default_rng(59)
+    z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+    w = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+    zero = kernel_tau0_closed(ModelParams(d=2, tau=0.0, n=6), z, w)
+    for tau in (1e-4, 1e-6, 1e-8):
+        tiny = kernel_via_contour_log(ModelParams(d=2, tau=tau, n=6), z / math.sqrt(6), w / math.sqrt(6))
+        assert abs(tiny.value - zero) <= 100.0 * tau * abs(zero)
+
+
+def test_normalized_kernel_near_tau_zero_is_not_refused():
+    # tau = 1e-3 puts the saddle circle near |s| = tau; both routes must
+    # answer and agree
+    worst = 0.0
+    for d in (1, 2):
+        for n in (64, 256):
+            params = ModelParams(d=d, tau=1e-3, n=n)
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                u = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+                v = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+                u *= 0.8 / np.linalg.norm(u)
+                v *= 0.6 / np.linalg.norm(v)
+                sample = normalized_kernel(params, edge_point_sample(params, seed), u, v)
+                worst = max(worst, sample.route_gap)
+    assert worst <= 1e-8
+
+
 def test_d1_refined_requires_d1():
     params = ModelParams(d=2, tau=0.4, n=16)
     ep = edge_point_sample(params, 53)

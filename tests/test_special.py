@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from edgedpp.errors import DomainError, UsageError
-from edgedpp.special import LogMagnitudePhase, erfc_complex, erfcx_complex, gauss_legendre, stable_sum
+from edgedpp.special import (
+    LogMagnitudePhase,
+    erfc_complex,
+    erfcx_complex,
+    gauss_legendre,
+    stable_sum,
+    stable_sum_arrays,
+)
 
 from oracles import (
     dd_sum_log_phase,
@@ -160,6 +167,23 @@ def test_stable_sum_permutation_stable():
         order = np.random.default_rng(perm_seed).permutation(1000)
         b = stable_sum([terms[i] for i in order])
         assert abs(b.ratio_to(a) - 1.0) <= 1e-12
+
+
+def test_stable_sum_drops_only_exact_zeros():
+    # logs spanning more than 745 nats underflow part of the shifted terms
+    # to exactly zero; leaving them out must not move the exactly rounded sum
+    rng = np.random.default_rng(11)
+    for size in (2, 50, 4000):
+        logs = rng.uniform(-900.0, 100.0, size)
+        logs[0] = 100.0
+        logs[1] = -800.0
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size))
+        scaled = phases * np.exp(logs - 100.0)
+        assert np.count_nonzero(scaled == 0) >= 1
+        total = complex(math.fsum(scaled.real), math.fsum(scaled.imag))
+        out = stable_sum_arrays(logs, phases)
+        assert out.log_mag == 100.0 + math.log(abs(total))
+        assert out.phase == total / abs(total)
 
 
 def test_stable_sum_rejects_empty():
