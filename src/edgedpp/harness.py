@@ -7,8 +7,8 @@ kernel evaluations:
 * representation_equivalence: Hermite/monomial sums against the contour
   route on a (d, tau, n) grid, plus the tau = 0 closed form.
 * trace_identity: integral of the diagonal kernel against the point
-  count C(n+d-1, d), by polar quadrature (d = 1) and importance-sampled
-  Monte Carlo (d = 2).
+  count C(n+d-1, d), by an exact Gauss-Hermite product rule folded by
+  symmetry, for every d.
 * bulk_limit: decay of the bulk deviation at half-radius, plus the
   pointwise uniform-density values at |z| = 0.5 and |z| = 1 for tau = 0.
 * edge_density: two-term erfc density profile, residual decay rate.
@@ -27,6 +27,7 @@ reduced in list order, keeping numbers independent of the thread count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -63,7 +64,7 @@ from .saddle import (
     pole_gaussian_integral,
     sinh_ratio,
 )
-from .special import gauss_legendre
+from .special import stable_sum_arrays
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -149,7 +150,7 @@ _DEFAULTS: dict[str, dict] = {
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.3, 0.7)),
         n_grid=(2, 4, 8, 16),
         tolerances={"d1_rel": 1e-6, "d2_rel": 5e-3},
-        settings={"mc_points": 1_000_000},
+        settings={},
     ),
     "bulk_limit": dict(
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.25)),
@@ -305,50 +306,18 @@ def _run_representation_equivalence(
     return results
 
 
-def _phi_diag_sq(zs: np.ndarray, tau: float, n: int) -> np.ndarray:
-    """|phi_j(z)|^2 for j < n, vectorized over points (no rescaling; small n)."""
-    c = math.sqrt(1.0 - tau * tau)
-    out = np.empty((n,) + zs.shape)
-    prev = np.zeros_like(zs)
-    cur = np.ones_like(zs)
-    for j in range(n):
-        out[j] = np.abs(cur) ** 2
-        prev, cur = cur, (c * zs * cur - tau * math.sqrt(j) * prev) / math.sqrt(j + 1)
-    return out
-
-
-def _diag_kernel_d1(zs: np.ndarray, tau: float, n: int) -> np.ndarray:
-    """K_n(z, z) on an array of points, d = 1, plain double arithmetic."""
-    if tau == 0.0:
-        r2 = np.abs(zs) ** 2
-        terms = np.empty((n,) + zs.shape)
-        cur = np.ones_like(r2)
-        for j in range(n):
-            terms[j] = cur
-            cur = cur * r2 / (j + 1)
-        return np.exp(-r2) / math.pi * terms.sum(axis=0)
-    sq = _phi_diag_sq(zs, tau, n)
-    logw = -np.abs(zs) ** 2 + tau * (zs * zs).real
-    return math.sqrt(1.0 - tau * tau) / math.pi * np.exp(logw) * sq.sum(axis=0)
-
-
 def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    mc_points = int(spec.settings.get("mc_points", 1_000_000))
     results = []
     for d, tau in spec.params_grid:
         samples = []
         passed = True
         tol = spec.tolerances["d1_rel"] if d == 1 else spec.tolerances["d2_rel"]
         for n in spec.n_grid:
-            if d == 2 and n > 8:
+            if d > 1 and n > 8:
                 continue
             params = ModelParams(d=d, tau=tau, n=n)
             target = float(params.point_count)
-            if d == 1:
-                got = _trace_d1_quadrature(tau, n)
-            else:
-                got = _trace_d2_montecarlo(tau, n, mc_points, _rng(spec.seed, 2, int(tau * 10), n))
-            err = abs(got - target) / target
+            err = abs(_trace_gauss_hermite(params) - target) / target
             samples.append((n, err))
             passed = passed and err <= tol
         results.append(
@@ -357,67 +326,32 @@ def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig, threads: i
     return results
 
 
-def _trace_d1_quadrature(tau: float, n: int) -> float:
-    """Polar-grid integral of the diagonal kernel over C, d = 1."""
-    r_max = math.sqrt(2.0 * n / (1.0 - tau)) + 8.0
-    x, w = gauss_legendre(400)
-    r = 0.5 * r_max * (x + 1.0)
-    wr = 0.5 * r_max * w
-    m_theta = 512
-    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
-    zs = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = _diag_kernel_d1(zs, tau, n)
-    return float(np.sum(wr[:, None] * vals * r[:, None]) * (2.0 * math.pi / m_theta))
+def _trace_gauss_hermite(params: ModelParams) -> float:
+    """Integral of K_n(z, z) over C^d by a folded Gauss-Hermite product rule.
 
-
-def _trace_d2_montecarlo(tau: float, n: int, points: int, rng: np.random.Generator) -> float:
-    """Importance-sampled integral of the diagonal kernel over C^2.
-
-    Proposal q matches the weight exp(-(1-tau) x^2 - (1+tau) y^2) per
-    coordinate, widened by 1.3 in variance to tame the polynomial tails.
+    Per coordinate, z = s / sqrt(1 - tau) + i t / sqrt(1 + tau) turns the
+    weight omega(z) into exp(-s^2 - t^2), and K_n(z, z) / omega(z) is a
+    polynomial of degree <= 2(n - 1) in each of s and t.  The n-point rule
+    in each of the 2d real variables is exact to degree 2n - 1, so the sum
+    is C(n+d-1, d) up to rounding.  phi_j(-z) = (-1)^j phi_j(z) and
+    phi_j(conj z) = conj phi_j(z) make K_n(z, z) even in every real
+    variable, so only the nodes >= 0 are kept, each nonzero one at twice
+    its weight: ceil(n/2)^(2d) kernel evaluations instead of n^(2d).
     """
-    widen = 1.3
-    sx = math.sqrt(widen / (2.0 * (1.0 - tau)))
-    sy = math.sqrt(widen / (2.0 * (1.0 + tau)))
-    total = 0.0
-    chunk = 100_000
-    done = 0
-    while done < points:
-        m = min(chunk, points - done)
-        xs = rng.normal(0.0, sx, size=(m, 2))
-        ys = rng.normal(0.0, sy, size=(m, 2))
-        zs = xs + 1j * ys
-        log_q = (
-            -0.5 * np.sum(xs**2, axis=1) / sx**2
-            - 0.5 * np.sum(ys**2, axis=1) / sy**2
-            - 2.0 * math.log(2.0 * math.pi * sx * sy)
-        )
-        if tau == 0.0:
-            t0 = _power_diag(zs[:, 0], n)
-            t1 = _power_diag(zs[:, 1], n)
-            pref = np.exp(-np.sum(np.abs(zs) ** 2, axis=1)) / math.pi**2
-        else:
-            t0 = _phi_diag_sq(zs[:, 0], tau, n)
-            t1 = _phi_diag_sq(zs[:, 1], tau, n)
-            logw = np.sum(-np.abs(zs) ** 2 + tau * (zs * zs).real, axis=1)
-            pref = (1.0 - tau * tau) / math.pi**2 * np.exp(logw)
-        acc = np.zeros(m)
-        for j0 in range(n):
-            acc += t0[j0] * np.sum(t1[: n - j0], axis=0)
-        total += float(np.sum(pref * acc * np.exp(-log_q)))
-        done += m
-    return total / points
-
-
-def _power_diag(zs: np.ndarray, n: int) -> np.ndarray:
-    """|z|^{2j} / j! stacks for the tau = 0 diagonal."""
-    r2 = np.abs(zs) ** 2
-    out = np.empty((n,) + zs.shape)
-    cur = np.ones_like(r2)
-    for j in range(n):
-        out[j] = cur
-        cur = cur * r2 / (j + 1)
-    return out
+    tau, n = params.tau, params.n
+    s, w = np.polynomial.hermite.hermgauss(n)
+    # hermgauss returns symmetric nodes, with an exact 0.0 in the middle for odd n
+    s, w = s[n // 2 :], w[n // 2 :]
+    log_w = np.log(w) + s * s + np.where(s > 0.0, math.log(2.0), 0.0)
+    nodes = (s[:, None] / math.sqrt(1.0 - tau) + 1j * s[None, :] / math.sqrt(1.0 + tau)).ravel()
+    node_log_w = (log_w[:, None] + log_w[None, :]).ravel() - 0.5 * math.log1p(-tau * tau)
+    logs, phases = [], []
+    for idx in itertools.product(range(nodes.size), repeat=params.d):
+        idx = list(idx)
+        k = kernel_exact_log(params, nodes[idx], nodes[idx])
+        logs.append(float(np.sum(node_log_w[idx])) + k.log_mag)
+        phases.append(k.phase)
+    return stable_sum_arrays(np.array(logs), np.array(phases)).value.real
 
 
 def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _NEG_INF = -math.inf
+_SMALLEST_NORMAL = 2.0**-1022
 # Width in nats of one rescaling level of _prefix_sums: far inside the double
 # range even after summing n terms of a level.
 _LEVEL_NATS = 256.0
@@ -135,9 +136,14 @@ def _phi_log_arrays(x: complex, tau: float, n: int) -> tuple[np.ndarray, np.ndar
         m = max(abs(cur), abs(prev))
         if m > 1e150 or (0.0 < m < 1e-150):
             shift = math.log(m)
-            factor = math.exp(-shift)
-            prev *= factor
-            cur *= factor
+            if m < _SMALLEST_NORMAL:
+                # a subnormal iterate (subnormal tau): exp(-shift) would overflow
+                prev /= m
+                cur /= m
+            else:
+                factor = math.exp(-shift)
+                prev *= factor
+                cur *= factor
             scale += shift
     return logs, phases
 

@@ -25,8 +25,7 @@ summation on the shifted values.  Terms whose shifted value underflows to
 exactly zero are dropped before the summation; an exact zero cannot move
 an exactly rounded sum, so the result is the same to the last bit.
 
-gauss_legendre caches the Gauss-Legendre rules that the quadratures in
-harness and saddle share.
+gauss_legendre caches the Gauss-Legendre rules of the saddle quadratures.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ printed pass/fail line per criterion.
 Criteria (tolerances pinned here, not deferred):
   01 representation equivalence across (d, tau, n), 20 seeded pairs, 1e-8
   02 tau = 0 closed form against the convolution evaluator, 1e-12
-  03 trace identity: d=1 quadrature 1e-6 relative, d=2 Monte Carlo 0.5%
+  03 trace identity, exact Gauss-Hermite rule folded by symmetry: d=1 1e-6
+     relative, d=2 0.5%
   04 bulk limit decay: error(1024) <= 0.25 error(256)
   05 edge density: residual rate <= -0.8 and the leading-order check
   06 Faddeeva plasma kernel: sqrt(n)-scaled residual band within 1.5x

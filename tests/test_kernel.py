@@ -251,6 +251,16 @@ def test_d2_evaluation_memory_is_linear_in_n():
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("tau", [1e-300, 1e-310, 5e-324])
+def test_kernel_at_subnormal_tau_is_the_tau0_kernel(tau):
+    # at z = 0 the odd phi_j vanish and the even ones fall to tau^{j/2},
+    # a subnormal iterate once tau is subnormal; the rescaling must not overflow
+    for d in (1, 2):
+        z = np.zeros(d, dtype=complex)
+        got = kernel_exact(ModelParams(d=d, tau=tau, n=9), z, z)
+        assert got == kernel_tau0_closed(ModelParams(d=d, tau=0.0, n=9), z, z)
+
+
 def test_tau0_closed_form_j_zero_case():
     params = ModelParams(d=2, tau=0.0, n=6)
     z = np.array([1.0, 1.0j])
