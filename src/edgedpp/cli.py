@@ -45,12 +45,12 @@ _FIXED_GRID_KINDS = ("refined_d1", "saddle_pole", "max_principle", "phi_expansio
 def config_defaults() -> dict:
     """Built-in configuration: global keys, contour knobs, per-kind grids."""
     cfg = {
-        "global": {"seed": 20260401, "threads": 1},
+        "global": {"seed": 20260401},
         "contour": {f.name: f.default for f in dataclasses.fields(ContourConfig)},
     }
     for kind in EXPERIMENT_KINDS:
         spec = default_spec(kind)
-        cfg[kind] = {"n_grid": ",".join(str(n) for n in spec.n_grid)}
+        cfg[kind] = {"n_grid": ",".join(str(n) for n in spec.n_grid)} if spec.n_grid else {}
         if kind not in _FIXED_GRID_KINDS:
             cfg[kind]["d_grid"] = ",".join(str(d) for d in sorted({d for d, _ in spec.params_grid}))
             cfg[kind]["tau_grid"] = ",".join(repr(t) for t in sorted({t for _, t in spec.params_grid}))
@@ -74,6 +74,11 @@ def load_config(path: str | None) -> dict:
         if section not in cfg:
             raise EdgeDppError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
+            # threads was removed; bench/workloads.py still writes threads = 1, so that value loads
+            if section == "global" and key == "threads":
+                if raw != "1":
+                    raise EdgeDppError(f"[global] threads was removed; only threads = 1 loads, got {raw!r}")
+                continue
             if key not in cfg[section]:
                 raise EdgeDppError(f"unknown config key {key!r} in [{section}]")
             default = cfg[section][key]
@@ -90,30 +95,18 @@ def load_config(path: str | None) -> dict:
 
 def _spec_from_config(kind: str, cfg: dict):
     sec = cfg[kind]
-    seed = int(cfg["global"]["seed"])
-    n_grid = tuple(int(x) for x in str(sec["n_grid"]).split(","))
-    base = default_spec(kind, seed=seed)
-    tolerances = dict(base.tolerances)
-    settings = dict(base.settings)
-    for key in list(tolerances):
-        if key in sec:
-            tolerances[key] = float(sec[key])
-    for key in list(settings):
-        if key in sec and isinstance(settings[key], (int, float, complex)):
-            settings[key] = type(settings[key])(sec[key])
-    params_grid = base.params_grid
+    base = default_spec(kind)
+    overrides = {
+        "tolerances": {key: float(sec[key]) for key in base.tolerances},
+        "settings": {key: type(val)(sec[key]) for key, val in base.settings.items() if key in sec},
+    }
+    if "n_grid" in sec:
+        overrides["n_grid"] = tuple(int(x) for x in sec["n_grid"].split(","))
     if kind not in _FIXED_GRID_KINDS:
-        d_grid = tuple(int(x) for x in str(sec["d_grid"]).split(","))
-        tau_grid = tuple(float(x) for x in str(sec["tau_grid"]).split(","))
-        params_grid = tuple((d, t) for d in d_grid for t in tau_grid)
-    return default_spec(
-        kind,
-        seed=seed,
-        params_grid=params_grid,
-        n_grid=n_grid,
-        tolerances=tolerances,
-        settings=settings,
-    )
+        d_grid = tuple(int(x) for x in sec["d_grid"].split(","))
+        tau_grid = tuple(float(x) for x in sec["tau_grid"].split(","))
+        overrides["params_grid"] = tuple((d, t) for d in d_grid for t in tau_grid)
+    return default_spec(kind, seed=int(cfg["global"]["seed"]), **overrides)
 
 
 def _contour_from_config(cfg: dict) -> ContourConfig:
@@ -122,11 +115,10 @@ def _contour_from_config(cfg: dict) -> ContourConfig:
 
 def _run_kinds(kinds, cfg) -> list[ConvergenceReport]:
     contour = _contour_from_config(cfg)
-    threads = int(cfg["global"]["threads"])
     reports = []
     for kind in kinds:
         spec = _spec_from_config(kind, cfg)
-        rep = run_experiment(spec, contour, threads)
+        rep = run_experiment(spec, contour)
         status = "PASS" if rep.passed else "FAIL"
         print(f"[{status}] {kind}")
         for s in rep.series:
@@ -148,9 +140,10 @@ def _parse_point(text: str, d: int) -> np.ndarray:
     return np.array([complex(p) for p in parts])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_run(args) -> int:
+    """verify and report: run the selected kinds, optionally write a report."""
     cfg = load_config(args.config)
-    kinds = list(EXPERIMENT_KINDS) if args.kind == "all" else [args.kind]
+    kinds = list(EXPERIMENT_KINDS) if args.kind in (None, ["all"]) else args.kind
     reports = _run_kinds(kinds, cfg)
     if args.report:
         text = emit_report(reports, args.format)
@@ -182,27 +175,17 @@ def _cmd_density_scan(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    cfg = load_config(args.config)
-    kinds = args.kind if args.kind else list(EXPERIMENT_KINDS)
-    reports = _run_kinds(kinds, cfg)
-    text = emit_report(reports, args.format)
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(f"report written to {args.out}")
-    return 0 if all(r.passed for r in reports) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edgedpp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification experiments")
-    p_verify.add_argument("kind", choices=("all",) + EXPERIMENT_KINDS)
+    # nargs=1 makes the kind a list, as report's repeatable --kind is
+    p_verify.add_argument("kind", nargs=1, choices=("all",) + EXPERIMENT_KINDS)
     p_verify.add_argument("--config", default=None)
     p_verify.add_argument("--report", default=None, help="also write a report file")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_run)
 
     p_kernel = sub.add_parser("kernel", help="kernel evaluations")
     kernel_sub = p_kernel.add_subparsers(dest="subcommand", required=True)
@@ -228,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="run experiments and write a report")
     p_report.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_report.add_argument("--out", required=True)
+    p_report.add_argument("--out", required=True, dest="report", metavar="OUT")
     p_report.add_argument("--kind", action="append", choices=EXPERIMENT_KINDS)
     p_report.add_argument("--config", default=None)
-    p_report.set_defaults(func=_cmd_report)
+    p_report.set_defaults(func=_cmd_run)
     return parser
 
 

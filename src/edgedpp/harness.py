@@ -21,8 +21,6 @@ kernel evaluations:
 
 All randomness flows from counter-based generators keyed off the
 experiment seed, so a fixed seed reproduces reports byte for byte.
-Worker threads only parallelize independent evaluations and results are
-reduced in list order, keeping numbers independent of the thread count.
 """
 
 from __future__ import annotations
@@ -30,10 +28,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,8 +112,8 @@ class SeriesResult:
     d: int
     tau: float
     samples: tuple[tuple[int, float], ...]
-    fitted_exponent: float
     passed: bool
+    fitted_exponent: float = 0.0
     note: str = ""
 
     def __post_init__(self) -> None:
@@ -128,7 +125,6 @@ class SeriesResult:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    experiment: str
     kind: str
     seed: int
     series: tuple[SeriesResult, ...]
@@ -176,15 +172,17 @@ _DEFAULTS: dict[str, dict] = {
         tolerances={"exponent": -0.8},
         settings={"points": 2, "u": 0.3 + 0.1j, "v": -0.2j},
     ),
+    # saddle_pole fixes n in its two cases, and max_principle samples frames:
+    # neither has an n grid.
     "saddle_pole": dict(
         params_grid=((1, 0.0),),
-        n_grid=(50, 200),
+        n_grid=(),
         tolerances={"fp_floor": 1e-13},
         settings={"l1": -1.0, "l2": 1.0},
     ),
     "max_principle": dict(
         params_grid=((1, 0.3), (1, 0.5), (1, 0.7)),
-        n_grid=(1,),
+        n_grid=(),
         tolerances={"fprime": 1e-10, "violation": 1e-12},
         settings={"frames": 50, "grid_frames": 10, "grid_size": 10_000},
     ),
@@ -224,20 +222,13 @@ def fit_convergence_rate(samples: Sequence[tuple[int, float]]) -> float:
     return float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
 
 
-def _fit_or_exact(samples: Sequence[tuple[int, float]]) -> tuple[float, bool]:
-    """Rate fit that treats exact agreement as an automatic pass."""
+def _rate_within(samples: Sequence[tuple[int, float]], limit: float) -> tuple[float, bool]:
+    """Fitted rate and whether it is at most limit; exact agreement fits to -inf and passes."""
     try:
-        return fit_convergence_rate(samples), False
+        slope = fit_convergence_rate(samples)
     except DegenerateFitError:
-        return -math.inf, True
-
-
-def _pmap(fn: Callable, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        slope = -math.inf
+    return slope, slope <= limit
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -249,11 +240,9 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 # ----------------------------------------------------------------------
 
 
-def _run_representation_equivalence(
-    spec: ExperimentSpec, contour: ContourConfig, threads: int
-) -> list[SeriesResult]:
-    pairs = int(spec.settings.get("pairs", 20))
-    radius = float(spec.settings.get("radius", 1.5))
+def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    pairs = int(spec.settings["pairs"])
+    radius = float(spec.settings["radius"])
     tol = spec.tolerances["max_error"]
     tol_closed = spec.tolerances["closed_form"]
 
@@ -290,8 +279,6 @@ def _run_representation_equivalence(
                     return err, abs(closed.ratio_to(exact) - 1.0)
                 return err, 0.0
 
-            # The rng is shared sequentially; keep this loop single threaded
-            # so the draws are reproducible.
             outs = [one(i) for i in range(pairs)]
             worst = max(o[0] for o in outs)
             closed_worst = max(closed_worst, max(o[1] for o in outs))
@@ -300,13 +287,11 @@ def _run_representation_equivalence(
         if tau == 0.0:
             passed = passed and closed_worst <= tol_closed
         note = f"closed_form_max={closed_worst:.3e}" if tau == 0.0 else ""
-        results.append(
-            SeriesResult(d=d, tau=tau, samples=tuple(samples), fitted_exponent=0.0, passed=passed, note=note)
-        )
+        results.append(SeriesResult(d=d, tau=tau, samples=samples, passed=passed, note=note))
     return results
 
 
-def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
+def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     results = []
     for d, tau in spec.params_grid:
         samples = []
@@ -320,9 +305,7 @@ def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig, threads: i
             err = abs(_trace_gauss_hermite(params) - target) / target
             samples.append((n, err))
             passed = passed and err <= tol
-        results.append(
-            SeriesResult(d=d, tau=tau, samples=tuple(samples), fitted_exponent=0.0, passed=passed)
-        )
+        results.append(SeriesResult(d=d, tau=tau, samples=samples, passed=passed))
     return results
 
 
@@ -354,7 +337,7 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
     return stable_sum_arrays(np.array(logs), np.array(phases)).value.real
 
 
-def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
+def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     results = []
     for d, tau in spec.params_grid:
         base = edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 17 * d)
@@ -389,8 +372,7 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig, threads: int) 
             SeriesResult(
                 d=d,
                 tau=tau,
-                samples=tuple((n, v) for n, v in samples),
-                fitted_exponent=0.0,
+                samples=samples,
                 passed=passed,
                 note="samples carry log_e of the bulk deviation",
             )
@@ -413,8 +395,7 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig, threads: int) 
         SeriesResult(
             d=2,
             tau=0.0,
-            samples=tuple((params.n, c[1]) for c in checks),
-            fitted_exponent=0.0,
+            samples=[(params.n, c[1]) for c in checks],
             passed=all(c[2] for c in checks),
             note="pointwise density at |z| = 0.5 and 1.0 (relative deviations)",
         )
@@ -422,9 +403,9 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig, threads: int) 
     return results
 
 
-def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    lam_grid = tuple(spec.settings.get("lambda_grid", (-1.0, -0.5, 0.0, 0.5, 1.0)))
-    n_points = int(spec.settings.get("points", 2))
+def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    lam_grid = spec.settings["lambda_grid"]
+    n_points = int(spec.settings["points"])
     results = []
     for d, tau in spec.params_grid:
         edges = [
@@ -451,29 +432,28 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig, threads: int
                     second_worst = max(second_worst, abs(second))
                 return worst, lead_worst, second_worst
 
-            outs = _pmap(worst_for_edge, edges, threads)
+            outs = [worst_for_edge(ep) for ep in edges]
             samples.append((n, max(o[0] for o in outs)))
             if n == 1024:
                 lead_err = max(o[1] for o in outs)
                 second_scale = max(o[2] for o in outs)
                 lead_ok = lead_err <= spec.tolerances["leading_factor"] * second_scale
-        slope, exact = _fit_or_exact(samples)
-        passed = (exact or slope <= spec.tolerances["exponent"]) and lead_ok
+        slope, rate_ok = _rate_within(samples, spec.tolerances["exponent"])
         results.append(
             SeriesResult(
                 d=d,
                 tau=tau,
-                samples=tuple(samples),
+                samples=samples,
                 fitted_exponent=slope,
-                passed=passed,
+                passed=rate_ok and lead_ok,
                 note="" if lead_ok else "leading-order check failed at n=1024",
             )
         )
     return results
 
 
-def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    n_points = int(spec.settings.get("points", 10))
+def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    n_points = int(spec.settings["points"])
     results = []
     for d, tau in spec.params_grid:
         rng = _rng(spec.seed, 6, d, int(tau * 10))
@@ -497,7 +477,7 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig, threads: int)
                 damp = abs(np.exp(-0.5 * s * s))
                 return abs(samp.L - pred) * math.sqrt(n) / (envelope * damp)
 
-            vals = _pmap(one, edges, threads)
+            vals = [one(ep) for ep in edges]
             qs.append((n, max(vals)))
         band = max(q for _, q in qs) / min(q for _, q in qs)
         passed = band <= spec.tolerances["band"]
@@ -505,8 +485,7 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig, threads: int)
             SeriesResult(
                 d=d,
                 tau=tau,
-                samples=tuple(qs),
-                fitted_exponent=0.0,
+                samples=qs,
                 passed=passed,
                 note=f"band_ratio={band:.3f}",
             )
@@ -514,10 +493,10 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig, threads: int)
     return results
 
 
-def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    u = complex(spec.settings.get("u", 0.3 + 0.1j))
-    v = complex(spec.settings.get("v", -0.2j))
-    n_points = int(spec.settings.get("points", 2))
+def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    u = complex(spec.settings["u"])
+    v = complex(spec.settings["v"])
+    n_points = int(spec.settings["points"])
     results = []
     for d, tau in spec.params_grid:
         if d != 1:
@@ -539,19 +518,16 @@ def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig, threads: int) 
                 pred = d1_refined_prediction(ep, u, v, n)
                 return abs(kernel_cc - pred)
 
-            vals = _pmap(one, edges, threads)
+            vals = [one(ep) for ep in edges]
             samples.append((n, max(vals)))
-        slope, exact = _fit_or_exact(samples)
-        passed = exact or slope <= spec.tolerances["exponent"]
-        results.append(
-            SeriesResult(d=1, tau=tau, samples=tuple(samples), fitted_exponent=slope, passed=passed)
-        )
+        slope, passed = _rate_within(samples, spec.tolerances["exponent"])
+        results.append(SeriesResult(d=1, tau=tau, samples=samples, fitted_exponent=slope, passed=passed))
     return results
 
 
-def _run_saddle_pole(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    l1 = float(spec.settings.get("l1", -1.0))
-    l2 = float(spec.settings.get("l2", 1.0))
+def _run_saddle_pole(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    l1 = float(spec.settings["l1"])
+    l2 = float(spec.settings["l2"])
     fp_floor = spec.tolerances["fp_floor"]
     cases = [(-0.4j, 50), (0.2 - 0.3j, 200)]
     samples = []
@@ -567,8 +543,7 @@ def _run_saddle_pole(spec: ExperimentSpec, contour: ContourConfig, threads: int)
         SeriesResult(
             d=1,
             tau=0.0,
-            samples=tuple(samples),
-            fitted_exponent=0.0,
+            samples=samples,
             passed=passed,
             note="bound = analytic envelope + fp floor",
         )
@@ -585,10 +560,10 @@ def _random_frame(rng: np.random.Generator, tau: float):
     return saddle_frame(ModelParams(d=1, tau=tau, n=2), complex(zp), complex(zm))
 
 
-def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    frames = int(spec.settings.get("frames", 50))
-    grid_frames = int(spec.settings.get("grid_frames", 10))
-    grid_size = int(spec.settings.get("grid_size", 10_000))
+def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    frames = int(spec.settings["frames"])
+    grid_frames = int(spec.settings["grid_frames"])
+    grid_size = int(spec.settings["grid_size"])
     results = []
     for d, tau in spec.params_grid:
         rng = _rng(spec.seed, 8, int(tau * 10))
@@ -611,7 +586,6 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig, threads: in
                 d=d,
                 tau=tau,
                 samples=((frames, worst_fprime), (grid_frames, max(worst_violation, 0.0))),
-                fitted_exponent=0.0,
                 passed=passed,
                 note="samples: (frames, max |F'|), (frames, max principle violation)",
             )
@@ -619,9 +593,9 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig, threads: in
     return results
 
 
-def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig, threads: int) -> list[SeriesResult]:
-    lam = float(spec.settings.get("lam", 0.6))
-    nu = float(spec.settings.get("nu", 0.0))
+def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+    lam = float(spec.settings["lam"])
+    nu = float(spec.settings["nu"])
     results = []
     for d, tau in spec.params_grid:
         rng = _rng(spec.seed, 9, int(tau * 10))
@@ -669,17 +643,15 @@ def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig, threads: in
                 phi_sp = phi_at_pole(params, fr2).phi_at_pole
                 target = math.sqrt(2.0) * lam / math.sqrt(n) - sig**3 * lam * lam / (12.0 * n)
                 spec_err.append((n, abs(1j * phi_sp - target)))
-        slope_series, exact1 = _fit_or_exact(series_err)
-        slope_spec, exact2 = _fit_or_exact(spec_err)
-        tol = spec.tolerances["exponent"]
-        passed = (exact1 or slope_series <= tol) and (exact2 or slope_spec <= tol)
+        slope_series, series_ok = _rate_within(series_err, spec.tolerances["exponent"])
+        slope_spec, spec_ok = _rate_within(spec_err, spec.tolerances["exponent"])
         results.append(
             SeriesResult(
                 d=d,
                 tau=tau,
-                samples=tuple(series_err),
+                samples=series_err,
                 fitted_exponent=slope_series,
-                passed=passed,
+                passed=series_ok and spec_ok,
                 note=f"specialization_exponent={slope_spec:.3f}",
             )
         )
@@ -699,16 +671,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    contour: ContourConfig | None = None,
-    threads: int = 1,
-) -> ConvergenceReport:
+def run_experiment(spec: ExperimentSpec, contour: ContourConfig | None = None) -> ConvergenceReport:
     """Run one experiment; deterministic for a fixed spec seed."""
     contour = contour or ContourConfig()
-    series = _RUNNERS[spec.kind](spec, contour, threads)
+    series = _RUNNERS[spec.kind](spec, contour)
     return ConvergenceReport(
-        experiment=spec.kind,
         kind=spec.kind,
         seed=spec.seed,
         series=tuple(series),
@@ -722,24 +689,23 @@ def run_experiment(
 
 
 def emit_report(reports: Sequence[ConvergenceReport] | ConvergenceReport, fmt: str = "csv") -> str:
-    """Serialize reports; CSV columns experiment,kind,d,tau,n,error,fitted_exponent,pass."""
+    """Serialize reports; CSV columns kind,d,tau,n,error,fitted_exponent,pass."""
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
     if fmt == "csv":
         out = StringIO()
-        out.write("experiment,kind,d,tau,n,error,fitted_exponent,pass\n")
+        out.write("kind,d,tau,n,error,fitted_exponent,pass\n")
         for rep in reports:
             for s in rep.series:
                 for n, err in s.samples:
                     out.write(
-                        f"{rep.experiment},{rep.kind},{s.d},{s.tau!r},{n},{err!r},"
+                        f"{rep.kind},{s.d},{s.tau!r},{n},{err!r},"
                         f"{s.fitted_exponent!r},{str(s.passed).lower()}\n"
                     )
         return out.getvalue()
     if fmt == "json":
         payload = [
             {
-                "experiment": rep.experiment,
                 "kind": rep.kind,
                 "seed": rep.seed,
                 "passed": rep.passed,
@@ -773,7 +739,7 @@ def parse_report_json(text: str) -> list[ConvergenceReport]:
             SeriesResult(
                 d=s["d"],
                 tau=s["tau"],
-                samples=tuple((int(n), float(e)) for n, e in s["samples"]),
+                samples=s["samples"],
                 fitted_exponent=-math.inf
                 if s["fitted_exponent"] is None
                 else s["fitted_exponent"],
@@ -784,7 +750,6 @@ def parse_report_json(text: str) -> list[ConvergenceReport]:
         )
         reports.append(
             ConvergenceReport(
-                experiment=rep["experiment"],
                 kind=rep["kind"],
                 seed=rep["seed"],
                 series=series,

@@ -45,9 +45,8 @@ def test_fit_rate_degenerate():
 
 
 def test_emit_report_header_only_and_field_count():
-    assert emit_report([]) == "experiment,kind,d,tau,n,error,fitted_exponent,pass\n"
+    assert emit_report([]) == "kind,d,tau,n,error,fitted_exponent,pass\n"
     rep = ConvergenceReport(
-        experiment="saddle_pole",
         kind="saddle_pole",
         seed=1,
         series=(
@@ -58,7 +57,7 @@ def test_emit_report_header_only_and_field_count():
     text = emit_report(rep)
     lines = text.strip().split("\n")
     assert len(lines) == 3
-    assert all(len(line.split(",")) == 8 for line in lines)
+    assert all(len(line.split(",")) == 7 for line in lines)
 
 
 def test_report_json_round_trip():
@@ -88,21 +87,29 @@ def test_reports_are_deterministic():
     assert emit_report([c], fmt="json") != emit_report([a], fmt="json")
 
 
-def test_thread_count_does_not_change_numbers():
-    spec = default_spec("refined_d1", seed=7)
-    one = run_experiment(spec, threads=1)
-    four = run_experiment(spec, threads=4)
-    for s1, s4 in zip(one.series, four.series):
-        for (n1, e1), (n4, e4) in zip(s1.samples, s4.samples):
-            assert n1 == n4
-            assert abs(e1 - e4) <= 1e-12 * max(abs(e1), 1e-300)
+def test_global_threads_loads_only_its_old_default(tmp_path):
+    # threads was removed; a config pinning threads = 1 still loads to the defaults
+    path = tmp_path / "threads.ini"
+    path.write_text("[global]\nthreads = 1\n")
+    assert load_config(str(path)) == config_defaults()
+    path.write_text("[global]\nthreads = 2\n")
+    with pytest.raises(EdgeDppError, match="threads was removed"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("kind", ["saddle_pole", "max_principle"])
+def test_n_grid_rejected_where_no_runner_reads_it(tmp_path, kind):
+    path = tmp_path / "conf.ini"
+    path.write_text(f"[{kind}]\nn_grid = 10,20\n")
+    with pytest.raises(EdgeDppError, match="unknown config key 'n_grid'"):
+        load_config(str(path))
 
 
 def test_spec_validation():
     with pytest.raises(UsageError):
         default_spec("no_such_kind")
     with pytest.raises(DomainError):
-        default_spec("saddle_pole", n_grid=(200, 50))
+        default_spec("edge_density", n_grid=(1024, 256))
 
 
 def test_config_defaults_and_overrides(tmp_path):
@@ -111,7 +118,7 @@ def test_config_defaults_and_overrides(tmp_path):
     assert "representation_equivalence" in cfg
     path = tmp_path / "conf.ini"
     path.write_text(
-        "[global]\nseed = 7\nthreads = 2\n\n[contour]\ntolerance = 1e-9\n"
+        "[global]\nseed = 7\n\n[contour]\ntolerance = 1e-9\n"
         "\n[edge_density]\nn_grid = 64,128\n"
     )
     loaded = load_config(str(path))
@@ -194,7 +201,7 @@ def test_cli_verify_and_report(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     lines = target.read_text().strip().split("\n")
-    assert lines[0] == "experiment,kind,d,tau,n,error,fitted_exponent,pass"
+    assert lines[0] == "kind,d,tau,n,error,fitted_exponent,pass"
     assert len(lines) >= 2
 
 
