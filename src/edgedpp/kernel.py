@@ -39,7 +39,6 @@ from .special import LogMagnitudePhase, stable_sum_arrays
 __all__ = [
     "ModelParams",
     "weight_omega",
-    "phi_sequence",
     "kernel_exact",
     "kernel_exact_log",
     "kernel_tau0_closed",
@@ -114,24 +113,24 @@ def _phi_log_arrays(x: complex, tau: float, n: int) -> tuple[np.ndarray, np.ndar
     Normalized three-term recurrence:
         phi_{j+1} = (sqrt(1-tau^2) x phi_j - tau sqrt(j) phi_{j-1}) / sqrt(j+1),
     with phi_0 = 1 and phi_1 = sqrt(1-tau^2) x.  The iterates are rescaled
-    whenever they leave [1e-150, 1e150] and the scale is tracked in log form,
-    so arbitrarily large degrees and arguments are safe.
+    whenever they leave [1e-150, 1e150], so arbitrarily large degrees and
+    arguments are safe.  The loop stores only each raw iterate and the log
+    of the factor divided out so far; the logs and phases of all n values
+    come from one vectorized _log_phase pass afterwards.
     """
-    c = math.sqrt(1.0 - tau * tau)
-    logs = np.full(n, _NEG_INF)
-    phases = np.ones(n, dtype=complex)
+    cx = math.sqrt(1.0 - tau * tau) * x
+    root = np.sqrt(np.arange(n + 1.0))
+    down = (tau * root).tolist()  # tau sqrt(j)
+    up = root[1:].tolist()  # sqrt(j + 1)
+    raw = np.empty(n, dtype=complex)
+    scales = np.empty(n)
     prev = 0.0 + 0.0j
     cur = 1.0 + 0.0j
     scale = 0.0  # running log of the factor divided out
     for j in range(n):
-        if cur == 0:
-            logs[j] = _NEG_INF
-            phases[j] = 1.0
-        else:
-            a = abs(cur)
-            logs[j] = scale + math.log(a)
-            phases[j] = cur / a
-        nxt = (c * x * cur - tau * math.sqrt(j) * prev) / math.sqrt(j + 1)
+        raw[j] = cur
+        scales[j] = scale
+        nxt = (cx * cur - down[j] * prev) / up[j]
         prev, cur = cur, nxt
         m = max(abs(cur), abs(prev))
         if m > 1e150 or (0.0 < m < 1e-150):
@@ -145,26 +144,7 @@ def _phi_log_arrays(x: complex, tau: float, n: int) -> tuple[np.ndarray, np.ndar
                 prev *= factor
                 cur *= factor
             scale += shift
-    return logs, phases
-
-
-def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
-    """The n weighted Hermite values phi_0(x) .. phi_{n-1}(x), overflow safe.
-
-    Only defined for 0 < tau < 1; the tau = 0 kernel takes the closed
-    monomial route and never needs these.
-    """
-    if tau == 0.0:
-        raise UsageError("phi_sequence is the 0 < tau < 1 path; use the tau = 0 kernel form")
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must lie in (0, 1), got {tau}")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise DomainError("x must be finite")
-    logs, phases = _phi_log_arrays(x, tau, n)
-    return [LogMagnitudePhase(float(l), complex(p)) for l, p in zip(logs, phases)]
+    return _log_phase(raw, scales)
 
 
 def _monomial_log_arrays(prod: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,12 +188,15 @@ def _coordinate_sequence(
 
 
 def _log_phase(values: np.ndarray, shift: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """(shift + log |v|, v / |v|) for complex v, with (-inf, 1) for exact zeros."""
+    """(shift + log |v|, v / |v|) for complex v, with (-inf, 1) for exact zeros.
+
+    shift must be finite, so that shift + log 0 is -inf.
+    """
     mag = np.abs(values)
-    nonzero = mag > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(nonzero, shift + np.log(mag), _NEG_INF)
-        phases = np.where(nonzero, values / mag, 1.0 + 0.0j)
+        logs = shift + np.log(mag)
+        phases = values / mag
+    phases[mag == 0.0] = 1.0
     return logs, phases
 
 

@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from edgedpp.errors import DomainError, UsageError
+from edgedpp.kernel import _phi_log_arrays
+from edgedpp.special import LogMagnitudePhase
+
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
@@ -249,6 +255,12 @@ def erfcx_asymptotic(x: float, max_terms: int = 30) -> float:
     return (total / (DD(x) * DD_PI.sqrt())).to_float()
 
 
+# Terms this many nats below the largest take exp in plain double: summed over
+# a million terms, their rounding (eps e^-64 of the largest term each) stays
+# below double-double resolution, and the double-double exp costs ~0.3 ms.
+_DD_EXP_NATS = 64.0
+
+
 def dd_sum_log_phase(log_mags, phases) -> complex:
     """Reference sum of exp(log_mag) * phase terms in double-double.
 
@@ -259,7 +271,8 @@ def dd_sum_log_phase(log_mags, phases) -> complex:
     shift = max(log_mags)
     total = CDD(DD(0.0), DD(0.0))
     for lg, ph in zip(log_mags, phases):
-        mag = DD(lg - shift).exp()
+        lg = float(lg) - shift
+        mag = DD(lg).exp() if lg > -_DD_EXP_NATS else DD(math.exp(lg))
         total = total + CDD.from_complex(complex(ph)).scale(mag)
     return total.to_complex() * math.exp(shift)
 
@@ -286,3 +299,58 @@ def hermite_phi10_oracle(x: complex, tau: float) -> complex:
     for k in range(2, 11):
         fact = fact * DD.from_int(k)
     return acc.scale((pw / fact).sqrt()).to_complex()
+
+
+_SMALLEST_NORMAL = 2.0**-1022
+
+
+def phi_log_per_step(x: complex, tau: float, n: int):
+    """Reference for kernel._phi_log_arrays: the same normalized Hermite
+    recurrence and rescaling, but with the log and phase of every value
+    taken inside the loop, one scalar at a time."""
+    c = math.sqrt(1.0 - tau * tau)
+    logs = np.full(n, -math.inf)
+    phases = np.ones(n, dtype=complex)
+    prev = 0.0 + 0.0j
+    cur = 1.0 + 0.0j
+    scale = 0.0
+    for j in range(n):
+        if cur != 0:
+            a = abs(cur)
+            logs[j] = scale + math.log(a)
+            phases[j] = cur / a
+        nxt = (c * x * cur - tau * math.sqrt(j) * prev) / math.sqrt(j + 1)
+        prev, cur = cur, nxt
+        m = max(abs(cur), abs(prev))
+        if m > 1e150 or (0.0 < m < 1e-150):
+            shift = math.log(m)
+            if m < _SMALLEST_NORMAL:
+                prev /= m
+                cur /= m
+            else:
+                factor = math.exp(-shift)
+                prev *= factor
+                cur *= factor
+            scale += shift
+    return logs, phases
+
+
+def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
+    """The n weighted Hermite values phi_0(x) .. phi_{n-1}(x) from
+    kernel._phi_log_arrays, one LogMagnitudePhase each, after the argument
+    checks the recurrence itself leaves to its callers.
+
+    Only defined for 0 < tau < 1; the tau = 0 kernel takes the closed
+    monomial route and never needs these.
+    """
+    if tau == 0.0:
+        raise UsageError("phi_sequence is the 0 < tau < 1 path; use the tau = 0 kernel form")
+    if not (0.0 < tau < 1.0):
+        raise DomainError(f"tau must lie in (0, 1), got {tau}")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    x = complex(x)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainError("x must be finite")
+    logs, phases = _phi_log_arrays(x, tau, n)
+    return [LogMagnitudePhase(float(l), complex(p)) for l, p in zip(logs, phases)]

@@ -19,14 +19,13 @@ from edgedpp.kernel import (
     kernel_exact_log,
     kernel_tau0_closed,
     log_weight_omega,
-    phi_sequence,
     rho1_density,
     truncated_exp_series,
     weight_omega,
 )
 from edgedpp.special import stable_sum_arrays
 
-from oracles import hermite_phi10_oracle
+from oracles import hermite_phi10_oracle, phi_log_per_step, phi_sequence
 
 
 def kernel_brute_force(params: ModelParams, z, w) -> complex:
@@ -93,6 +92,30 @@ def test_phi_sequence_degree_ten_against_dd_oracle():
 def test_phi_sequence_rejects_tau_zero():
     with pytest.raises(UsageError):
         phi_sequence(1.0, 0.0, 4)
+
+
+# |x| = 60 drives the iterates past 1e150 (rescaled down); small x and tau
+# near 0 let them fall below 1e-150 (rescaled up); x = 0 gives exact zeros
+# at every odd degree, and with a subnormal tau a subnormal iterate.
+@pytest.mark.parametrize("x", [0j, 0.7 - 0.2j, 30.0 + 12.0j, -60.0j, 42.0 - 42.0j])
+@pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-6, 0.5, 0.999999])
+def test_phi_log_arrays_match_the_per_step_loop(x, tau):
+    for n in (1, 2, 4096):
+        logs, phases = kernel._phi_log_arrays(x, tau, n)
+        ref_logs, ref_phases = phi_log_per_step(x, tau, n)
+        zero = ref_logs == -math.inf
+        assert np.array_equal(logs == -math.inf, zero)
+        assert np.all(phases[zero] == 1.0)
+        # a log of size L is itself rounded to one ulp of L (2.3e-13 at 2000)
+        gap = np.abs(logs[~zero] - ref_logs[~zero])
+        assert np.all(gap <= 1e-13 + np.spacing(np.abs(ref_logs[~zero])))
+        assert np.max(np.abs(phases - ref_phases)) <= 1e-14
+
+
+def test_phi_log_arrays_cases_reach_both_rescalings():
+    top = kernel._phi_log_arrays(-60.0j, 0.5, 4096)[0]
+    bottom = kernel._phi_log_arrays(0.7 - 0.2j, 1e-6, 4096)[0]
+    assert top.max() > math.log(1e150) and bottom.min() < math.log(1e-150)
 
 
 def test_kernel_zero_index_only():
