@@ -22,12 +22,12 @@ to F(s) = zeta s - log s with the pole at s = 1 and
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
 the pole at relative distance ~ offset/sqrt(n); the default node count
-64 sqrt(n) therefore already resolves it, and the adaptive doubling loop
-merely certifies convergence (Trefethen and Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 2014).  The rules are nested:
-each doubling evaluates only the midpoints of the previous rule and
-reuses its node sum, so a value converged after one doubling of an
-N-node rule costs 2N node evaluations and sums, not 3N.
+64 sqrt(n) therefore already resolves it (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 2014).  The rules
+are nested: the even-indexed half of the N start nodes is the N/2-node
+rule, so a value certified against that embedded half costs N node
+evaluations.  Only when the check fails does a doubling evaluate the
+midpoints of the current rule, reusing its node sum.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ import numpy as np
 
 from .errors import ContourError, DomainError, QuadratureError, UsageError
 from .geometry import SaddleFrame
-from .kernel import ModelParams, truncated_exp_series
-from .special import LogMagnitudePhase, stable_sum, stable_sum_arrays
+from .kernel import ModelParams
+from .special import LogMagnitudePhase, stable_sum, stable_sum_with_l1
 
 __all__ = [
     "ContourConfig",
     "DEFAULT_CONTOUR",
     "integral_I_tau",
     "integral_I_zero",
-    "integral_I_zero_closed",
     "kernel_via_contour_log",
     "max_principle_check",
 ]
@@ -120,20 +119,17 @@ def _converged(a: LogMagnitudePhase, b: LogMagnitudePhase, tol: float) -> bool:
     return abs(a.ratio_to(b) - 1.0) <= tol
 
 
-def _reject_hopeless_cancellation(
-    log_mag: np.ndarray, val: LogMagnitudePhase, r: float, n: int
-) -> None:
+def _reject_hopeless_cancellation(l1_log: float, val: LogMagnitudePhase, r: float, n: int) -> None:
     """Refuse configurations whose node sum cancels beyond double capability.
 
-    The L1 norm of the node values against the magnitude of their sum
-    measures the digits lost; past ~e^34 no node count can recover the
-    relative tolerance, which happens only near degenerate saddle
-    configurations the quadratic theory excludes anyway.
+    l1_log is the log L1 norm of the weighted node values (and the residue)
+    summed into val; against the magnitude of val it measures the digits
+    lost.  Past ~e^34 no node count can recover the relative tolerance,
+    which happens only near degenerate saddle configurations the quadratic
+    theory excludes anyway.
     """
     if val.log_mag == -math.inf:
         return
-    shift = float(np.max(log_mag))
-    l1_log = shift + math.log(float(np.sum(np.exp(log_mag - shift))))
     if l1_log - val.log_mag > 34.0:
         raise ContourError(
             "cancellation beyond double precision on the contour "
@@ -156,35 +152,42 @@ def _nested_trapezoid(
     n: int,
     where: str,
 ) -> LogMagnitudePhase:
-    """Adaptive trapezoid rule on the circle, doubling with nested nodes.
+    """Adaptive trapezoid rule on the circle, certified by its embedded half.
 
     node_values maps angles to the per-node (log magnitude, phase) of the
-    integrand sum without the 1/count weight.  Each doubling evaluates only
-    the count midpoints of the current rule, T_2N = (S_N + S_mid) / 2N with
-    S the plain node sums, and the residue +1 joins each estimate after the
-    weighting.  Two successive estimates agreeing to the relative tolerance
-    end the loop; every estimate passes the cancellation guard.
+    integrand sum without the 1/count weight.  The count (even) start nodes
+    are evaluated once; their even-indexed half is the count/2-node rule,
+    and T_N agreeing with that T_{N/2} to the relative tolerance ends the
+    loop at N evaluations.  Otherwise each doubling evaluates only the
+    count midpoints of the current rule, T_2N = (S_N + S_mid) / 2N with S
+    the plain node sums, until two successive estimates agree.  The
+    residue +1 joins each estimate after the weighting.  Every estimate
+    from T_N on passes the cancellation guard, whose log L1 norm
+    accumulates alongside the node sums.
     """
     log_mag, phase = node_values(_trapezoid_nodes(count))
-    node_sum = stable_sum_arrays(log_mag, phase)
+    even_sum, even_l1 = stable_sum_with_l1(log_mag[::2], phase[::2])
+    odd_sum, odd_l1 = stable_sum_with_l1(log_mag[1::2], phase[1::2])
+    node_sum = stable_sum((even_sum, odd_sum))
+    node_l1 = float(np.logaddexp(even_l1, odd_l1))
 
-    def estimate() -> LogMagnitudePhase:
-        weight = math.log(count)
-        val = LogMagnitudePhase(node_sum.log_mag - weight, node_sum.phase)
-        weighted = log_mag - weight
+    def estimate(total: LogMagnitudePhase, nodes: int) -> LogMagnitudePhase:
+        val = LogMagnitudePhase(total.log_mag - math.log(nodes), total.phase)
+        return stable_sum((val, _ONE)) if residue else val
+
+    prev = estimate(even_sum, count // 2)
+    for doubling in range(config.max_doublings + 1):
+        if doubling:
+            mid_log, mid_phase = node_values(_trapezoid_nodes(count, midpoints=True))
+            mid_sum, mid_l1 = stable_sum_with_l1(mid_log, mid_phase)
+            node_sum = stable_sum((node_sum, mid_sum))
+            node_l1 = float(np.logaddexp(node_l1, mid_l1))
+            count *= 2
+        val = estimate(node_sum, count)
+        l1_log = node_l1 - math.log(count)
         if residue:
-            val = stable_sum((val, _ONE))
-            weighted = np.append(weighted, 0.0)
-        _reject_hopeless_cancellation(weighted, val, r, n)
-        return val
-
-    prev = estimate()
-    for _ in range(config.max_doublings):
-        mid_log, mid_phase = node_values(_trapezoid_nodes(count, midpoints=True))
-        node_sum = stable_sum((node_sum, stable_sum_arrays(mid_log, mid_phase)))
-        log_mag = np.concatenate((log_mag, mid_log))
-        count *= 2
-        val = estimate()
+            l1_log = float(np.logaddexp(l1_log, 0.0))
+        _reject_hopeless_cancellation(l1_log, val, r, n)
         if _converged(val, prev, config.tolerance):
             return val
         prev = val
@@ -195,7 +198,9 @@ def _nested_trapezoid(
 
 
 def _start_count(config: ContourConfig, n: int) -> int:
-    return max(config.node_count, 64 * math.isqrt(n - 1) + 64)
+    """Start node count, rounded up to even so its even-indexed half is a rule."""
+    count = max(config.node_count, 64 * math.isqrt(n - 1) + 64)
+    return count + count % 2
 
 
 def _log_on_circle(r: float, theta: np.ndarray) -> np.ndarray:
@@ -266,7 +271,9 @@ def integral_I_tau(
     base = min(frame.radius, cap)
     r, pole_inside = _choose_radius(base, tau, n, config.radius_offset)
     if base == cap:
-        r = min(r, 0.5 * (cap + 1.0) - 0.03)
+        # never below the cap, which lies above tau: past tau = 0.96 the
+        # clip alone would shrink the circle inside the pole it counts
+        r = min(r, max(0.5 * (cap + 1.0) - 0.03, cap))
     if r >= _MAX_RADIUS_TAU:
         raise ContourError(f"contour radius {r:.6f} reaches the branch region at |s| = 1")
     if abs(r - tau) < _MIN_POLE_GAP * r / math.sqrt(n):
@@ -348,13 +355,6 @@ def kernel_via_contour_log(
         nf_pole = n * frame.phase.F_at_pole()
     pref = LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + nf_pole)
     return big_n * pref
-
-
-def integral_I_zero_closed(params: ModelParams, zeta: complex) -> LogMagnitudePhase:
-    """Residue closed form of the same quantity: e^{-n zeta} sum_{j<n} (n zeta)^j / j!."""
-    zeta = complex(zeta)
-    series = truncated_exp_series(params.n * zeta, params.n)
-    return series * LogMagnitudePhase.from_log(-params.n * zeta)
 
 
 def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:

@@ -49,6 +49,7 @@ __all__ = [
     "gauss_legendre",
     "stable_sum",
     "stable_sum_arrays",
+    "stable_sum_with_l1",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -239,6 +240,15 @@ def stable_sum(terms: Sequence[LogMagnitudePhase] | Iterable[LogMagnitudePhase])
 
 def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudePhase:
     """Array form of stable_sum; log_mags float, phases unit complex."""
+    return stable_sum_with_l1(log_mags, phases)[0]
+
+
+def stable_sum_with_l1(log_mags: np.ndarray, phases: np.ndarray) -> tuple[LogMagnitudePhase, float]:
+    """stable_sum_arrays together with the log of the terms' L1 norm.
+
+    Both come from the same shifted magnitudes exp(log_mag_i - M), so the
+    L1 norm the sum's rounding scales with costs one real sum, no exp.
+    """
     log_mags = np.asarray(log_mags, dtype=float)
     phases = np.asarray(phases, dtype=complex)
     if log_mags.size == 0:
@@ -247,8 +257,10 @@ def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudeP
         raise DomainError("log magnitudes must be < +inf and not nan")
     shift = float(np.max(log_mags))
     if shift == -math.inf:
-        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
-    total = complex(np.sum(phases * np.exp(log_mags - shift)))
+        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j), -math.inf
+    mags = np.exp(log_mags - shift)
+    l1_log = shift + math.log(float(np.sum(mags)))
+    total = complex(np.sum(phases * mags))
     if total == 0:
-        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
-    return LogMagnitudePhase(shift + math.log(abs(total)), total / abs(total))
+        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j), l1_log
+    return LogMagnitudePhase(shift + math.log(abs(total)), total / abs(total)), l1_log

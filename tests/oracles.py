@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from edgedpp.errors import DomainError, UsageError
-from edgedpp.kernel import _phi_log_arrays
+from edgedpp.kernel import ModelParams, _phi_log_arrays, truncated_exp_series
 from edgedpp.special import LogMagnitudePhase
 
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -354,3 +354,11 @@ def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
         raise DomainError("x must be finite")
     logs, phases = _phi_log_arrays(x, tau, n)
     return [LogMagnitudePhase(float(l), complex(p)) for l, p in zip(logs, phases)]
+
+
+def integral_I_zero_closed(params: ModelParams, zeta: complex) -> LogMagnitudePhase:
+    """Residue closed form of contour.integral_I_zero:
+    e^{-n zeta} sum_{j<n} (n zeta)^j / j!."""
+    zeta = complex(zeta)
+    series = truncated_exp_series(params.n * zeta, params.n)
+    return series * LogMagnitudePhase.from_log(-params.n * zeta)

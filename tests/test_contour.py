@@ -13,14 +13,15 @@ from edgedpp.contour import (
     _trapezoid_nodes,
     integral_I_tau,
     integral_I_zero,
-    integral_I_zero_closed,
     kernel_via_contour_log,
     max_principle_check,
 )
-from edgedpp.errors import DomainError, QuadratureError, UsageError
+from edgedpp.errors import ContourError, DomainError, QuadratureError, UsageError
 from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
+from edgedpp.harness import default_spec, run_experiment
 from edgedpp.kernel import ModelParams, kernel_exact_log
 from edgedpp.special import stable_sum_arrays
+from oracles import integral_I_zero_closed
 
 
 def edge_frame(params, seed, u=None, v=None):
@@ -155,34 +156,183 @@ def _single_pass(node_values, count, residue):
     return stable_sum_arrays(lg - math.log(count), ph)
 
 
-def test_nested_doubling_evaluates_2n_nodes(monkeypatch):
-    # one doubling of an N-node rule evaluates the N midpoints only, and the
-    # nested value is the 2N-node rule summed in one pass
-    one = ContourConfig(max_doublings=1)
+def _route_cases():
+    """Per route: params, the integral of (config, include_residue), its node
+    function, the node values on a radius, and whether a radius encloses the pole."""
     params = ModelParams(d=2, tau=0.4, n=256)
     _, frame = edge_frame(params, 11)
-    count = 64 * math.isqrt(params.n - 1) + 64
-    for include_residue in (True, False):
-        counts, radii = _record_passes(monkeypatch, _quadrature_tau)
-        val = integral_I_tau(params, frame, one, include_residue)
-        assert counts == [count, count]
-        r = radii[0]
-        ref = _single_pass(
-            lambda theta: _quadrature_tau(frame, params, r, theta), 2 * count, include_residue and r > params.tau
+    yield (
+        params,
+        lambda config, residue: integral_I_tau(params, frame, config, residue),
+        _quadrature_tau,
+        lambda r: lambda theta: _quadrature_tau(frame, params, r, theta),
+        lambda r: r > params.tau,
+    )
+    params0 = ModelParams(d=1, tau=0.0, n=1024)
+    for zeta in (0.99 + 0.01j, 1.01 - 0.01j):
+        yield (
+            params0,
+            lambda config, residue, zeta=zeta: integral_I_zero(params0, zeta, config, residue),
+            _quadrature_zero,
+            lambda r, zeta=zeta: lambda theta: _quadrature_zero(zeta, params0.n, r, theta),
+            lambda r: r > 1.0,
         )
-        assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
-        monkeypatch.undo()
 
-    params = ModelParams(d=1, tau=0.0, n=1024)
-    count = 64 * math.isqrt(params.n - 1) + 64
-    for zeta in (0.9 + 0.1j, 1.1 - 0.05j):
-        counts, radii = _record_passes(monkeypatch, _quadrature_zero)
-        val = integral_I_zero(params, zeta, one)
-        assert counts == [count, count]
-        r = radii[0]
-        ref = _single_pass(lambda theta: _quadrature_zero(zeta, params.n, r, theta), 2 * count, r > 1.0)
-        assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
-        monkeypatch.undo()
+
+def _grid_values(count, even, odd, mid_even, mid_odd):
+    """Hand-built node values by position: the even and odd points of the
+    count-node grid, and the even and odd points of its midpoints."""
+
+    def node_values(theta):
+        k = theta * count / (2 * math.pi)
+        on_grid = np.abs(k - np.rint(k)) < 0.25
+        j = np.where(on_grid, np.rint(k), np.floor(k))
+        values = np.where(
+            on_grid,
+            np.where(j % 2 == 0, even, odd),
+            np.where(j % 2 == 0, mid_even, mid_odd),
+        ).astype(complex)
+        return np.log(np.abs(values)), values / np.abs(values)
+
+    return node_values
+
+
+def test_half_rule_check_evaluates_n_nodes(monkeypatch):
+    # the even-indexed half of the N start nodes is the N/2-node rule: when
+    # it agrees with T_N the nodes are evaluated once and T_N is returned;
+    # when it does not, one doubling evaluates the N midpoints only and the
+    # nested value is the 2N-node rule summed in one pass.  The strict
+    # config puts the circle nearer the pole, where the half rule misses.
+    strict = ContourConfig(radius_offset=0.5, tolerance=1e-12, max_doublings=1)
+    for params, integral, node_function, node_values, encloses in _route_cases():
+        count = 64 * math.isqrt(params.n - 1) + 64
+        for include_residue in (True, False):
+            counts, radii = _record_passes(monkeypatch, node_function)
+            val = integral(ContourConfig(), include_residue)
+            assert counts == [count]
+            r = radii[0]
+            residue = include_residue and encloses(r)
+            ref = _single_pass(node_values(r), count, residue)
+            assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
+
+            counts.clear()
+            radii.clear()
+            val = integral(strict, include_residue)
+            assert counts == [count, count]
+            r = radii[0]
+            residue = include_residue and encloses(r)
+            half = _single_pass(node_values(r), count // 2, residue)
+            ref = _single_pass(node_values(r), count, residue)
+            ref2 = _single_pass(node_values(r), 2 * count, residue)
+            assert abs(ref.ratio_to(half) - 1.0) > strict.tolerance
+            assert abs(ref2.ratio_to(ref) - 1.0) < 0.1 * strict.tolerance
+            assert abs(val.ratio_to(ref2) - 1.0) <= 1e-13
+            monkeypatch.undo()
+
+    # the half is the even-indexed nodes: T_N = 1.75 sits 0.75 (relative)
+    # from the even half's 1.0 but only 0.3 from the odd half's 2.5, so only
+    # the even half misses the 0.5 tolerance and forces the doubling
+    counts, _ = _record_passes(monkeypatch, _quadrature_zero)
+    nodes = _grid_values(64, 1.0, 2.5, 1.75, 1.75)
+    loose = ContourConfig(tolerance=0.5, max_doublings=1)
+    val = contour._nested_trapezoid(nodes, 64, False, loose, 0.9, 16, "hand-built")
+    assert counts == [64, 64]
+    assert abs(val.value - 1.75) <= 1e-14
+
+    # 65 start nodes hold no 32.5-node rule: the start count becomes 66,
+    # and the value stays exact (N_0 = e^{-zeta} at n = 1)
+    for zeta in (0.7, 1.3 - 0.4j):
+        counts.clear()
+        val = integral_I_zero(ModelParams(d=1, tau=0.0, n=1), zeta, ContourConfig(node_count=65))
+        assert counts[0] == 66
+        assert abs(val.value - np.exp(-zeta)) <= 1e-12 * abs(np.exp(-zeta))
+
+
+@pytest.mark.parametrize("residue", [False, True])
+@pytest.mark.parametrize(
+    "log_delta, mid_spread, raises_at",
+    [
+        (-32.0, 1.0, None),  # below the 34-nat threshold throughout
+        (-34.5, 1.0, 0),  # above it at T_N
+        (-33.0, math.e**3, 1),  # below at T_N, above once the midpoints join
+    ],
+)
+def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residue, log_delta, mid_spread, raises_at):
+    # the value is delta at every estimate: the nodes are delta +- 1 and the
+    # midpoints delta +- mid_spread (less 1 with the residue, which then
+    # supplies the 1), so the spread over delta sets the digits lost.  The
+    # guard's scalar log L1 must equal a log-sum-exp over every evaluated
+    # node (and the residue), and it must refuse exactly where that array
+    # form exceeds 34 nats.
+    delta = math.exp(log_delta)
+    base = delta - 1.0 if residue else delta
+    evaluated, guarded = [], []
+    hand_built = _grid_values(64, base + 1.0, base - 1.0, base + mid_spread, base - mid_spread)
+
+    def node_values(theta):
+        lg, ph = hand_built(theta)
+        evaluated.append(lg)
+        return lg, ph
+
+    def guard(l1_log, val, r, n):
+        guarded.append((l1_log, val))
+        return original(l1_log, val, r, n)
+
+    original = contour._reject_hopeless_cancellation
+    monkeypatch.setattr(contour, "_reject_hopeless_cancellation", guard)
+    loose = ContourConfig(tolerance=0.5, max_doublings=1)
+    try:
+        contour._nested_trapezoid(node_values, 64, residue, loose, 0.9, 16, "hand-built")
+        raised = None
+    except ContourError:
+        raised = len(guarded) - 1
+    assert raised == raises_at
+
+    count = 64
+    for i, (l1_log, val) in enumerate(guarded):
+        weighted = np.concatenate(evaluated[: i + 1]) - math.log(count)
+        if residue:
+            weighted = np.append(weighted, 0.0)
+        shift = float(np.max(weighted))
+        oracle = shift + math.log(float(np.sum(np.exp(weighted - shift))))
+        assert abs(l1_log - oracle) <= 1e-12
+        assert (oracle - val.log_mag > 34.0) == (i == raised)
+        count *= 2
+
+
+def test_bulk_limit_seed_24_still_refuses_cancellation():
+    # a known defect (the bare integral on the capped circle cancels past
+    # double precision); the refusal must keep its type and message
+    with pytest.raises(
+        ContourError,
+        match=r"^cancellation beyond double precision on the contour "
+        r"\(near-degenerate configuration: radius 0\.935, n=1024\)$",
+    ):
+        run_experiment(default_spec("bulk_limit", seed=24))
+
+
+@pytest.mark.parametrize("tau", [0.965, 0.97, 0.99, 0.995])
+def test_routes_agree_for_tau_near_one(tau):
+    # above tau = 0.96 the radius clip used to put the capped circle inside
+    # the pole while the residue was still added: twice the kernel, and the
+    # bare integral N where the bulk contract says N - 1
+    for d in (1, 2):
+        n = 256
+        params = ModelParams(d=d, tau=tau, n=n)
+        rn = math.sqrt(n)
+        edge = edge_point_sample(params, 5).z
+        for z in (edge, 0.5 * edge):
+            w = z + 0.3 / rn * np.exp(1j * np.arange(d))
+            exact = kernel_exact_log(params, rn * z, rn * w)
+            via = kernel_via_contour_log(params, z, w)
+            assert abs(via.ratio_to(exact) - 1.0) <= 1e-8
+
+            zp, zm = zpm_map(params, z, np.zeros(d), rn * (w - z))
+            frame = saddle_frame(params, zp, zm)
+            big_n = integral_I_tau(params, frame).value * exact.ratio_to(via)
+            bare = integral_I_tau(params, frame, include_residue=False).value
+            enclosed = frame.radius > tau
+            assert abs(bare + enclosed - big_n) <= 1e-8 * abs(big_n)
 
 
 def test_quadrature_error_when_rule_cannot_converge():
