@@ -167,9 +167,10 @@ def _cmd_density_scan(args) -> int:
     edge = edge_point_sample(params, args.seed)
     rn = math.sqrt(args.n)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    rhos = rho1_density(params, np.array([rn * edge.z + lam * edge.normal for lam in lams])).tolist()
     print("lambda,scaled_density,prediction,abs_error")
-    for lam in lams:
-        val = args.n**args.d * rho1_density(params, rn * edge.z + lam * edge.normal)
+    for lam, rho in zip(lams, rhos):
+        val = args.n**args.d * rho
         pred = edge_density_prediction(params, edge, float(lam), args.n)
         print(f"{lam!r},{val!r},{pred!r},{abs(val - pred)!r}")
     return 0

@@ -53,7 +53,6 @@ __all__ = [
     "edge_point_sample",
     "outward_normal",
     "curvature_kappa",
-    "elliptic_coords",
     "xi_for_tau",
     "zpm_map",
     "delta_pm",
@@ -177,21 +176,6 @@ def curvature_kappa(tau: float, z) -> float:
     im2 = float(np.sum(z.imag**2))
     base = (re2 - im2 - 4.0 * tau / (1.0 - tau * tau)) ** 2 + 4.0 * re2 * im2
     return base ** (-0.75)
-
-
-def elliptic_coords(zeta: complex, tol: float = 1e-12) -> tuple[float, float]:
-    """Invert zeta = sqrt(2) cosh(xi + i eta) with xi >= 0, eta in (-pi, pi]."""
-    zeta = complex(zeta)
-    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
-        raise DomainError("zeta must be finite")
-    w = zeta / _SQRT2
-    if min(abs(w - 1.0), abs(w + 1.0)) < tol:
-        raise DegenerateCoordinatesError("elliptic coordinates are singular at the foci")
-    g = cmath.log(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0))
-    xi, eta = g.real, g.imag
-    if xi < 0.0:  # principal acosh keeps Re >= 0; guard rounding at xi ~ 0
-        xi, eta = -xi, -eta
-    return xi, eta
 
 
 def _hat_zpm(tau: float, eta: float) -> tuple[complex, complex]:

@@ -19,6 +19,11 @@ kernel evaluations:
 * phi_expansion: conformal-map value at the pole against its printed
   expansions, residual decay rates.
 
+Each (d, tau, n) cell evaluates its exact kernels with one batched
+kernel_exact_log_many call (rho1_density over a (B, d) array of points;
+normalized_kernel_many for the edge kernels, whose contour route still
+runs pair by pair), so the Hermite recurrence runs once per cell.
+
 All randomness flows from counter-based generators keyed off the
 experiment seed, so a fixed seed reproduces reports byte for byte.
 """
@@ -39,7 +44,7 @@ from .errors import DegenerateFitError, DomainError, UsageError
 from .geometry import edge_point_sample, saddle_frame, xi_for_tau, zpm_map
 from .kernel import (
     ModelParams,
-    kernel_exact_log,
+    kernel_exact_log_many,
     kernel_tau0_closed_log,
     rho1_density,
 )
@@ -48,7 +53,7 @@ from .predictors import (
     edge_density_prediction,
     edge_density_second_term,
     edge_kernel_prediction,
-    normalized_kernel,
+    normalized_kernel_many,
     d1_refined_prediction,
     dot_product,
     gaussian_normalizer_log,
@@ -265,13 +270,14 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
             params = ModelParams(d=d, tau=tau, n=n)
             rng = _rng(spec.seed, d, int(tau * 10), n)
             rn = math.sqrt(n)
+            # Draws are the kernel arguments; the contour identity sees them
+            # as sqrt(n) times the droplet coordinates Z/sqrt(n).
+            draws = [(sample_points(rng, d), sample_points(rng, d)) for _ in range(pairs)]
+            big_zs = np.array([z for z, _ in draws])
+            big_ws = np.array([w for _, w in draws])
+            exacts = kernel_exact_log_many(params, big_zs, big_ws)
 
-            def one(_i):
-                # Draws are the kernel arguments; the contour identity sees
-                # them as sqrt(n) times the droplet coordinates Z/sqrt(n).
-                big_z = sample_points(rng, d)
-                big_w = sample_points(rng, d)
-                exact = kernel_exact_log(params, big_z, big_w)
+            def one(big_z, big_w, exact):
                 via = kernel_via_contour_log(params, big_z / rn, big_w / rn, contour)
                 err = abs(via.ratio_to(exact) - 1.0)
                 if tau == 0.0:
@@ -279,7 +285,7 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
                     return err, abs(closed.ratio_to(exact) - 1.0)
                 return err, 0.0
 
-            outs = [one(i) for i in range(pairs)]
+            outs = [one(*args) for args in zip(big_zs, big_ws, exacts)]
             worst = max(o[0] for o in outs)
             closed_worst = max(closed_worst, max(o[1] for o in outs))
             samples.append((n, worst))
@@ -319,7 +325,8 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
     is C(n+d-1, d) up to rounding.  phi_j(-z) = (-1)^j phi_j(z) and
     phi_j(conj z) = conj phi_j(z) make K_n(z, z) even in every real
     variable, so only the nodes >= 0 are kept, each nonzero one at twice
-    its weight: ceil(n/2)^(2d) kernel evaluations instead of n^(2d).
+    its weight: ceil(n/2)^(2d) diagonal kernel values instead of n^(2d),
+    all from one batched kernel_exact_log_many call.
     """
     tau, n = params.tau, params.n
     s, w = np.polynomial.hermite.hermgauss(n)
@@ -328,13 +335,11 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
     log_w = np.log(w) + s * s + np.where(s > 0.0, math.log(2.0), 0.0)
     nodes = (s[:, None] / math.sqrt(1.0 - tau) + 1j * s[None, :] / math.sqrt(1.0 + tau)).ravel()
     node_log_w = (log_w[:, None] + log_w[None, :]).ravel() - 0.5 * math.log1p(-tau * tau)
-    logs, phases = [], []
-    for idx in itertools.product(range(nodes.size), repeat=params.d):
-        idx = list(idx)
-        k = kernel_exact_log(params, nodes[idx], nodes[idx])
-        logs.append(float(np.sum(node_log_w[idx])) + k.log_mag)
-        phases.append(k.phase)
-    return stable_sum_arrays(np.array(logs), np.array(phases)).value.real
+    idx = np.array(list(itertools.product(range(nodes.size), repeat=params.d)))
+    points = nodes[idx]
+    values = kernel_exact_log_many(params, points, points)
+    logs = np.sum(node_log_w[idx], axis=1) + np.array([k.log_mag for k in values])
+    return stable_sum_arrays(logs, np.array([k.phase for k in values])).value.real
 
 
 def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
@@ -382,13 +387,11 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
     rng = _rng(spec.seed, 4, 99)
     direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     direction /= math.sqrt(sum(abs(direction) ** 2))
+    cases = ((0.5, 2.0 / math.pi**2, "pointwise_half"), (1.0, 1.0 / math.pi**2, "pointwise_edge"))
+    points = np.array([math.sqrt(params.n) * (radius * direction) for radius, _, _ in cases])
     checks = []
-    for radius, target, tol_key in (
-        (0.5, 2.0 / math.pi**2, "pointwise_half"),
-        (1.0, 1.0 / math.pi**2, "pointwise_edge"),
-    ):
-        z = radius * direction
-        val = params.n**2 * rho1_density(params, math.sqrt(params.n) * z)
+    for (radius, target, tol_key), rho in zip(cases, rho1_density(params, points)):
+        val = params.n**2 * rho
         rel = abs(val - target) / target
         checks.append((radius, rel, rel <= spec.tolerances[tol_key]))
     results.append(
@@ -418,25 +421,18 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
         for n in n_grid:
             params = ModelParams(d=d, tau=tau, n=n)
             rn = math.sqrt(n)
-
-            def worst_for_edge(ep):
-                worst = 0.0
-                lead_worst = 0.0
-                second_worst = 0.0
-                for lam in lam_grid:
-                    val = n**d * rho1_density(params, rn * ep.z + lam * ep.normal)
-                    pred = edge_density_prediction(params, ep, lam, n)
-                    second = edge_density_second_term(params, ep, lam, n)
-                    worst = max(worst, abs(val - pred))
-                    lead_worst = max(lead_worst, abs(val - (pred - second)))
-                    second_worst = max(second_worst, abs(second))
-                return worst, lead_worst, second_worst
-
-            outs = [worst_for_edge(ep) for ep in edges]
-            samples.append((n, max(o[0] for o in outs)))
+            grid = list(itertools.product(edges, lam_grid))
+            rhos = rho1_density(params, np.array([rn * ep.z + lam * ep.normal for ep, lam in grid]))
+            worst = lead_err = second_scale = 0.0
+            for (ep, lam), rho in zip(grid, rhos):
+                val = n**d * rho
+                pred = edge_density_prediction(params, ep, lam, n)
+                second = edge_density_second_term(params, ep, lam, n)
+                worst = max(worst, abs(val - pred))
+                lead_err = max(lead_err, abs(val - (pred - second)))
+                second_scale = max(second_scale, abs(second))
+            samples.append((n, worst))
             if n == 1024:
-                lead_err = max(o[1] for o in outs)
-                second_scale = max(o[2] for o in outs)
                 lead_ok = lead_err <= spec.tolerances["leading_factor"] * second_scale
         slope, rate_ok = _rate_within(samples, spec.tolerances["exponent"])
         results.append(
@@ -469,15 +465,15 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[Serie
         qs = []
         for n in spec.n_grid:
             params = ModelParams(d=d, tau=tau, n=n)
+            samps = normalized_kernel_many(params, edges, [u] * len(edges), [v] * len(edges), contour)
 
-            def one(ep):
-                samp = normalized_kernel(params, ep, u, v, contour)
+            def one(ep, samp):
                 pred = edge_kernel_prediction(ep, u, v)
                 s = dot_product(u, ep.normal) + dot_product(ep.normal, v)
                 damp = abs(np.exp(-0.5 * s * s))
                 return abs(samp.L - pred) * math.sqrt(n) / (envelope * damp)
 
-            vals = [one(ep) for ep in edges]
+            vals = [one(ep, samp) for ep, samp in zip(edges, samps)]
             qs.append((n, max(vals)))
         band = max(q for _, q in qs) / min(q for _, q in qs)
         passed = band <= spec.tolerances["band"]
@@ -508,17 +504,17 @@ def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
         samples = []
         for n in spec.n_grid:
             params = ModelParams(d=1, tau=tau, n=n)
+            samps = normalized_kernel_many(
+                params, edges, [u * ep.normal for ep in edges], [v * ep.normal for ep in edges], contour
+            )
 
-            def one(ep):
-                uv = u * ep.normal
-                vv = v * ep.normal
-                samp = normalized_kernel(params, ep, uv, vv, contour)
-                gauss = np.exp(-gaussian_normalizer_log(1, uv, vv))
+            def one(ep, samp):
+                gauss = np.exp(-gaussian_normalizer_log(1, samp.u, samp.v))
                 kernel_cc = samp.L * gauss
                 pred = d1_refined_prediction(ep, u, v, n)
                 return abs(kernel_cc - pred)
 
-            vals = [one(ep) for ep in edges]
+            vals = [one(ep, samp) for ep, samp in zip(edges, samps)]
             samples.append((n, max(vals)))
         slope, passed = _rate_within(samples, spec.tolerances["exponent"])
         results.append(SeriesResult(d=1, tau=tau, samples=samples, fitted_exponent=slope, passed=passed))

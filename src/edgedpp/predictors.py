@@ -45,7 +45,7 @@ import numpy as np
 from .contour import DEFAULT_CONTOUR, ContourConfig, integral_I_tau, integral_I_zero
 from .errors import ConsistencyError, DomainError, UsageError
 from .geometry import EdgePoint, saddle_frame, zpm_map
-from .kernel import ModelParams, as_point, kernel_exact_log
+from .kernel import ModelParams, as_point, kernel_exact_log, kernel_exact_log_many
 from .special import LogMagnitudePhase, erfc_complex, erfcx_complex
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "gaussian_normalizer_log",
     "cofactor_cn",
     "normalized_kernel",
+    "normalized_kernel_many",
     "edge_kernel_prediction",
     "edge_density_prediction",
     "bulk_prediction",
@@ -116,6 +117,7 @@ def normalized_kernel(
     v,
     config: ContourConfig = DEFAULT_CONTOUR,
     gap_tol: float = 1e-6,
+    exact: LogMagnitudePhase | None = None,
 ) -> NormalizedKernelSample:
     """The normalized kernel L at a boundary point, by both routes.
 
@@ -123,15 +125,18 @@ def normalized_kernel(
     Gaussian normalizer.  Route B: the pole-normalized contour value.  The
     two agree identically in exact arithmetic; a relative gap beyond
     gap_tol raises ConsistencyError.  The returned L is the route B value.
+    exact, if given, is the exact kernel K_n(sqrt(n) z + u, sqrt(n) z + v)
+    already evaluated (normalized_kernel_many passes it from one batch).
     """
     u = as_point(params, u)
     v = as_point(params, v)
     tau, n, d = params.tau, params.n, params.d
     rn = math.sqrt(n)
-    k_log = kernel_exact_log(params, rn * edge.z + u, rn * edge.z + v)
+    if exact is None:
+        exact = kernel_exact_log(params, rn * edge.z + u, rn * edge.z + v)
     cof = cofactor_cn(tau, n, edge.z, u) * np.conj(cofactor_cn(tau, n, edge.z, v))
     route_a = (
-        k_log
+        exact
         * LogMagnitudePhase.from_log(gaussian_normalizer_log(d, u, v))
         * LogMagnitudePhase.from_complex(complex(cof))
     )
@@ -150,6 +155,31 @@ def normalized_kernel(
     return NormalizedKernelSample(
         L=route_b.value, z=edge, u=u, v=v, n=n, route_gap=gap
     )
+
+
+def normalized_kernel_many(
+    params: ModelParams,
+    edges,
+    us,
+    vs,
+    config: ContourConfig = DEFAULT_CONTOUR,
+    gap_tol: float = 1e-6,
+) -> list[NormalizedKernelSample]:
+    """normalized_kernel at every (edge, u, v) triple, in order.
+
+    Route A's exact kernels come from one kernel_exact_log_many call over
+    all triples; route B, the contour integral, runs triple by triple.
+    """
+    us = [as_point(params, u) for u in us]
+    vs = [as_point(params, v) for v in vs]
+    rn = math.sqrt(params.n)
+    zs = [rn * edge.z + u for edge, u in zip(edges, us)]
+    ws = [rn * edge.z + v for edge, v in zip(edges, vs)]
+    exact = kernel_exact_log_many(params, zs, ws)
+    return [
+        normalized_kernel(params, edge, u, v, config, gap_tol, k)
+        for edge, u, v, k in zip(edges, us, vs, exact)
+    ]
 
 
 def edge_kernel_prediction(edge: EdgePoint, u, v) -> complex:

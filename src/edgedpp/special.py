@@ -49,6 +49,7 @@ __all__ = [
     "gauss_legendre",
     "stable_sum",
     "stable_sum_arrays",
+    "stable_sum_rows",
     "stable_sum_with_l1",
 ]
 
@@ -243,6 +244,26 @@ def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudeP
     return stable_sum_with_l1(log_mags, phases)[0]
 
 
+def stable_sum_rows(log_mags: np.ndarray, phases: np.ndarray) -> list[LogMagnitudePhase]:
+    """stable_sum_arrays of every row of two (rows, N) arrays, each row with its own shift.
+
+    Each row's shifted values are added by the same pairwise sum as
+    stable_sum_arrays adds one array, so row r of the result equals
+    stable_sum_arrays(log_mags[r], phases[r]).
+    """
+    log_mags = np.asarray(log_mags, dtype=float)
+    phases = np.asarray(phases, dtype=complex)
+    if log_mags.shape[1] == 0:
+        raise UsageError("stable_sum requires a non-empty sequence")
+    if not (log_mags < math.inf).all():  # nan or +inf
+        raise DomainError("log magnitudes must be < +inf and not nan")
+    shift = np.max(log_mags, axis=1)
+    # a row of exact zeros gets shift 0, so its terms and its total are 0
+    mags = np.exp(log_mags - np.where(shift > -math.inf, shift, 0.0)[:, None])
+    totals = np.sum(phases * mags, axis=1)
+    return [_from_shifted(s, t) for s, t in zip(shift.tolist(), totals.tolist())]
+
+
 def stable_sum_with_l1(log_mags: np.ndarray, phases: np.ndarray) -> tuple[LogMagnitudePhase, float]:
     """stable_sum_arrays together with the log of the terms' L1 norm.
 
@@ -260,7 +281,11 @@ def stable_sum_with_l1(log_mags: np.ndarray, phases: np.ndarray) -> tuple[LogMag
         return LogMagnitudePhase(-math.inf, 1.0 + 0.0j), -math.inf
     mags = np.exp(log_mags - shift)
     l1_log = shift + math.log(float(np.sum(mags)))
-    total = complex(np.sum(phases * mags))
+    return _from_shifted(shift, complex(np.sum(phases * mags))), l1_log
+
+
+def _from_shifted(shift: float, total: complex) -> LogMagnitudePhase:
+    """exp(shift) * total as a LogMagnitudePhase; a zero total is an exact zero."""
     if total == 0:
-        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j), l1_log
-    return LogMagnitudePhase(shift + math.log(abs(total)), total / abs(total)), l1_log
+        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
+    return LogMagnitudePhase(shift + math.log(abs(total)), total / abs(total))

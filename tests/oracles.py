@@ -8,13 +8,24 @@ follow Dekker/Knuth; exp uses ln2 range reduction plus a Taylor tail.
 
 from __future__ import annotations
 
+import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 
-from edgedpp.errors import DomainError, UsageError
-from edgedpp.kernel import ModelParams, _phi_log_arrays, truncated_exp_series
-from edgedpp.special import LogMagnitudePhase
+from edgedpp.errors import ConsistencyError, DegenerateCoordinatesError, DomainError, UsageError
+from edgedpp.kernel import (
+    ModelParams,
+    _convolve_truncated,
+    _phi_log_arrays,
+    _prefix_sums,
+    as_point,
+    kernel_exact_log_many,
+    log_weight_omega,
+    truncated_exp_series,
+)
+from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 
@@ -335,6 +346,52 @@ def phi_log_per_step(x: complex, tau: float, n: int):
     return logs, phases
 
 
+def kernel_per_pair(params: ModelParams, z, w) -> tuple[LogMagnitudePhase, float, float]:
+    """Reference for kernel.kernel_exact_log_many: one pair at a time.
+
+    Each coordinate's Hermite values come from phi_log_per_step, for z_k
+    and w_k separately even on the diagonal; the monomials of tau = 0 are
+    taken term by term.  The contraction is the exact route's, applied to
+    this one pair: convolve the first d - 1 coordinates, contract against
+    the prefix sums of the last, sum.  Returns the kernel, the log of the
+    L1 norm of its multi-index terms (the same contraction with every phase
+    set to 1), and the largest |log| of the per-coordinate values.
+    """
+    tau, n = params.tau, params.n
+    seqs, log_size = [], 0.0
+    for zk, wk in zip(as_point(params, z).tolist(), as_point(params, w).tolist()):
+        log_w = 0.5 * (log_weight_omega(zk, tau) + log_weight_omega(wk, tau))
+        if tau == 0.0:
+            prod = zk * wk.conjugate()
+            if prod == 0:
+                logs = np.array([0.0] + [-math.inf] * (n - 1))
+                phases = np.ones(n, dtype=complex)
+            else:
+                logs = np.array([j * math.log(abs(prod)) - math.lgamma(j + 1.0) for j in range(n)])
+                phases = np.array([cmath.exp(1j * (j * cmath.phase(prod))) for j in range(n)])
+            pref = log_w - math.log(math.pi)
+        else:
+            lz, pz = phi_log_per_step(zk, tau, n)
+            lw, pw = phi_log_per_step(wk, tau, n)
+            logs, phases = lz + lw, pz * np.conj(pw)
+            pref = log_w + 0.5 * math.log(1.0 - tau * tau) - math.log(math.pi)
+        finite = logs[logs > -math.inf]
+        log_size = max(log_size, float(np.max(np.abs(finite))))
+        seqs.append((logs + pref, phases))
+
+    def contract(seqs):
+        logs, phases = seqs[0]
+        if params.d == 1:
+            return stable_sum_arrays(logs, phases)
+        for lk, pk in seqs[1:-1]:
+            logs, phases = _convolve_truncated(logs, phases, lk, pk, n)
+        lb, pb = _prefix_sums(*seqs[-1])
+        return stable_sum_arrays(logs + lb[::-1], phases * pb[::-1])
+
+    l1 = contract([(logs, np.ones(n, dtype=complex)) for logs, _ in seqs])
+    return contract(seqs), l1.log_mag, log_size
+
+
 def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
     """The n weighted Hermite values phi_0(x) .. phi_{n-1}(x) from
     kernel._phi_log_arrays, one LogMagnitudePhase each, after the argument
@@ -362,3 +419,52 @@ def integral_I_zero_closed(params: ModelParams, zeta: complex) -> LogMagnitudePh
     zeta = complex(zeta)
     series = truncated_exp_series(params.n * zeta, params.n)
     return series * LogMagnitudePhase.from_log(-params.n * zeta)
+
+
+def weight_omega(zeta: complex, tau: float) -> float:
+    """Planar weight omega(zeta) = exp(-|zeta|^2 + tau Re zeta^2)."""
+    if not (0.0 <= tau < 1.0):
+        raise DomainError(f"tau must lie in [0, 1), got {tau}")
+    zeta = complex(zeta)
+    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+        raise DomainError("zeta must be finite")
+    return math.exp(log_weight_omega(zeta, tau))
+
+
+def correlation_k(params: ModelParams, pts: Sequence) -> float:
+    """k-point correlation det(K_n(z_i, z_j))_{i,j <= k}, for k <= 6.
+
+    Returned as the unnormalized determinant (an intensity, not a
+    probability density).  The k x k kernel matrix comes from one batched
+    kernel_exact_log_many call over all k^2 pairs.
+    """
+    points = np.array([as_point(params, p) for p in pts])
+    k = len(points)
+    if not 1 <= k <= 6:
+        raise UsageError(f"correlation_k supports 1 <= k <= 6 points, got {k}")
+    rows = np.repeat(points, k, axis=0)  # z_i for pair (i, j) at i k + j
+    cols = np.tile(points, (k, 1))  # z_j
+    mat = np.array([v.value for v in kernel_exact_log_many(params, rows, cols)]).reshape(k, k)
+    det = complex(np.linalg.det(mat))
+    scale = max(abs(det), 1.0)
+    if abs(det.imag) > 1e-10 * scale:
+        raise ConsistencyError(f"correlation determinant not real: {det!r}")
+    return det.real
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def elliptic_coords(zeta: complex, tol: float = 1e-12) -> tuple[float, float]:
+    """Invert zeta = sqrt(2) cosh(xi + i eta) with xi >= 0, eta in (-pi, pi]."""
+    zeta = complex(zeta)
+    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+        raise DomainError("zeta must be finite")
+    w = zeta / _SQRT2
+    if min(abs(w - 1.0), abs(w + 1.0)) < tol:
+        raise DegenerateCoordinatesError("elliptic coordinates are singular at the foci")
+    g = cmath.log(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0))
+    xi, eta = g.real, g.imag
+    if xi < 0.0:  # principal acosh keeps Re >= 0; guard rounding at xi ~ 0
+        xi, eta = -xi, -eta
+    return xi, eta

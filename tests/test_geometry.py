@@ -19,7 +19,6 @@ from edgedpp.geometry import (
     droplet_classify,
     edge_point,
     edge_point_sample,
-    elliptic_coords,
     outward_normal,
     saddle_frame,
     saddle_points,
@@ -27,6 +26,8 @@ from edgedpp.geometry import (
     zpm_map,
 )
 from edgedpp.kernel import ModelParams
+
+from oracles import elliptic_coords
 
 
 def sinh_ratio(tau, eta):

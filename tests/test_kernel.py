@@ -9,27 +9,39 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgedpp import kernel
 from edgedpp.errors import DomainError, UsageError
 from edgedpp.kernel import (
     ModelParams,
-    correlation_k,
     kernel_exact,
     kernel_exact_log,
+    kernel_exact_log_many,
     kernel_tau0_closed,
     log_weight_omega,
     rho1_density,
     truncated_exp_series,
-    weight_omega,
 )
 from edgedpp.special import stable_sum_arrays
 
-from oracles import hermite_phi10_oracle, phi_log_per_step, phi_sequence
+from oracles import (
+    correlation_k,
+    hermite_phi10_oracle,
+    kernel_per_pair,
+    phi_log_per_step,
+    phi_sequence,
+    weight_omega,
+)
 
 
-def kernel_brute_force(params: ModelParams, z, w) -> complex:
-    """Naive multi-index enumeration with plain Hermite recurrences."""
+def kernel_brute_force(params: ModelParams, z, w, magnitudes: bool = False) -> complex:
+    """Naive multi-index enumeration with plain Hermite recurrences.
+
+    With magnitudes=True it sums the terms' absolute values instead: the L1
+    norm that bounds the rounding of any evaluation of the sum.
+    """
     tau, n, d = params.tau, params.n, params.d
 
     def phi_direct(x, j):
@@ -48,7 +60,7 @@ def kernel_brute_force(params: ModelParams, z, w) -> complex:
         term = 1.0 + 0j
         for k in range(d):
             term *= phi_direct(z[k], jj[k]) * np.conj(phi_direct(w[k], jj[k]))
-        total += term
+        total += abs(term) if magnitudes else term
     pref = (math.sqrt(1 - tau**2) / math.pi) ** d
     logw = 0.5 * sum(log_weight_omega(z[k], tau) + log_weight_omega(w[k], tau) for k in range(d))
     return pref * math.exp(logw) * total
@@ -177,17 +189,117 @@ def test_diagonal_runs_one_recurrence_per_coordinate(monkeypatch):
     original = kernel._phi_log_arrays
 
     def counting(x, tau, n):
-        calls.append(x)
+        calls.append(np.size(x))  # sequences in one batched call
         return original(x, tau, n)
 
     monkeypatch.setattr(kernel, "_phi_log_arrays", counting)
     params = ModelParams(d=3, tau=0.5, n=8)
     z = np.array([0.3 + 0.1j, -0.2j, 0.5])
     rho1_density(params, z)
-    assert len(calls) == 3
+    assert calls == [3]
     calls.clear()
     kernel_exact_log(params, z, z + 0.1)
-    assert len(calls) == 6
+    assert calls == [6]
+    calls.clear()
+    kernel_exact_log_many(params, [z, z, z], [z, z + 0.1, z])
+    assert calls == [3 + 6 + 3]
+
+
+def _batch(seed: int, d: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Point pairs that mix the cases a batch must keep apart: a diagonal
+    pair of large coordinates (|x| in [40, 60], whose Hermite iterates pass
+    1e150 by n = 300 at tau = 0.5), an off-diagonal pair of small ones, a
+    diagonal pair and an off-diagonal pair with a zero coordinate (whose
+    iterates fall below 1e-150 at small tau), then random pairs of any of
+    these kinds."""
+    rng = np.random.default_rng(seed)
+
+    def coords(scale):
+        return scale * np.exp(1j * rng.uniform(-math.pi, math.pi, d))
+
+    zs, ws = [], []
+    for i in range(rows):
+        kind = i if i < 4 else int(rng.integers(4))
+        z = coords(rng.uniform(40.0, 60.0, d) if kind == 0 else rng.uniform(0.0, 1.5, d))
+        if kind >= 2:
+            z[rng.integers(d)] = 0.0
+        w = z.copy() if kind in (0, 2) else z + coords(rng.uniform(0.0, 0.5, d))
+        if kind == 3:
+            w[np.flatnonzero(z == 0)] = 0.0
+        zs.append(z)
+        ws.append(w)
+    return np.array(zs), np.array(ws)
+
+
+def _scaled_gap(a, b, log_scale: float) -> float:
+    """|a - b| / exp(log_scale) for two LogMagnitudePhase values."""
+    def scaled(v):
+        return 0.0 if v.log_mag == -math.inf else cmath.exp(v.log_mag - log_scale) * v.phase
+
+    return abs(scaled(a) - scaled(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    tau=st.one_of(st.just(0.0), st.just(5e-324), st.floats(min_value=0.0, max_value=0.999)),
+    n=st.integers(min_value=1, max_value=512),
+    rows=st.integers(min_value=4, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    perm_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d=2, tau=0.5, n=512, rows=4, seed=1, perm_seed=2)
+@example(d=1, tau=5e-324, n=64, rows=5, seed=3, perm_seed=4)
+@example(d=3, tau=0.0, n=12, rows=6, seed=5, perm_seed=6)
+def test_batched_kernel_matches_per_pair_references(d, tau, n, rows, seed, perm_seed):
+    params = ModelParams(d=d, tau=tau, n=n)
+    zs, ws = _batch(seed, d, rows)
+    got = kernel_exact_log_many(params, zs, ws)
+    assert len(got) == rows
+    eps = np.finfo(float).eps
+    for b in range(rows):
+        ref, l1_log, log_size = kernel_per_pair(params, zs[b], ws[b])
+        # each of the 2d Hermite values in a term may differ from the
+        # per-step loop by the bound test_phi_log_arrays_match_the_per_step_loop
+        # allows (1e-13 + one ulp in the log, 1e-14 in the phase); a sum of
+        # terms then moves by that much times their L1 norm, plus its rounding
+        tol = 2 * d * (1e-13 + np.spacing(log_size) + 1e-14) + 64 * eps
+        assert _scaled_gap(got[b], ref, l1_log) <= tol, (b, got[b], ref)
+        if n <= 12 and (tau == 0.0 or tau >= 1e-6) and np.max(np.abs(zs[b])) <= 3.0:
+            brute = kernel_brute_force(params, zs[b], ws[b])
+            l1 = kernel_brute_force(params, zs[b], ws[b], magnitudes=True).real
+            assert abs(got[b].value - brute) <= 1e-13 * l1, (b, got[b].value, brute)
+    perm = np.random.default_rng(perm_seed).permutation(rows)
+    shuffled = kernel_exact_log_many(params, zs[perm], ws[perm])
+    assert [(v.log_mag, v.phase) for v in shuffled] == [(got[i].log_mag, got[i].phase) for i in perm]
+
+
+def test_batched_kernel_validates_its_arguments():
+    params = ModelParams(d=2, tau=0.5, n=4)
+    assert kernel_exact_log_many(params, np.empty((0, 2)), np.empty((0, 2))) == []
+    with pytest.raises(UsageError):
+        kernel_exact_log_many(params, [1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(UsageError):
+        kernel_exact_log_many(params, [[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(DomainError):
+        kernel_exact_log_many(params, [[1.0, math.inf]], [[1.0, 2.0]])
+
+
+def test_batched_kernel_runs_in_blocks_of_at_most_block_elements_sequence_entries(monkeypatch):
+    calls = []
+    original = kernel._phi_log_arrays
+
+    def counting(x, tau, n):
+        calls.append(np.size(x))
+        return original(x, tau, n)
+
+    monkeypatch.setattr(kernel, "_phi_log_arrays", counting)
+    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 64)
+    params = ModelParams(d=1, tau=0.5, n=16)
+    pts = 0.1 * np.arange(9.0)[:, None]
+    got = kernel_exact_log_many(params, pts, pts)
+    assert calls == [2, 2, 2, 2, 1]  # 64 // (2 d n) = 2 pairs per block, one sequence each
+    assert got == [kernel_exact_log(params, p, p) for p in pts]
 
 
 def _random_log_phase(rng, size, step):
@@ -382,6 +494,18 @@ def test_rho1_point_values():
     for n in (1, 4, 16):
         params = ModelParams(d=1, tau=0.0, n=n)
         assert abs(n * rho1_density(params, [0.0]) - 1.0 / math.pi) <= 1e-14
+
+
+def test_rho1_density_takes_a_batch_of_points():
+    rng = np.random.default_rng(22)
+    for d, tau in [(1, 0.0), (2, 0.3), (3, 0.6)]:
+        params = ModelParams(d=d, tau=tau, n=7)
+        pts = rng.uniform(-2, 2, (5, d)) + 1j * rng.uniform(-2, 2, (5, d))
+        got = rho1_density(params, pts)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        assert got.tolist() == [rho1_density(params, p) for p in pts]
+    with pytest.raises(UsageError):
+        rho1_density(ModelParams(d=2, tau=0.3, n=7), np.zeros((4, 3)))
 
 
 def test_rho1_nonnegative_on_random_points():

@@ -18,6 +18,7 @@ from edgedpp.predictors import (
     edge_density_second_term,
     edge_kernel_prediction,
     normalized_kernel,
+    normalized_kernel_many,
 )
 
 
@@ -50,6 +51,20 @@ def test_normalized_kernel_routes_agree():
         v = rng.uniform(-0.7, 0.7, d) + 1j * rng.uniform(-0.7, 0.7, d)
         samp = normalized_kernel(params, ep, u, v)
         assert samp.route_gap <= 1e-9
+
+
+def test_normalized_kernel_many_is_normalized_kernel_per_triple():
+    rng = np.random.default_rng(6)
+    for d, tau in [(1, 0.5), (2, 0.0), (3, 0.3)]:
+        params = ModelParams(d=d, tau=tau, n=256)
+        edges = [edge_point_sample(params, seed) for seed in (1, 2, 3)]
+        us = [rng.uniform(-0.7, 0.7, d) + 1j * rng.uniform(-0.7, 0.7, d) for _ in edges]
+        vs = [np.zeros(d), us[1], rng.uniform(-0.7, 0.7, d) + 1j * rng.uniform(-0.7, 0.7, d)]
+        got = normalized_kernel_many(params, edges, us, vs)
+        for samp, ep, u, v in zip(got, edges, us, vs):
+            one = normalized_kernel(params, ep, u, v)
+            assert (samp.L, samp.route_gap) == (one.L, one.route_gap)
+            assert samp.z is ep and np.array_equal(samp.u, u) and np.array_equal(samp.v, v)
 
 
 def test_normalized_kernel_diagonal_limits():
