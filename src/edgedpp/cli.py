@@ -54,11 +54,8 @@ def config_defaults() -> dict:
         if kind not in _FIXED_GRID_KINDS:
             cfg[kind]["d_grid"] = ",".join(str(d) for d in sorted({d for d, _ in spec.params_grid}))
             cfg[kind]["tau_grid"] = ",".join(repr(t) for t in sorted({t for _, t in spec.params_grid}))
-        for key, val in spec.tolerances.items():
-            cfg[kind][key] = val
-        for key, val in spec.settings.items():
-            if isinstance(val, (int, float, complex)):
-                cfg[kind][key] = val
+        cfg[kind].update(spec.tolerances)
+        cfg[kind].update(spec.settings)
     return cfg
 
 
@@ -86,8 +83,6 @@ def load_config(path: str | None) -> dict:
                 cfg[section][key] = raw
             elif isinstance(default, int) and not isinstance(default, bool):
                 cfg[section][key] = int(raw)
-            elif isinstance(default, complex):
-                cfg[section][key] = complex(raw)
             else:
                 cfg[section][key] = float(raw)
     return cfg
@@ -123,12 +118,9 @@ def _run_kinds(kinds, cfg) -> list[ConvergenceReport]:
         print(f"[{status}] {kind}")
         for s in rep.series:
             worst = max((e for _, e in s.samples), default=float("nan"))
+            rate = "" if s.fitted_exponent is None else f"fitted_exponent={s.fitted_exponent:+.3f} "
             extra = f" {s.note}" if s.note else ""
-            print(
-                f"    d={s.d} tau={s.tau}: worst={worst:.3e} "
-                f"fitted_exponent={s.fitted_exponent:+.3f} "
-                f"{'ok' if s.passed else 'FAIL'}{extra}"
-            )
+            print(f"    d={s.d} tau={s.tau}: worst={worst:.3e} {rate}{'ok' if s.passed else 'FAIL'}{extra}")
         reports.append(rep)
     return reports
 
@@ -171,7 +163,7 @@ def _cmd_density_scan(args) -> int:
     print("lambda,scaled_density,prediction,abs_error")
     for lam, rho in zip(lams, rhos):
         val = args.n**args.d * rho
-        pred = edge_density_prediction(params, edge, float(lam), args.n)
+        pred = edge_density_prediction(params, edge, float(lam))
         print(f"{lam!r},{val!r},{pred!r},{abs(val - pred)!r}")
     return 0
 

@@ -19,6 +19,11 @@ to F(s) = zeta s - log s with the pole at s = 1 and
 
     N_0 = e^{-n F(1)} I.
 
+normalized_integral returns N and F(pole) for the kernel arguments
+(sqrt(n) z + u, sqrt(n) z + v) and is the one place that picks the
+tau = 0 or the tau > 0 integral; the kernel route, the normalized kernel
+and the bulk experiment all go through it.
+
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
 the pole at relative distance ~ offset/sqrt(n); the default node count
@@ -40,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContourError, DomainError, QuadratureError, UsageError
-from .geometry import SaddleFrame
-from .kernel import ModelParams
+from .geometry import SaddleFrame, saddle_frame, zpm_map
+from .kernel import ModelParams, as_point, log_weight_omega
 from .special import LogMagnitudePhase, stable_sum, stable_sum_with_l1
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "DEFAULT_CONTOUR",
     "integral_I_tau",
     "integral_I_zero",
+    "normalized_integral",
     "kernel_via_contour_log",
     "max_principle_check",
 ]
@@ -324,6 +330,30 @@ def integral_I_zero(
     )
 
 
+def normalized_integral(
+    params: ModelParams,
+    z,
+    u,
+    v,
+    config: ContourConfig = DEFAULT_CONTOUR,
+    include_residue: bool = True,
+) -> tuple[LogMagnitudePhase, complex]:
+    """N and F(pole) for the kernel arguments (sqrt(n) z + u, sqrt(n) z + v).
+
+    At tau = 0 the phase is F(s) = zeta s - log s with zeta the dot
+    product of z + u/sqrt(n) and z + v/sqrt(n), so F(1) = zeta; for
+    0 < tau < 1 it is the saddle frame of the z_pm pair.  The only place
+    that chooses between integral_I_zero and integral_I_tau.
+    """
+    if params.tau == 0.0:
+        rn = math.sqrt(params.n)
+        z = as_point(params, z)
+        zeta = complex(np.sum((z + as_point(params, u) / rn) * np.conj(z + as_point(params, v) / rn)))
+        return integral_I_zero(params, zeta, config, include_residue), zeta
+    frame = saddle_frame(params, *zpm_map(params, z, u, v))
+    return integral_I_tau(params, frame, config, include_residue), frame.phase.F_at_pole()
+
+
 def kernel_via_contour_log(
     params: ModelParams, z, w, config: ContourConfig = DEFAULT_CONTOUR
 ) -> LogMagnitudePhase:
@@ -333,9 +363,6 @@ def kernel_via_contour_log(
     the route independent of the Hermite/monomial sums; z and w are the
     unscaled droplet-coordinate points.
     """
-    from .geometry import saddle_frame, zpm_map  # local import, no cycle at module load
-    from .kernel import as_point, log_weight_omega
-
     d, tau, n = params.d, params.tau, params.n
     z = as_point(params, z)
     w = as_point(params, w)
@@ -344,16 +371,8 @@ def kernel_via_contour_log(
         log_weight_omega(complex(rn * z[k]), tau) + log_weight_omega(complex(rn * w[k]), tau)
         for k in range(d)
     )
-    if tau == 0.0:
-        zeta = complex(np.sum(z * np.conj(w)))
-        big_n = integral_I_zero(params, zeta, config)
-        nf_pole = n * zeta
-    else:
-        zp, zm = zpm_map(params, z, np.zeros(d), rn * (w - z))
-        frame = saddle_frame(params, zp, zm)
-        big_n = integral_I_tau(params, frame, config)
-        nf_pole = n * frame.phase.F_at_pole()
-    pref = LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + nf_pole)
+    big_n, f_pole = normalized_integral(params, z, np.zeros(d), rn * (w - z), config)
+    pref = LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole)
     return big_n * pref
 
 

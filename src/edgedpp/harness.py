@@ -13,7 +13,8 @@ kernel evaluations:
   pointwise uniform-density values at |z| = 0.5 and |z| = 1 for tau = 0.
 * edge_density: two-term erfc density profile, residual decay rate.
 * edge_kernel: Faddeeva plasma kernel, O(1/sqrt n) residual band.
-* refined_d1: the d = 1 refined expansion, residual decay rate.
+* refined_d1: the normalized kernel at normal displacements against its
+  two-term expansion saddle.asymptotic_I_tau, residual decay rate.
 * saddle_pole: the pole/Gaussian model integral identity.
 * max_principle: saddle residuals and the dominant-saddle inequality.
 * phi_expansion: conformal-map value at the pole against its printed
@@ -23,6 +24,11 @@ Each (d, tau, n) cell evaluates its exact kernels with one batched
 kernel_exact_log_many call (rho1_density over a (B, d) array of points;
 normalized_kernel_many for the edge kernels, whose contour route still
 runs pair by pair), so the Hermite recurrence runs once per cell.
+
+spec.settings holds the inputs a configuration can set (pairs, points,
+frames, grid_frames, grid_size); the fixed inputs are the module
+constants below _DEFAULTS.  A series that fits no rate carries
+fitted_exponent None.
 
 All randomness flows from counter-based generators keyed off the
 experiment seed, so a fixed seed reproduces reports byte for byte.
@@ -39,9 +45,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import ContourConfig, integral_I_tau, integral_I_zero, kernel_via_contour_log, max_principle_check
+from .contour import ContourConfig, kernel_via_contour_log, max_principle_check, normalized_integral
 from .errors import DegenerateFitError, DomainError, UsageError
-from .geometry import edge_point_sample, saddle_frame, xi_for_tau, zpm_map
+from .geometry import delta_pm, edge_point_sample, saddle_frame, xi_for_tau, zpm_map
 from .kernel import (
     ModelParams,
     kernel_exact_log_many,
@@ -54,11 +60,10 @@ from .predictors import (
     edge_density_second_term,
     edge_kernel_prediction,
     normalized_kernel_many,
-    d1_refined_prediction,
     dot_product,
-    gaussian_normalizer_log,
 )
 from .saddle import (
+    asymptotic_I_tau,
     phi_at_pole,
     phi_at_pole_tau0,
     phi_lemma_two_term,
@@ -112,19 +117,24 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """One (d, tau) series of (n, error) samples with its fitted rate."""
+    """One (d, tau) series of (n, error) samples with its fitted rate.
+
+    fitted_exponent is None where no rate is fitted, or where the errors
+    agree exactly and there is no rate to fit.
+    """
 
     d: int
     tau: float
     samples: tuple[tuple[int, float], ...]
     passed: bool
-    fitted_exponent: float = 0.0
+    fitted_exponent: float | None = None
     note: str = ""
 
     def __post_init__(self) -> None:
         # runners compute with numpy; reports carry plain Python numbers
         object.__setattr__(self, "samples", tuple((int(n), float(err)) for n, err in self.samples))
-        object.__setattr__(self, "fitted_exponent", float(self.fitted_exponent))
+        if self.fitted_exponent is not None:
+            object.__setattr__(self, "fitted_exponent", float(self.fitted_exponent))
         object.__setattr__(self, "passed", bool(self.passed))
 
 
@@ -145,25 +155,22 @@ _DEFAULTS: dict[str, dict] = {
         params_grid=tuple((d, t) for d in (1, 2, 3) for t in (0.0, 0.3, 0.7)),
         n_grid=(2, 4, 8, 16),
         tolerances={"max_error": 1e-8, "closed_form": 1e-12},
-        settings={"pairs": 20, "radius": 1.5},
+        settings={"pairs": 20},
     ),
     "trace_identity": dict(
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.3, 0.7)),
         n_grid=(2, 4, 8, 16),
         tolerances={"d1_rel": 1e-6, "d2_rel": 5e-3},
-        settings={},
     ),
     "bulk_limit": dict(
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.25)),
         n_grid=(256, 1024),
         tolerances={"ratio": 0.25, "pointwise_half": 0.02, "pointwise_edge": 0.05},
-        settings={},
     ),
     "edge_density": dict(
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.5)),
         n_grid=(256, 1024, 4096),
         tolerances={"exponent": -0.8, "leading_factor": 1.5},
-        settings={"points": 2, "lambda_grid": (-1.0, -0.5, 0.0, 0.5, 1.0)},
     ),
     "edge_kernel": dict(
         params_grid=tuple((d, t) for d in (1, 2, 3) for t in (0.0, 0.5)),
@@ -175,7 +182,6 @@ _DEFAULTS: dict[str, dict] = {
         params_grid=((1, 0.5),),
         n_grid=(1024, 4096),
         tolerances={"exponent": -0.8},
-        settings={"points": 2, "u": 0.3 + 0.1j, "v": -0.2j},
     ),
     # saddle_pole fixes n in its two cases, and max_principle samples frames:
     # neither has an n grid.
@@ -183,7 +189,6 @@ _DEFAULTS: dict[str, dict] = {
         params_grid=((1, 0.0),),
         n_grid=(),
         tolerances={"fp_floor": 1e-13},
-        settings={"l1": -1.0, "l2": 1.0},
     ),
     "max_principle": dict(
         params_grid=((1, 0.3), (1, 0.5), (1, 0.7)),
@@ -191,16 +196,29 @@ _DEFAULTS: dict[str, dict] = {
         tolerances={"fprime": 1e-10, "violation": 1e-12},
         settings={"frames": 50, "grid_frames": 10, "grid_size": 10_000},
     ),
-    # nu scales the synthetic displacements as n^{-1/2+nu}; the residual
-    # rates degrade to -3/2 + 3 nu, so the default keeps the full margin
-    # against the -1.2 pass line.
     "phi_expansion": dict(
         params_grid=((1, 0.0), (1, 0.4), (1, 0.7)),
         n_grid=(100, 1000, 10_000),
         tolerances={"exponent": -1.2},
-        settings={"lam": 0.6, "nu": 0.0},
     ),
 }
+
+# Fixed inputs of the experiments.  Kernel arguments are drawn from the
+# disk of this radius (representation_equivalence).
+_SAMPLE_RADIUS = 1.5
+# Boundary points per (d, tau) cell and offsets lambda along the normal.
+_DENSITY_POINTS = 2
+_DENSITY_LAMBDAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+# refined_d1 displaces both arguments along the normal: u nu and v nu.
+_REFINED_POINTS = 2
+_REFINED_U = 0.3 + 0.1j
+_REFINED_V = -0.2j
+# Endpoints of the real path of the pole/Gaussian integral.
+_POLE_PATH = (-1.0, 1.0)
+# u = v = lambda nu in the phi specialization check.  The synthetic
+# displacements scale as n^(-1/2), which keeps the full margin of the
+# residual rate -3/2 against the -1.2 pass line.
+_PHI_LAMBDA = 0.6
 
 
 def default_spec(kind: str, seed: int = 20260401, **overrides) -> ExperimentSpec:
@@ -210,7 +228,7 @@ def default_spec(kind: str, seed: int = 20260401, **overrides) -> ExperimentSpec
     base = {k: (dict(v) if isinstance(v, dict) else v) for k, v in _DEFAULTS[kind].items()}
     for key, val in overrides.items():
         if key in ("tolerances", "settings"):
-            base[key].update(val)
+            base.setdefault(key, {}).update(val)
         else:
             base[key] = val
     return ExperimentSpec(kind=kind, seed=seed, **base)
@@ -227,12 +245,12 @@ def fit_convergence_rate(samples: Sequence[tuple[int, float]]) -> float:
     return float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
 
 
-def _rate_within(samples: Sequence[tuple[int, float]], limit: float) -> tuple[float, bool]:
-    """Fitted rate and whether it is at most limit; exact agreement fits to -inf and passes."""
+def _rate_within(samples: Sequence[tuple[int, float]], limit: float) -> tuple[float | None, bool]:
+    """Fitted rate and whether it is at most limit; exact agreement has no rate (None) and passes."""
     try:
         slope = fit_convergence_rate(samples)
     except DegenerateFitError:
-        slope = -math.inf
+        return None, True
     return slope, slope <= limit
 
 
@@ -247,7 +265,7 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 
 def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     pairs = int(spec.settings["pairs"])
-    radius = float(spec.settings["radius"])
+    radius = _SAMPLE_RADIUS
     tol = spec.tolerances["max_error"]
     tol_closed = spec.tolerances["closed_form"]
 
@@ -357,16 +375,9 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
         samples = []
         for n in spec.n_grid:
             params = ModelParams(d=d, tau=tau, n=n)
-            rn = math.sqrt(n)
             worst_log = -math.inf
             for u, v in uv_pairs:
-                if tau == 0.0:
-                    zeta = dot_product(z_half + u / rn, z_half + v / rn)
-                    dev = integral_I_zero(params, zeta, contour, include_residue=False)
-                else:
-                    zp, zm = zpm_map(params, z_half, u, v)
-                    frame = saddle_frame(params, zp, zm)
-                    dev = integral_I_tau(params, frame, contour, include_residue=False)
+                dev = normalized_integral(params, z_half, u, v, contour, include_residue=False)[0]
                 scale = abs(bulk_prediction(d, u, v))
                 worst_log = max(worst_log, dev.log_mag + math.log(scale))
             samples.append((n, worst_log))
@@ -407,13 +418,11 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
 
 
 def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
-    lam_grid = spec.settings["lambda_grid"]
-    n_points = int(spec.settings["points"])
     results = []
     for d, tau in spec.params_grid:
         edges = [
             edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 101 * d + i)
-            for i in range(n_points)
+            for i in range(_DENSITY_POINTS)
         ]
         n_grid = [n for n in spec.n_grid if d == 1 or n <= 1024]
         samples = []
@@ -421,13 +430,13 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
         for n in n_grid:
             params = ModelParams(d=d, tau=tau, n=n)
             rn = math.sqrt(n)
-            grid = list(itertools.product(edges, lam_grid))
+            grid = list(itertools.product(edges, _DENSITY_LAMBDAS))
             rhos = rho1_density(params, np.array([rn * ep.z + lam * ep.normal for ep, lam in grid]))
             worst = lead_err = second_scale = 0.0
             for (ep, lam), rho in zip(grid, rhos):
                 val = n**d * rho
-                pred = edge_density_prediction(params, ep, lam, n)
-                second = edge_density_second_term(params, ep, lam, n)
+                pred = edge_density_prediction(params, ep, lam)
+                second = edge_density_second_term(params, ep, lam)
                 worst = max(worst, abs(val - pred))
                 lead_err = max(lead_err, abs(val - (pred - second)))
                 second_scale = max(second_scale, abs(second))
@@ -490,40 +499,31 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[Serie
 
 
 def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
-    u = complex(spec.settings["u"])
-    v = complex(spec.settings["v"])
-    n_points = int(spec.settings["points"])
     results = []
     for d, tau in spec.params_grid:
-        if d != 1:
-            raise UsageError("refined_d1 runs at d = 1 only")
         edges = [
-            edge_point_sample(ModelParams(d=1, tau=tau, n=2), spec.seed + 307 + i)
-            for i in range(n_points)
+            edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 307 + i)
+            for i in range(_REFINED_POINTS)
         ]
         samples = []
         for n in spec.n_grid:
-            params = ModelParams(d=1, tau=tau, n=n)
-            samps = normalized_kernel_many(
-                params, edges, [u * ep.normal for ep in edges], [v * ep.normal for ep in edges], contour
-            )
+            params = ModelParams(d=d, tau=tau, n=n)
+            us = [_REFINED_U * ep.normal for ep in edges]
+            vs = [_REFINED_V * ep.normal for ep in edges]
+            samps = normalized_kernel_many(params, edges, us, vs, contour)
 
-            def one(ep, samp):
-                gauss = np.exp(-gaussian_normalizer_log(1, samp.u, samp.v))
-                kernel_cc = samp.L * gauss
-                pred = d1_refined_prediction(ep, u, v, n)
-                return abs(kernel_cc - pred)
+            def one(samp):
+                dpm = delta_pm(params, zpm_map(params, samp.z.z, samp.u, samp.v), samp.z)
+                return abs(samp.L - asymptotic_I_tau(params, samp.z.eta, dpm.delta_plus, dpm.delta_minus))
 
-            vals = [one(ep, samp) for ep, samp in zip(edges, samps)]
-            samples.append((n, max(vals)))
+            samples.append((n, max(one(samp) for samp in samps)))
         slope, passed = _rate_within(samples, spec.tolerances["exponent"])
-        results.append(SeriesResult(d=1, tau=tau, samples=samples, fitted_exponent=slope, passed=passed))
+        results.append(SeriesResult(d=d, tau=tau, samples=samples, fitted_exponent=slope, passed=passed))
     return results
 
 
 def _run_saddle_pole(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
-    l1 = float(spec.settings["l1"])
-    l2 = float(spec.settings["l2"])
+    l1, l2 = _POLE_PATH
     fp_floor = spec.tolerances["fp_floor"]
     cases = [(-0.4j, 50), (0.2 - 0.3j, 200)]
     samples = []
@@ -590,8 +590,7 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
 
 
 def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
-    lam = float(spec.settings["lam"])
-    nu = float(spec.settings["nu"])
+    lam = _PHI_LAMBDA
     results = []
     for d, tau in spec.params_grid:
         rng = _rng(spec.seed, 9, int(tau * 10))
@@ -601,14 +600,14 @@ def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
             base = edge_point_sample(ModelParams(d=2, tau=0.0, n=2), spec.seed + 53)
             for n in spec.n_grid:
                 params = ModelParams(d=2, tau=0.0, n=n)
-                delta = shape * n ** (-0.5 + nu)
-                phi_s = phi_at_pole_tau0(params, 1.0 + delta).phi_at_pole
-                phi_l = phi_lemma_two_term_tau0(delta).phi_at_pole
+                delta = shape * n**-0.5
+                phi_s = phi_at_pole_tau0(params, 1.0 + delta)
+                phi_l = phi_lemma_two_term_tau0(delta)
                 series_err.append((n, abs(phi_s - phi_l)))
                 # u = v = lam * normal specialization
                 uu = lam * base.normal
                 zeta = dot_product(base.z + uu / math.sqrt(n), base.z + uu / math.sqrt(n))
-                phi_sp = phi_at_pole_tau0(params, zeta).phi_at_pole
+                phi_sp = phi_at_pole_tau0(params, zeta)
                 target = (
                     math.sqrt(2.0) * lam / math.sqrt(n) - lam * lam / (3.0 * math.sqrt(2.0) * n)
                 )
@@ -624,19 +623,19 @@ def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
             sig = sinh_ratio(tau, base.eta)
             for n in spec.n_grid:
                 params = ModelParams(d=2, tau=tau, n=n)
-                dp = dp_shape * n ** (-0.5 + nu)
-                dm = dm_shape * n ** (-0.5 + nu)
+                dp = dp_shape * n**-0.5
+                dm = dm_shape * n**-0.5
                 zp = hat_p + math.sqrt(2.0) * np.sinh(complex(xi, eta)) * dp
                 zm = hat_m + math.sqrt(2.0) * np.sinh(complex(xi, -eta)) * dm
                 fr = saddle_frame(params, complex(zp), complex(zm))
-                phi_s = phi_at_pole(params, fr).phi_at_pole
-                phi_l = phi_lemma_two_term(params, eta, dp, dm).phi_at_pole
+                phi_s = phi_at_pole(params, fr)
+                phi_l = phi_lemma_two_term(params, eta, dp, dm)
                 series_err.append((n, abs(phi_s - phi_l)))
                 # u = v = lam * normal specialization through the full zpm route
                 uu = lam * base.normal
                 zp2, zm2 = zpm_map(params, base.z, uu, uu)
                 fr2 = saddle_frame(params, zp2, zm2)
-                phi_sp = phi_at_pole(params, fr2).phi_at_pole
+                phi_sp = phi_at_pole(params, fr2)
                 target = math.sqrt(2.0) * lam / math.sqrt(n) - sig**3 * lam * lam / (12.0 * n)
                 spec_err.append((n, abs(1j * phi_sp - target)))
         slope_series, series_ok = _rate_within(series_err, spec.tolerances["exponent"])
@@ -648,7 +647,8 @@ def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
                 samples=series_err,
                 fitted_exponent=slope_series,
                 passed=series_ok and spec_ok,
-                note=f"specialization_exponent={slope_spec:.3f}",
+                # exact agreement has no rate; the note then reads -inf
+                note=f"specialization_exponent={-math.inf if slope_spec is None else slope_spec:.3f}",
             )
         )
     return results
@@ -685,7 +685,11 @@ def run_experiment(spec: ExperimentSpec, contour: ContourConfig | None = None) -
 
 
 def emit_report(reports: Sequence[ConvergenceReport] | ConvergenceReport, fmt: str = "csv") -> str:
-    """Serialize reports; CSV columns kind,d,tau,n,error,fitted_exponent,pass."""
+    """Serialize reports; CSV columns kind,d,tau,n,error,fitted_exponent,pass.
+
+    A series without a fitted rate has an empty fitted_exponent field in
+    the CSV and null in the JSON.
+    """
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
     if fmt == "csv":
@@ -696,7 +700,8 @@ def emit_report(reports: Sequence[ConvergenceReport] | ConvergenceReport, fmt: s
                 for n, err in s.samples:
                     out.write(
                         f"{rep.kind},{s.d},{s.tau!r},{n},{err!r},"
-                        f"{s.fitted_exponent!r},{str(s.passed).lower()}\n"
+                        f"{'' if s.fitted_exponent is None else repr(s.fitted_exponent)},"
+                        f"{str(s.passed).lower()}\n"
                     )
         return out.getvalue()
     if fmt == "json":
@@ -709,10 +714,7 @@ def emit_report(reports: Sequence[ConvergenceReport] | ConvergenceReport, fmt: s
                     {
                         "d": s.d,
                         "tau": s.tau,
-                        # exact agreement fits to -inf; JSON carries null
-                        "fitted_exponent": s.fitted_exponent
-                        if math.isfinite(s.fitted_exponent)
-                        else None,
+                        "fitted_exponent": s.fitted_exponent,
                         "passed": s.passed,
                         "note": s.note,
                         "samples": [[n, err] for n, err in s.samples],
@@ -736,9 +738,7 @@ def parse_report_json(text: str) -> list[ConvergenceReport]:
                 d=s["d"],
                 tau=s["tau"],
                 samples=s["samples"],
-                fitted_exponent=-math.inf
-                if s["fitted_exponent"] is None
-                else s["fitted_exponent"],
+                fitted_exponent=s["fitted_exponent"],
                 passed=s["passed"],
                 note=s.get("note", ""),
             )

@@ -97,7 +97,7 @@ def as_point(params: ModelParams, coords) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(coords, dtype=complex))
     if arr.ndim != 1 or arr.size != params.d:
         raise UsageError(f"point must have {params.d} coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # complex isfinite: both parts finite
         raise DomainError("point coordinates must be finite")
     return arr
 

@@ -1,5 +1,7 @@
 """Edge predictors: the erfc density profile, the higher-dimensional
-Faddeeva plasma kernel, the bulk limit, and the refined d = 1 expansion.
+Faddeeva plasma kernel and the bulk limit.  The two-term expansion of the
+normalized kernel itself, in every d, is saddle.asymptotic_I_tau (and
+asymptotic_I_zero at tau = 0).
 
 The central normalized object is
 
@@ -10,7 +12,7 @@ for a boundary point z, with unimodular gauge cofactors c_n that cancel
 in every determinant.  L equals the pole-normalized contour value N
 exactly (not just asymptotically), which gives two independent
 evaluation routes; normalized_kernel computes both and records their
-discrepancy.  As n grows,
+discrepancy (route B through contour.normalized_integral).  As n grows,
 
     L = 1/2 erfc((u.n + n.v)/sqrt 2) + O(1/sqrt n)
 
@@ -39,14 +41,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import DEFAULT_CONTOUR, ContourConfig, integral_I_tau, integral_I_zero
+from .contour import DEFAULT_CONTOUR, ContourConfig, normalized_integral
 from .errors import ConsistencyError, DomainError, UsageError
-from .geometry import EdgePoint, saddle_frame, zpm_map
+from .geometry import EdgePoint
 from .kernel import ModelParams, as_point, kernel_exact_log, kernel_exact_log_many
-from .special import LogMagnitudePhase, erfc_complex, erfcx_complex
+from .special import LogMagnitudePhase, erfc_complex
 
 __all__ = [
     "NormalizedKernelSample",
@@ -58,10 +61,11 @@ __all__ = [
     "edge_kernel_prediction",
     "edge_density_prediction",
     "bulk_prediction",
-    "d1_refined_prediction",
 ]
 
-from dataclasses import dataclass
+# Largest relative gap between the two routes of normalized_kernel; both
+# are exact, so anything past rounding is a defect.
+_ROUTE_GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,6 @@ def normalized_kernel(
     u,
     v,
     config: ContourConfig = DEFAULT_CONTOUR,
-    gap_tol: float = 1e-6,
     exact: LogMagnitudePhase | None = None,
 ) -> NormalizedKernelSample:
     """The normalized kernel L at a boundary point, by both routes.
@@ -124,7 +127,7 @@ def normalized_kernel(
     Route A: exact kernel at the scaled arguments times cofactors and the
     Gaussian normalizer.  Route B: the pole-normalized contour value.  The
     two agree identically in exact arithmetic; a relative gap beyond
-    gap_tol raises ConsistencyError.  The returned L is the route B value.
+    1e-6 raises ConsistencyError.  The returned L is the route B value.
     exact, if given, is the exact kernel K_n(sqrt(n) z + u, sqrt(n) z + v)
     already evaluated (normalized_kernel_many passes it from one batch).
     """
@@ -140,15 +143,9 @@ def normalized_kernel(
         * LogMagnitudePhase.from_log(gaussian_normalizer_log(d, u, v))
         * LogMagnitudePhase.from_complex(complex(cof))
     )
-    if tau == 0.0:
-        zeta = dot_product(edge.z + u / rn, edge.z + v / rn)
-        route_b = integral_I_zero(params, zeta, config)
-    else:
-        zp, zm = zpm_map(params, edge.z, u, v)
-        frame = saddle_frame(params, zp, zm)
-        route_b = integral_I_tau(params, frame, config)
+    route_b = normalized_integral(params, edge.z, u, v, config)[0]
     gap = abs(route_a.ratio_to(route_b) - 1.0)
-    if gap > gap_tol:
+    if gap > _ROUTE_GAP_TOL:
         raise ConsistencyError(
             f"normalized kernel routes disagree: relative gap {gap:.3e} (n={n}, d={d}, tau={tau})"
         )
@@ -163,7 +160,6 @@ def normalized_kernel_many(
     us,
     vs,
     config: ContourConfig = DEFAULT_CONTOUR,
-    gap_tol: float = 1e-6,
 ) -> list[NormalizedKernelSample]:
     """normalized_kernel at every (edge, u, v) triple, in order.
 
@@ -177,7 +173,7 @@ def normalized_kernel_many(
     ws = [rn * edge.z + v for edge, v in zip(edges, vs)]
     exact = kernel_exact_log_many(params, zs, ws)
     return [
-        normalized_kernel(params, edge, u, v, config, gap_tol, k)
+        normalized_kernel(params, edge, u, v, config, k)
         for edge, u, v, k in zip(edges, us, vs, exact)
     ]
 
@@ -187,14 +183,11 @@ def edge_kernel_prediction(edge: EdgePoint, u, v) -> complex:
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     v = np.atleast_1d(np.asarray(v, dtype=complex))
     s = dot_product(u, edge.normal) + dot_product(edge.normal, v)
-    arg = s / math.sqrt(2.0)
-    if (arg * arg).real > 600.0:
-        return 0.5 * cmath.exp(-arg * arg) * erfcx_complex(arg)
-    return 0.5 * erfc_complex(arg)
+    return 0.5 * erfc_complex(s / math.sqrt(2.0))
 
 
-def _density_terms(params: ModelParams, edge: EdgePoint, lam: float, n: int) -> tuple[float, float]:
-    d, tau = params.d, params.tau
+def _density_terms(params: ModelParams, edge: EdgePoint, lam: float) -> tuple[float, float]:
+    d, tau, n = params.d, params.tau, params.n
     kappa = edge.kappa
     fact = math.factorial(d)
     lead = fact / (2.0 * math.pi**d) * erfc_complex(math.sqrt(2.0) * lam).real
@@ -211,9 +204,7 @@ def _density_terms(params: ModelParams, edge: EdgePoint, lam: float, n: int) -> 
     return lead, second
 
 
-def edge_density_prediction(
-    params: ModelParams, edge: EdgePoint, lam: float, n: int | None = None
-) -> float:
+def edge_density_prediction(params: ModelParams, edge: EdgePoint, lam: float) -> float:
     """Two-term edge density profile for n^d rho_1(sqrt(n) z + lambda n).
 
     d!/(2 pi^d) erfc(sqrt 2 lambda)
@@ -221,14 +212,13 @@ def edge_density_prediction(
         (lambda^2 - 1 - 1_{tau != 0} 3 tau^2 (d-1)/((1-tau^2) kappa^{2/3}))
         e^{-2 lambda^2}.
     """
-    n = params.n if n is None else n
-    lead, second = _density_terms(params, edge, lam, n)
+    lead, second = _density_terms(params, edge, lam)
     return lead + second
 
 
-def edge_density_second_term(params: ModelParams, edge: EdgePoint, lam: float, n: int) -> float:
+def edge_density_second_term(params: ModelParams, edge: EdgePoint, lam: float) -> float:
     """The 1/sqrt(n) term alone (used by the acceptance leading-order check)."""
-    return _density_terms(params, edge, lam, n)[1]
+    return _density_terms(params, edge, lam)[1]
 
 
 def bulk_prediction(d: int, u, v) -> complex:
@@ -241,34 +231,3 @@ def bulk_prediction(d: int, u, v) -> complex:
     vv = float(np.sum(np.abs(v) ** 2))
     return math.pi ** (-d) * cmath.exp(dot_product(u, v) - 0.5 * (uu + vv))
 
-
-def d1_refined_prediction(edge: EdgePoint, u: complex, v: complex, n: int) -> complex:
-    """Refined d = 1 expansion of the normalized kernel at u n, v n displacements.
-
-    (1/2 pi) e^{u conj(v) - (|u|^2+|v|^2)/2} erfc((u + conj v)/sqrt 2)
-      + (kappa / sqrt n) e^{-(|u|^2+u^2+|v|^2+conj(v)^2)/2}
-        (u^2 + conj(v)^2 - u conj(v) - 1) / (3 sqrt(2 pi^3)).
-
-    This is the kernel itself (not the pole-normalized L); multiply by
-    pi e^{(|u|^2+|v|^2)/2 - u conj v} to compare with L.
-    """
-    if edge.z.size != 1:
-        raise UsageError("d1_refined_prediction requires a one-dimensional edge point")
-    if not (0.0 < edge.tau < 1.0):
-        raise UsageError("d1_refined_prediction requires 0 < tau < 1")
-    u = complex(u)
-    vb = complex(v).conjugate()
-    kappa = edge.kappa
-    lead = (
-        1.0
-        / (2.0 * math.pi)
-        * cmath.exp(u * vb - 0.5 * (abs(u) ** 2 + abs(vb) ** 2))
-        * erfc_complex((u + vb) / math.sqrt(2.0))
-    )
-    second = (
-        (kappa / math.sqrt(n))
-        * cmath.exp(-0.5 * (abs(u) ** 2 + u * u + abs(vb) ** 2 + vb * vb))
-        * (u * u + vb * vb - u * vb - 1.0)
-        / (3.0 * math.sqrt(2.0 * math.pi**3))
-    )
-    return lead + second

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +33,6 @@ from .kernel import ModelParams
 from .special import erfc_complex, erfcx_complex, gauss_legendre
 
 __all__ = [
-    "PhiExpansion",
     "pole_gaussian_integral",
     "phi_at_pole",
     "phi_at_pole_tau0",
@@ -46,30 +44,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhiExpansion:
-    """phi evaluated at the integrand pole, with the branch bookkeeping.
-
-    method is "series" (square root of the phase difference, branch fixed
-    by the printed leading coefficient) or "lemma" (the two-term expansion
-    in the displacement measures).
-    """
-
-    phi_at_pole: complex
-    leading_coeff: complex
-    method: str
-
-
-def _piece_nodes(piece: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map Gauss-Legendre nodes x in [-1, 1] onto one straight path piece."""
-    _, a, b = piece
-    pts = 0.5 * (a + b) + 0.5 * (b - a) * x
-    dpts = np.full_like(x, 0.5 * (b - a), dtype=complex)
-    return pts, dpts
-
-
-def _adaptive_path(f: Callable, pieces: list[tuple], tol: float, order: int = 32) -> complex:
-    """Composite Gauss-Legendre over the path, doubling panels to tolerance.
+def _adaptive_path(f: Callable, pieces: list[tuple[complex, complex]], tol: float, order: int = 32) -> complex:
+    """Composite Gauss-Legendre over straight pieces (a, b), doubling panels to tolerance.
 
     Convergence allows a rounding floor proportional to the L1 norm of the
     sampled integrand, which is what limits accuracy when the path carries
@@ -81,13 +57,12 @@ def _adaptive_path(f: Callable, pieces: list[tuple], tol: float, order: int = 32
     for _ in range(10):
         total = 0.0 + 0.0j
         l1_norm = 0.0
-        for piece in pieces:
+        for a, b in pieces:
             for k in range(panels):
                 lo = -1.0 + 2.0 * k / panels
                 hi = -1.0 + 2.0 * (k + 1) / panels
                 xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-                pts, dpts = _piece_nodes(piece, xs)
-                vals = w * f(pts) * dpts
+                vals = w * f(0.5 * (a + b) + 0.5 * (b - a) * xs) * (0.5 * (b - a))
                 total += 0.5 * (hi - lo) * complex(np.sum(vals))
                 l1_norm += 0.5 * (hi - lo) * float(np.sum(np.abs(vals)))
         threshold = tol * max(abs(total), 1e-300) + 100.0 * 2.2e-16 * l1_norm
@@ -127,12 +102,9 @@ def pole_gaussian_integral(
         # value only depends on which side of p the path runs.
         clear = 0.1
         apex = complex(p.real, p.imag + (clear if pole_below_path else -clear))
-        pieces = [
-            ("line", complex(l1, 0.0), apex),
-            ("line", apex, complex(l2, 0.0)),
-        ]
+        pieces = [(complex(l1, 0.0), apex), (apex, complex(l2, 0.0))]
     else:
-        pieces = [("line", complex(l1, 0.0), complex(l2, 0.0))]
+        pieces = [(complex(l1, 0.0), complex(l2, 0.0))]
     lhs = _adaptive_path(f, pieces, 1e-13)
 
     q = 1j * math.sqrt(n) * p
@@ -147,7 +119,7 @@ def _branch_matched_root(diff: complex, expected: complex) -> complex:
     return w if abs(w - expected) <= abs(-w - expected) else -w
 
 
-def phi_at_pole(params: ModelParams, frame: SaddleFrame) -> PhiExpansion:
+def phi_at_pole(params: ModelParams, frame: SaddleFrame) -> complex:
     """phi(tau) by the branch-consistent square root of F(1/a) - F(tau).
 
     The sign is fixed by the two-term series at the saddle; if even the
@@ -157,44 +129,34 @@ def phi_at_pole(params: ModelParams, frame: SaddleFrame) -> PhiExpansion:
     if not (0.0 < params.tau < 1.0):
         raise UsageError("phi_at_pole is the tau > 0 route")
     pole = params.tau
-    lead_coeff = -1j * cmath.sqrt(0.5 * frame.F2_at_a_inv)
     step = pole - frame.a_inv
     if abs(step) <= 1e-14 * (1.0 + abs(frame.a_inv)):
         # exact coalescence: phi(pole) = 0 with no branch to choose
-        return PhiExpansion(phi_at_pole=0.0 + 0.0j, leading_coeff=lead_coeff, method="series")
+        return 0.0 + 0.0j
+    lead_coeff = -1j * cmath.sqrt(0.5 * frame.F2_at_a_inv)
     expected = lead_coeff * step - (1j / (6.0 * math.sqrt(2.0))) * complex(
         frame.phase.d3F(frame.a_inv)
     ) / cmath.sqrt(frame.F2_at_a_inv) * step * step
     if abs(expected) < 1e-14:
         raise DomainError("conformal-map branch ambiguous at this pole/saddle configuration")
-    diff = frame.F_at_a_inv - complex(frame.phase.F(pole))
-    return PhiExpansion(
-        phi_at_pole=_branch_matched_root(diff, expected),
-        leading_coeff=lead_coeff,
-        method="series",
-    )
+    return _branch_matched_root(frame.F_at_a_inv - complex(frame.phase.F(pole)), expected)
 
 
-def phi_at_pole_tau0(params: ModelParams, zeta: complex) -> PhiExpansion:
+def phi_at_pole_tau0(params: ModelParams, zeta: complex) -> complex:
     """tau = 0 analogue: phi(1) for F(s) = zeta s - log s with saddle 1/zeta."""
     zeta = complex(zeta)
     if zeta == 0:
         raise DomainError("zeta = 0 has no saddle point")
     s0 = 1.0 / zeta
-    lead_coeff = -1j / (math.sqrt(2.0) * s0)
     step = 1.0 - s0
     if abs(step) <= 1e-14 * (1.0 + abs(s0)):
-        return PhiExpansion(phi_at_pole=0.0 + 0.0j, leading_coeff=lead_coeff, method="series")
-    expected = lead_coeff * step + (1j / (3.0 * math.sqrt(2.0))) * (step / s0) ** 2
+        return 0.0 + 0.0j
+    expected = -1j / (math.sqrt(2.0) * s0) * step + (1j / (3.0 * math.sqrt(2.0))) * (step / s0) ** 2
     if abs(expected) < 1e-14:
         raise DomainError("conformal-map branch ambiguous at this pole/saddle configuration")
     f_saddle = 1.0 + cmath.log(zeta)  # F(1/zeta)
     f_pole = zeta  # F(1)
-    return PhiExpansion(
-        phi_at_pole=_branch_matched_root(f_saddle - f_pole, expected),
-        leading_coeff=lead_coeff,
-        method="series",
-    )
+    return _branch_matched_root(f_saddle - f_pole, expected)
 
 
 def sinh_ratio(tau: float, eta: float) -> float:
@@ -205,7 +167,7 @@ def sinh_ratio(tau: float, eta: float) -> float:
 
 def phi_lemma_two_term(
     params: ModelParams, eta: float, delta_plus: complex, delta_minus: complex
-) -> PhiExpansion:
+) -> complex:
     """Printed two-term expansion of phi(tau) in the displacement measures:
 
     i phi(tau) = (Delta_+ + Delta_-)/sigma
@@ -216,21 +178,13 @@ def phi_lemma_two_term(
     i_phi = (delta_plus + delta_minus) / sig - sig * (
         delta_plus**2 - delta_plus * delta_minus + delta_minus**2
     ) / 6.0
-    return PhiExpansion(phi_at_pole=-1j * i_phi, leading_coeff=1.0 / sig, method="lemma")
+    return -1j * i_phi
 
 
-def phi_lemma_two_term_tau0(delta: complex) -> PhiExpansion:
+def phi_lemma_two_term_tau0(delta: complex) -> complex:
     """tau = 0 printed expansion: i phi(1) = Delta/sqrt(2) - Delta^2/(3 sqrt 2)."""
     i_phi = delta / math.sqrt(2.0) - delta * delta / (3.0 * math.sqrt(2.0))
-    return PhiExpansion(phi_at_pole=-1j * i_phi, leading_coeff=-1j / math.sqrt(2.0), method="lemma")
-
-
-def _erfc_with_gaussian(arg: complex) -> complex:
-    """erfc(arg), routed through erfcx when arg^2 has a large real part."""
-    a2 = arg * arg
-    if a2.real > 600.0:
-        return cmath.exp(-a2) * erfcx_complex(arg)
-    return erfc_complex(arg)
+    return -1j * i_phi
 
 
 def asymptotic_I_zero(params: ModelParams, delta: complex) -> complex:
@@ -243,7 +197,7 @@ def asymptotic_I_zero(params: ModelParams, delta: complex) -> complex:
     delta = complex(delta)
     arg = math.sqrt(n) * delta / math.sqrt(2.0)
     gauss = cmath.exp(-0.5 * n * delta * delta)
-    return 0.5 * _erfc_with_gaussian(arg) + gauss * (n * delta * delta - 1.0) / (
+    return 0.5 * erfc_complex(arg) + gauss * (n * delta * delta - 1.0) / (
         3.0 * math.sqrt(2.0 * math.pi * n)
     )
 
@@ -273,4 +227,4 @@ def asymptotic_I_tau(
         - sig * sig / 6.0
         - tau * tau * (d - 1) / (1.0 - tau * tau)
     )
-    return 0.5 * _erfc_with_gaussian(arg) + sig / (2.0 * math.sqrt(math.pi * n)) * gauss * bracket
+    return 0.5 * erfc_complex(arg) + sig / (2.0 * math.sqrt(math.pi * n)) * gauss * bracket

@@ -9,7 +9,8 @@ Criteria (tolerances pinned here, not deferred):
   04 bulk limit decay: error(1024) <= 0.25 error(256)
   05 edge density: residual rate <= -0.8 and the leading-order check
   06 Faddeeva plasma kernel: sqrt(n)-scaled residual band within 1.5x
-  07 refined d = 1 expansion: residual rate <= -0.8
+  07 two-term kernel expansion (saddle.asymptotic_I_tau) at d = 1, tau = 0.5:
+     residual rate <= -0.8
   08 pole/Gaussian identity within envelope + double-precision floor
   09 saddle residuals <= 1e-10 and max principle violation <= 1e-12
   10 conformal-map expansions: residual rates <= -1.2
@@ -120,7 +121,7 @@ def test_criterion_07_refined_d1(contour):
     rep = run_experiment(default_spec("refined_d1", seed=SEED), contour)
     slopes = [s.fitted_exponent for s in rep.series]
     ok = rep.passed and all(sl <= -0.8 for sl in slopes)
-    _report(7, "refined d=1 expansion", ok, f"slope {slopes[0]:.2f}")
+    _report(7, "two-term kernel expansion, d=1", ok, f"slope {slopes[0]:.2f}")
     assert ok
 
 

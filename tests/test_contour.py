@@ -15,6 +15,7 @@ from edgedpp.contour import (
     integral_I_zero,
     kernel_via_contour_log,
     max_principle_check,
+    normalized_integral,
 )
 from edgedpp.errors import ContourError, DomainError, QuadratureError, UsageError
 from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
@@ -399,6 +400,27 @@ def test_bulk_deviation_log_form_matches_double_difference():
         direct = full.value - 1.0
         assert abs(dev.value - direct) <= 1e-9 * max(abs(direct), 1e-10)
         assert abs(dev.value) > 1e-10  # representable at this n, so the check bites
+
+
+def test_normalized_integral_is_the_tau_route_of_its_arguments():
+    # (sqrt(n) z + u, sqrt(n) z + v): the dot product of the shifted points
+    # at tau = 0, the saddle frame of their z_pm pair above; same bits, in
+    # both residue modes, with F(pole) alongside
+    rng = np.random.default_rng(41)
+    for d, tau in [(1, 0.0), (2, 0.0), (1, 0.5), (3, 0.3)]:
+        params = ModelParams(d=d, tau=tau, n=64)
+        ep = edge_point_sample(params, 5)
+        u = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
+        v = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
+        for residue in (True, False):
+            got, f_pole = normalized_integral(params, ep.z, u, v, include_residue=residue)
+            if tau == 0.0:
+                zeta = complex(np.sum((ep.z + u / 8.0) * np.conj(ep.z + v / 8.0)))
+                assert (got, f_pole) == (integral_I_zero(params, zeta, include_residue=residue), zeta)
+            else:
+                frame = saddle_frame(params, *zpm_map(params, ep.z, u, v))
+                want = integral_I_tau(params, frame, include_residue=residue)
+                assert (got, f_pole) == (want, frame.phase.F_at_pole())
 
 
 def test_contour_config_validation():

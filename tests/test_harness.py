@@ -12,6 +12,7 @@ from edgedpp.cli import _contour_from_config, config_defaults, load_config, main
 from edgedpp.contour import DEFAULT_CONTOUR
 from edgedpp.errors import DegenerateFitError, DomainError, EdgeDppError, UsageError
 from edgedpp.harness import (
+    EXPERIMENT_KINDS,
     ConvergenceReport,
     SeriesResult,
     default_spec,
@@ -61,11 +62,16 @@ def test_emit_report_header_only_and_field_count():
 
 
 def test_report_json_round_trip():
+    # saddle_pole fits no rate: its fitted_exponent is None, null in the
+    # JSON and an empty field in the CSV
     rep = run_experiment(default_spec("saddle_pole"))
+    assert rep.series[0].fitted_exponent is None
     text = emit_report([rep], fmt="json")
+    assert '"fitted_exponent": null' in text
     back = parse_report_json(text)
     assert back == [rep]
     assert emit_report(back, fmt="json") == text
+    assert all(line.split(",")[5] == "" for line in emit_report([rep]).strip().split("\n")[1:])
 
 
 def test_edge_kernel_report_carries_plain_numbers():
@@ -97,12 +103,64 @@ def test_global_threads_loads_only_its_old_default(tmp_path):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("kind", ["saddle_pole", "max_principle"])
-def test_n_grid_rejected_where_no_runner_reads_it(tmp_path, kind):
+_REMOVED_KEYS = (
+    ("representation_equivalence", "radius"),
+    ("edge_density", "points"),
+    ("refined_d1", "points"),
+    ("refined_d1", "u"),
+    ("refined_d1", "v"),
+    ("saddle_pole", "l1"),
+    ("saddle_pole", "l2"),
+    ("phi_expansion", "lam"),
+    ("phi_expansion", "nu"),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        pytest.param("saddle_pole", "n_grid", id="saddle_pole"),
+        pytest.param("max_principle", "n_grid", id="max_principle"),
+        *(pytest.param(kind, key, id=f"{kind}.{key}") for kind, key in _REMOVED_KEYS),
+    ],
+)
+def test_n_grid_rejected_where_no_runner_reads_it(tmp_path, kind, key):
+    # also the fixed inputs that are module constants, not settings
     path = tmp_path / "conf.ini"
-    path.write_text(f"[{kind}]\nn_grid = 10,20\n")
-    with pytest.raises(EdgeDppError, match="unknown config key 'n_grid'"):
+    path.write_text(f"[{kind}]\n{key} = 1\n")
+    with pytest.raises(EdgeDppError, match=f"unknown config key '{key}'"):
         load_config(str(path))
+
+
+# Every settings key, a small grid for its kind, and another value.  No
+# valid grid_size can change the max_principle report: the violation
+# sample is clipped at 0 and the principle holds on every frame.  So its
+# other value is out of range, and the refusal shows that the value still
+# reaches max_principle_check.
+_SETTING_CASES = {
+    ("representation_equivalence", "pairs"): (dict(params_grid=((1, 0.3),), n_grid=(2, 4)), 3),
+    ("edge_kernel", "points"): (dict(params_grid=((1, 0.5),), n_grid=(16, 64)), 2),
+    ("max_principle", "frames"): (dict(params_grid=((1, 0.5),)), 3),
+    ("max_principle", "grid_frames"): (dict(params_grid=((1, 0.5),)), 2),
+    ("max_principle", "grid_size"): (dict(params_grid=((1, 0.5),)), 7),
+}
+
+
+def _outcome(spec) -> str:
+    try:
+        return emit_report([run_experiment(spec)], fmt="json")
+    except EdgeDppError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("kind, key", sorted(_SETTING_CASES))
+def test_every_setting_changes_the_outcome(kind, key):
+    assert set(_SETTING_CASES) == {(k, s) for k in EXPERIMENT_KINDS for s in default_spec(k).settings}
+    grid, other = _SETTING_CASES[kind, key]
+    assert default_spec(kind).settings[key] != other
+    base = _outcome(default_spec(kind, seed=3, **grid))
+    changed = _outcome(default_spec(kind, seed=3, settings={key: other}, **grid))
+    assert changed != base
 
 
 def test_spec_validation():
@@ -196,6 +254,8 @@ def test_cli_verify_and_report(tmp_path, capsys):
     rc = main(["verify", "saddle_pole"])
     out = capsys.readouterr().out
     assert rc == 0 and "[PASS] saddle_pole" in out
+    # saddle_pole fits no rate, so its line names none
+    assert "fitted_exponent=" not in out
     target = tmp_path / "rep.csv"
     rc = main(["report", "--kind", "saddle_pole", "--format", "csv", "--out", str(target)])
     capsys.readouterr()

@@ -283,6 +283,10 @@ def test_batched_kernel_validates_its_arguments():
         kernel_exact_log_many(params, [[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(DomainError):
         kernel_exact_log_many(params, [[1.0, math.inf]], [[1.0, 2.0]])
+    # one point, as every other route takes it: a non-finite real or imaginary part
+    for bad in ([1.0, complex(1.0, math.nan)], [complex(-math.inf, 0.0), 0.0], [0.0, complex(0.0, math.inf)]):
+        with pytest.raises(DomainError):
+            kernel.as_point(params, bad)
 
 
 def test_batched_kernel_runs_in_blocks_of_at_most_block_elements_sequence_entries(monkeypatch):

@@ -1,25 +1,24 @@
 """Edge predictors: cofactors, the normalized kernel, the erfc density
-profile, the Faddeeva plasma kernel, and the bulk limit."""
+profile, the Faddeeva plasma kernel, the bulk limit, and the two-term
+kernel expansion at normal displacements."""
 
 import cmath
 import math
 
 import numpy as np
-import pytest
 
-from edgedpp.errors import UsageError
-from edgedpp.geometry import edge_point_sample
+from edgedpp.geometry import delta_pm, edge_point_sample, zpm_map
 from edgedpp.kernel import ModelParams, rho1_density, truncated_exp_series
 from edgedpp.predictors import (
     bulk_prediction,
     cofactor_cn,
-    d1_refined_prediction,
     edge_density_prediction,
     edge_density_second_term,
     edge_kernel_prediction,
     normalized_kernel,
     normalized_kernel_many,
 )
+from edgedpp.saddle import asymptotic_I_tau
 
 
 def test_cofactor_unimodular_and_trivial_cases():
@@ -126,8 +125,8 @@ def test_edge_density_prediction_origin_and_tails():
     want = 2.0 / (2.0 * math.pi**2) - 1.0 * 2.0 / (
         3.0 * math.pi**2 * math.sqrt(2.0 * math.pi) * math.sqrt(1024)
     )
-    assert abs(edge_density_prediction(params, ep, 0.0, 1024) - want) <= 1e-14
-    assert edge_density_prediction(params, ep, 8.0, 1024) <= 1e-20
+    assert abs(edge_density_prediction(params, ep, 0.0) - want) <= 1e-14
+    assert edge_density_prediction(params, ep, 8.0) <= 1e-20
 
 
 def test_edge_density_prediction_matches_exact_kernel():
@@ -138,8 +137,8 @@ def test_edge_density_prediction_matches_exact_kernel():
         rn = math.sqrt(n)
         for lam in (-0.5, 0.0, 0.75):
             val = n**d * rho1_density(params, rn * ep.z + lam * ep.normal)
-            pred = edge_density_prediction(params, ep, lam, n)
-            second = edge_density_second_term(params, ep, lam, n)
+            pred = edge_density_prediction(params, ep, lam)
+            second = edge_density_second_term(params, ep, lam)
             assert abs(val - pred) <= 0.35 * max(abs(second), 1e-4)
 
 
@@ -154,34 +153,32 @@ def test_bulk_prediction_values():
         assert abs(bulk_prediction(2, a, b)) <= math.pi**-2 + 1e-15
 
 
-def test_d1_refined_prediction_origin_value():
-    tau, n = 0.5, 4096
-    params = ModelParams(d=1, tau=tau, n=n)
-    ep = edge_point_sample(params, 41)
-    got = d1_refined_prediction(ep, 0.0, 0.0, n)
-    want = 1.0 / (2.0 * math.pi) - ep.kappa / (3.0 * math.sqrt(2.0 * math.pi**3) * math.sqrt(n))
-    assert abs(got - want) <= 1e-15
+def _two_term_at_normal(params, ep, u, v):
+    """asymptotic_I_tau at the displacements u nu, v nu of the boundary point ep."""
+    dpm = delta_pm(params, zpm_map(params, ep.z, u * ep.normal, v * ep.normal), ep)
+    return asymptotic_I_tau(params, ep.eta, dpm.delta_plus, dpm.delta_minus)
 
 
 def test_d1_refined_symmetry():
     params = ModelParams(d=1, tau=0.4, n=256)
     ep = edge_point_sample(params, 43)
     u, v = 0.3 + 0.1j, -0.2j
-    a = d1_refined_prediction(ep, u, v, 256)
-    b = d1_refined_prediction(ep, v, u, 256)
+    a = _two_term_at_normal(params, ep, u, v)
+    b = _two_term_at_normal(params, ep, v, u)
     assert abs(a - np.conj(b)) <= 1e-14
 
 
 def test_d1_refined_diagonal_matches_density_profile():
-    # at u = v = lambda the kernel-level prediction carries the same two
+    # at u = v = lambda nu the normalized kernel is pi K (the Gaussian
+    # normalizer is pi), and the two-term expansion carries the same two
     # terms as the density profile (d = 1, where n rho_1 = K exactly)
     tau, n = 0.45, 2048
     params = ModelParams(d=1, tau=tau, n=n)
     ep = edge_point_sample(params, 47)
     rng = np.random.default_rng(48)
-    for lam in rng.uniform(-1.2, 1.2, 10):
-        kernel_pred = d1_refined_prediction(ep, lam, lam, n).real
-        dens_pred = edge_density_prediction(params, ep, float(lam), n)
+    for lam in [0.0, *rng.uniform(-1.2, 1.2, 10)]:
+        kernel_pred = _two_term_at_normal(params, ep, lam, lam).real / math.pi
+        dens_pred = edge_density_prediction(params, ep, float(lam))
         assert abs(kernel_pred - dens_pred) <= 1e-13
 
 
@@ -246,10 +243,3 @@ def test_normalized_kernel_near_tau_zero_is_not_refused():
                 sample = normalized_kernel(params, edge_point_sample(params, seed), u, v)
                 worst = max(worst, sample.route_gap)
     assert worst <= 1e-8
-
-
-def test_d1_refined_requires_d1():
-    params = ModelParams(d=2, tau=0.4, n=16)
-    ep = edge_point_sample(params, 53)
-    with pytest.raises(UsageError):
-        d1_refined_prediction(ep, 0.1, 0.1, 16)

@@ -1,5 +1,6 @@
 """Complex error functions and log-magnitude accumulation."""
 
+import cmath
 import math
 
 import numpy as np
@@ -126,6 +127,35 @@ def test_erfcx_far_field_against_dd_asymptotic():
             ref = erfcx_asymptotic_cdd(z)
             got = erfcx_complex(z)
             assert abs(got - ref) <= 1e-12 * abs(ref), z
+
+
+def test_erfcx_strip_large_imaginary_part_against_mpmath():
+    # |Re z| <= 1.4 with |Im z| >= 6: there exp(z^2) underflows while
+    # 1 - erf(z) overflows, so the scaled value cannot come from the series
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in np.linspace(-1.4, 1.4, 8):
+            for y in (6.0, 9.5, 27.0, 60.0, 100.0, -6.0, -27.0, -100.0):
+                z = complex(x, y)
+                zm = mpmath.mpc(z)
+                ref = complex(mpmath.exp(zm * zm) * mpmath.erfc(zm))
+                assert abs(erfcx_complex(z) - ref) <= 1e-13 * abs(ref), z
+
+
+def test_erfc_and_erfcx_never_return_nan():
+    # a finite argument gives a number; only a value past the double range
+    # raises OverflowError, as math.exp does: |erfc z| ~ e^(y^2 - x^2) and,
+    # for x < 0, |erfcx z| ~ e^(x^2 - y^2)
+    for x in np.linspace(-40.0, 40.0, 33):
+        for y in np.linspace(-40.0, 40.0, 33):
+            z = complex(x, y)
+            for f, log_size in ((erfc_complex, y * y - x * x), (erfcx_complex, x * x - y * y)):
+                try:
+                    val = f(z)
+                except OverflowError:
+                    assert log_size > 700.0, (f.__name__, z)
+                    continue
+                assert not cmath.isnan(val), (f.__name__, z)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))])
