@@ -2,11 +2,12 @@
 elliptic Ginibre-type determinantal point processes on C^d.
 
 The package evaluates the exact finite-n correlation kernel by two
-independent representations (weighted-Hermite sums and a single contour
-integral), provides the droplet geometry and saddle-point machinery the
-contour route rests on, and implements the asymptotic edge predictors
-(erfc density profile, Faddeeva plasma kernel) that the verification
-harness checks against the exact evaluations.
+independent representations (the degree sum, by a recurrence from
+Mehler's formula, and a single contour integral), provides the droplet
+geometry and saddle-point machinery the contour route rests on, and
+implements the asymptotic edge predictors (erfc density profile,
+Faddeeva plasma kernel) that the verification harness checks against the
+exact evaluations.
 """
 
 from .errors import (

@@ -360,7 +360,7 @@ def kernel_via_contour_log(
     """K_n(sqrt(n) z, sqrt(n) w) through the contour representation.
 
     pi^{-d} prod_k sqrt(omega(sqrt n z_k) omega(sqrt n w_k)) e^{n F(pole)} N,
-    the route independent of the Hermite/monomial sums; z and w are the
+    the route independent of the degree recurrence; z and w are the
     unscaled droplet-coordinate points.
     """
     d, tau, n = params.d, params.tau, params.n

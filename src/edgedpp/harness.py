@@ -4,7 +4,7 @@ and machine-readable reports.
 Each experiment kind exercises one cluster of claims against the exact
 kernel evaluations:
 
-* representation_equivalence: Hermite/monomial sums against the contour
+* representation_equivalence: the exact degree sum against the contour
   route on a (d, tau, n) grid, plus the tau = 0 closed form.
 * trace_identity: integral of the diagonal kernel against the point
   count C(n+d-1, d), by an exact Gauss-Hermite product rule folded by
@@ -20,10 +20,10 @@ kernel evaluations:
 * phi_expansion: conformal-map value at the pole against its printed
   expansions, residual decay rates.
 
-Each (d, tau, n) cell evaluates its exact kernels with one batched
+Each (d, tau, n) cell evaluates its exact kernels with one
 kernel_exact_log_many call (rho1_density over a (B, d) array of points;
-normalized_kernel_many for the edge kernels, whose contour route still
-runs pair by pair), so the Hermite recurrence runs once per cell.
+normalized_kernel_many for the edge kernels), which shares the degree
+recurrence's coefficients across the cell's pairs.
 
 spec.settings holds the inputs a configuration can set (pairs, points,
 frames, grid_frames, grid_size); the fixed inputs are the module
@@ -581,9 +581,10 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
             SeriesResult(
                 d=d,
                 tau=tau,
-                samples=((frames, worst_fprime), (grid_frames, max(worst_violation, 0.0))),
+                samples=((frames, worst_fprime), (grid_frames, worst_violation)),
                 passed=passed,
-                note="samples: (frames, max |F'|), (frames, max principle violation)",
+                note="samples: (frames, max |F'|), "
+                "(frames, max principle violation, negative where it holds)",
             )
         )
     return results

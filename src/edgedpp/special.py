@@ -52,7 +52,6 @@ __all__ = [
     "gauss_legendre",
     "stable_sum",
     "stable_sum_arrays",
-    "stable_sum_rows",
     "stable_sum_with_l1",
 ]
 
@@ -246,26 +245,6 @@ def stable_sum(terms: Sequence[LogMagnitudePhase] | Iterable[LogMagnitudePhase])
 def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudePhase:
     """Array form of stable_sum; log_mags float, phases unit complex."""
     return stable_sum_with_l1(log_mags, phases)[0]
-
-
-def stable_sum_rows(log_mags: np.ndarray, phases: np.ndarray) -> list[LogMagnitudePhase]:
-    """stable_sum_arrays of every row of two (rows, N) arrays, each row with its own shift.
-
-    Each row's shifted values are added by the same pairwise sum as
-    stable_sum_arrays adds one array, so row r of the result equals
-    stable_sum_arrays(log_mags[r], phases[r]).
-    """
-    log_mags = np.asarray(log_mags, dtype=float)
-    phases = np.asarray(phases, dtype=complex)
-    if log_mags.shape[1] == 0:
-        raise UsageError("stable_sum requires a non-empty sequence")
-    if not (log_mags < math.inf).all():  # nan or +inf
-        raise DomainError("log magnitudes must be < +inf and not nan")
-    shift = np.max(log_mags, axis=1)
-    # a row of exact zeros gets shift 0, so its terms and its total are 0
-    mags = np.exp(log_mags - np.where(shift > -math.inf, shift, 0.0)[:, None])
-    totals = np.sum(phases * mags, axis=1)
-    return [_from_shifted(s, t) for s, t in zip(shift.tolist(), totals.tolist())]
 
 
 def stable_sum_with_l1(log_mags: np.ndarray, phases: np.ndarray) -> tuple[LogMagnitudePhase, float]:

@@ -17,9 +17,6 @@ import numpy as np
 from edgedpp.errors import ConsistencyError, DegenerateCoordinatesError, DomainError, UsageError
 from edgedpp.kernel import (
     ModelParams,
-    _convolve_truncated,
-    _phi_log_arrays,
-    _prefix_sums,
     as_point,
     kernel_exact_log_many,
     log_weight_omega,
@@ -316,10 +313,16 @@ _SMALLEST_NORMAL = 2.0**-1022
 
 
 def phi_log_per_step(x: complex, tau: float, n: int):
-    """Reference for kernel._phi_log_arrays: the same normalized Hermite
-    recurrence and rescaling, but with the log and phase of every value
-    taken inside the loop, one scalar at a time."""
-    c = math.sqrt(1.0 - tau * tau)
+    """The weighted Hermite values phi_0(x) .. phi_{n-1}(x), the per-coordinate
+    factors of the kernel's definition, as (log |.|, phase) arrays.
+
+    Normalized three-term recurrence
+        phi_{j+1} = (sqrt(1-tau^2) x phi_j - tau sqrt(j) phi_{j-1}) / sqrt(j+1),
+    one scalar step at a time; the iterates are rescaled whenever
+    max(|phi_{j-1}|, |phi_j|) leaves [1e-150, 1e150], a subnormal pair
+    (subnormal tau) by division, since exp(-log size) would overflow.
+    """
+    c = math.sqrt((1.0 - tau) * (1.0 + tau))
     logs = np.full(n, -math.inf)
     phases = np.ones(n, dtype=complex)
     prev = 0.0 + 0.0j
@@ -346,16 +349,26 @@ def phi_log_per_step(x: complex, tau: float, n: int):
     return logs, phases
 
 
-def kernel_per_pair(params: ModelParams, z, w) -> tuple[LogMagnitudePhase, float, float]:
-    """Reference for kernel.kernel_exact_log_many: one pair at a time.
+def _log_l1(logs: np.ndarray) -> float:
+    """log sum exp(logs), -inf for no nonzero term."""
+    shift = float(np.max(logs))
+    if shift == -math.inf:
+        return shift
+    return shift + math.log(float(np.sum(np.exp(logs - shift))))
 
-    Each coordinate's Hermite values come from phi_log_per_step, for z_k
-    and w_k separately even on the diagonal; the monomials of tau = 0 are
-    taken term by term.  The contraction is the exact route's, applied to
-    this one pair: convolve the first d - 1 coordinates, contract against
-    the prefix sums of the last, sum.  Returns the kernel, the log of the
-    L1 norm of its multi-index terms (the same contraction with every phase
-    set to 1), and the largest |log| of the per-coordinate values.
+
+def kernel_per_pair(params: ModelParams, z, w) -> tuple[LogMagnitudePhase, float, float]:
+    """The kernel's definition, one pair at a time, independent of the
+    degree recurrence kernel.kernel_exact_log_many runs.
+
+    Each coordinate's Hermite values come from phi_log_per_step, for z_k and
+    w_k separately even on the diagonal; the monomials (z_k conj(w_k))^j / j!
+    of tau = 0 are taken term by term.  The degree sequences T_k[j] of the
+    coordinates are convolved one by one, each degree m < n summed after its
+    own max shift, and the last convolution is summed.  Returns the kernel,
+    the log of the L1 norm of its multi-index terms (carried through the same
+    convolutions with every phase set to 1), and the largest |log| of the
+    per-coordinate values.
     """
     tau, n = params.tau, params.n
     seqs, log_size = [], 0.0
@@ -369,36 +382,71 @@ def kernel_per_pair(params: ModelParams, z, w) -> tuple[LogMagnitudePhase, float
             else:
                 logs = np.array([j * math.log(abs(prod)) - math.lgamma(j + 1.0) for j in range(n)])
                 phases = np.array([cmath.exp(1j * (j * cmath.phase(prod))) for j in range(n)])
-            pref = log_w - math.log(math.pi)
         else:
             lz, pz = phi_log_per_step(zk, tau, n)
             lw, pw = phi_log_per_step(wk, tau, n)
             logs, phases = lz + lw, pz * np.conj(pw)
-            pref = log_w + 0.5 * math.log(1.0 - tau * tau) - math.log(math.pi)
         finite = logs[logs > -math.inf]
         log_size = max(log_size, float(np.max(np.abs(finite))))
+        pref = log_w + 0.5 * math.log((1.0 - tau) * (1.0 + tau)) - math.log(math.pi)
         seqs.append((logs + pref, phases))
+    terms = (*seqs[0], seqs[0][0])
+    for seq in seqs[1:]:
+        terms = _convolve_by_degree(terms, seq)
+    logs, phases, l1s = terms
+    return stable_sum_arrays(logs, phases), _log_l1(l1s), log_size
 
-    def contract(seqs):
-        logs, phases = seqs[0]
-        if params.d == 1:
-            return stable_sum_arrays(logs, phases)
-        for lk, pk in seqs[1:-1]:
-            logs, phases = _convolve_truncated(logs, phases, lk, pk, n)
-        lb, pb = _prefix_sums(*seqs[-1])
-        return stable_sum_arrays(logs + lb[::-1], phases * pb[::-1])
 
-    l1 = contract([(logs, np.ones(n, dtype=complex)) for logs, _ in seqs])
-    return contract(seqs), l1.log_mag, log_size
+def _convolve_by_degree(a, b):
+    """c_m = sum_{i <= m} a_i b_{m-i} for every m below the common length.
+
+    a is (logs, phases, L1 logs) of a contraction so far, b one coordinate's
+    (logs, phases); c comes back in a's form.
+    """
+    (la, pa, l1a), (lb, pb) = a, b
+    out = []
+    for m in range(la.size):
+        c = stable_sum_arrays(la[: m + 1] + lb[m::-1], pa[: m + 1] * pb[m::-1])
+        out.append((c.log_mag, c.phase, _log_l1(l1a[: m + 1] + lb[m::-1])))
+    return tuple(np.array(col) for col in zip(*out))
+
+
+def kernel_mpmath_log(params: ModelParams, z, w, dps: int = 40) -> LogMagnitudePhase:
+    """K_n(z, w) from the five-term degree recurrence of edgedpp.kernel's
+    docstring, run in dps-digit mpmath arithmetic on the exact values of the
+    double inputs: no rescaling, no rounding to speak of."""
+    import mpmath as mp
+
+    d, n = params.d, params.n
+    with mp.workdps(dps):
+        t = mp.mpf(params.tau)
+        q = 1 - t * t
+        zs = [mp.mpc(c) for c in as_point(params, z).tolist()]
+        ws = [mp.mpc(c) for c in as_point(params, w).tolist()]
+        x = mp.fsum(a * mp.conj(b) for a, b in zip(zs, ws))
+        s = mp.fsum(a * a + mp.conj(b * b) for a, b in zip(zs, ws))
+        qx, qts, qt2x, t2, t4 = q * x, q * t * s, q * t * t * x, t * t, t**4
+        h0, h1, h2, h3 = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(0)
+        terms = [h0]
+        for m in range(n - 1):
+            h0, h1, h2, h3 = (
+                qx * h0 + ((2 * m - 2 + d) * t2 - qts) * h1 + qt2x * h2 - (m - 3 + d) * t4 * h3
+            ) / (m + 1), h0, h1, h2
+            terms.append(h0)
+        total = mp.fsum(terms)
+        if total == 0:
+            return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
+        log_w = mp.fsum(-abs(c) ** 2 + t * (c * c).real for c in zs + ws) / 2
+        log_mag = d * (mp.log(q) / 2 - mp.log(mp.pi)) + log_w + mp.log(abs(total))
+        return LogMagnitudePhase(float(log_mag), complex(total / abs(total)))
 
 
 def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
     """The n weighted Hermite values phi_0(x) .. phi_{n-1}(x) from
-    kernel._phi_log_arrays, one LogMagnitudePhase each, after the argument
-    checks the recurrence itself leaves to its callers.
+    phi_log_per_step, one LogMagnitudePhase each, after the argument checks
+    the recurrence itself leaves to its callers.
 
-    Only defined for 0 < tau < 1; the tau = 0 kernel takes the closed
-    monomial route and never needs these.
+    Only defined for 0 < tau < 1; at tau = 0 the factors are monomials.
     """
     if tau == 0.0:
         raise UsageError("phi_sequence is the 0 < tau < 1 path; use the tau = 0 kernel form")
@@ -409,7 +457,7 @@ def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise DomainError("x must be finite")
-    logs, phases = _phi_log_arrays(x, tau, n)
+    logs, phases = phi_log_per_step(x, tau, n)
     return [LogMagnitudePhase(float(l), complex(p)) for l, p in zip(logs, phases)]
 
 

@@ -132,17 +132,15 @@ def test_n_grid_rejected_where_no_runner_reads_it(tmp_path, kind, key):
         load_config(str(path))
 
 
-# Every settings key, a small grid for its kind, and another value.  No
-# valid grid_size can change the max_principle report: the violation
-# sample is clipped at 0 and the principle holds on every frame.  So its
-# other value is out of range, and the refusal shows that the value still
-# reaches max_principle_check.
+# Every settings key, a small grid for its kind, and another value.  The
+# max_principle violation sample is signed (negative while the principle
+# holds), so a coarser grid_size moves it.
 _SETTING_CASES = {
     ("representation_equivalence", "pairs"): (dict(params_grid=((1, 0.3),), n_grid=(2, 4)), 3),
     ("edge_kernel", "points"): (dict(params_grid=((1, 0.5),), n_grid=(16, 64)), 2),
     ("max_principle", "frames"): (dict(params_grid=((1, 0.5),)), 3),
     ("max_principle", "grid_frames"): (dict(params_grid=((1, 0.5),)), 2),
-    ("max_principle", "grid_size"): (dict(params_grid=((1, 0.5),)), 7),
+    ("max_principle", "grid_size"): (dict(params_grid=((1, 0.5),)), 100),
 }
 
 

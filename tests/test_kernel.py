@@ -1,6 +1,6 @@
-"""Exact kernel evaluation: weights, weighted Hermite sequences, the
-convolution evaluator against brute-force enumeration, densities, and
-determinantal correlations."""
+"""Exact kernel evaluation: weights, weighted Hermite sequences, the degree
+recurrence against the Hermite definition, 40-digit mpmath and brute-force
+enumeration, densities, and determinantal correlations."""
 
 import cmath
 import itertools
@@ -20,15 +20,16 @@ from edgedpp.kernel import (
     kernel_exact_log,
     kernel_exact_log_many,
     kernel_tau0_closed,
+    kernel_tau0_closed_log,
     log_weight_omega,
     rho1_density,
     truncated_exp_series,
 )
-from edgedpp.special import stable_sum_arrays
 
 from oracles import (
     correlation_k,
     hermite_phi10_oracle,
+    kernel_mpmath_log,
     kernel_per_pair,
     phi_log_per_step,
     phi_sequence,
@@ -106,27 +107,47 @@ def test_phi_sequence_rejects_tau_zero():
         phi_sequence(1.0, 0.0, 4)
 
 
-# |x| = 60 drives the iterates past 1e150 (rescaled down); small x and tau
-# near 0 let them fall below 1e-150 (rescaled up); x = 0 gives exact zeros
-# at every odd degree, and with a subnormal tau a subnormal iterate.
+def _scaled_gap(a, b, log_scale: float) -> float:
+    """|a - b| / exp(log_scale) for two LogMagnitudePhase values."""
+    def scaled(v):
+        return 0.0 if v.log_mag == -math.inf else cmath.exp(v.log_mag - log_scale) * v.phase
+
+    return abs(scaled(a) - scaled(b))
+
+
+def _recurrence_growth(tau: float, n: int) -> float:
+    """N^(3/2), N = min(n, 1/(1 - tau)): the degree recurrence's rounding in
+    units of eps times the L1 norm of the terms (kernel module docstring).
+    A rounding at step k grows by about m - k against the wanted solution
+    near tau = 1, until tau^m damps it; N such roundings add up to about
+    eps N^(3/2).  It is 2.8 or less for tau <= 0.5 and reaches 1.2e4 at
+    tau = 0.999, n = 512, where 40-digit mpmath measured about 1.1e3."""
+    return min(n, 1.0 / (1.0 - tau)) ** 1.5
+
+
+# |x| = 60 drives the per-step iterates past 1e150 (rescaled down); small x
+# and tau near 0 let them fall below 1e-150 (rescaled up); x = 0 gives exact
+# zeros at every odd degree, and with a subnormal tau a subnormal iterate.
 @pytest.mark.parametrize("x", [0j, 0.7 - 0.2j, 30.0 + 12.0j, -60.0j, 42.0 - 42.0j])
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-6, 0.5, 0.999999])
 def test_phi_log_arrays_match_the_per_step_loop(x, tau):
+    # the d = 1 kernel from the degree recurrence against the definition
+    # contracted from the per-step loop's phi log arrays (kernel_per_pair)
+    eps = np.finfo(float).eps
     for n in (1, 2, 4096):
-        logs, phases = kernel._phi_log_arrays(x, tau, n)
-        ref_logs, ref_phases = phi_log_per_step(x, tau, n)
-        zero = ref_logs == -math.inf
-        assert np.array_equal(logs == -math.inf, zero)
-        assert np.all(phases[zero] == 1.0)
-        # a log of size L is itself rounded to one ulp of L (2.3e-13 at 2000)
-        gap = np.abs(logs[~zero] - ref_logs[~zero])
-        assert np.all(gap <= 1e-13 + np.spacing(np.abs(ref_logs[~zero])))
-        assert np.max(np.abs(phases - ref_phases)) <= 1e-14
+        params = ModelParams(d=1, tau=tau, n=n)
+        for w in (x, 0.5 * x + 0.3):
+            got = kernel_exact_log(params, [x], [w])
+            ref, l1_log, _ = kernel_per_pair(params, [x], [w])
+            # 64 eps for the sums, one rounding of the weight's log (of size
+            # at most |x|^2 + |w|^2), and the recurrence's growth near tau = 1
+            tol = eps * (64 + abs(x) ** 2 + abs(w) ** 2 + _recurrence_growth(tau, n))
+            assert _scaled_gap(got, ref, l1_log) <= tol, (n, w)
 
 
 def test_phi_log_arrays_cases_reach_both_rescalings():
-    top = kernel._phi_log_arrays(-60.0j, 0.5, 4096)[0]
-    bottom = kernel._phi_log_arrays(0.7 - 0.2j, 1e-6, 4096)[0]
+    top = phi_log_per_step(-60.0j, 0.5, 4096)[0]
+    bottom = phi_log_per_step(0.7 - 0.2j, 1e-6, 4096)[0]
     assert top.max() > math.log(1e150) and bottom.min() < math.log(1e-150)
 
 
@@ -169,8 +190,7 @@ def test_kernel_matches_brute_force_enumeration_d3_n16():
 
 
 def test_contraction_matches_brute_force_enumeration():
-    # d = 2 contracts against prefix sums only, d >= 3 convolves first; the
-    # diagonal pairs run each coordinate's Hermite recurrence once
+    # the recurrence's d-dependent coefficients, on and off the diagonal
     rng = np.random.default_rng(2026)
     for d in (2, 3, 4):
         for tau in (0.0, 0.5, 0.9):
@@ -182,27 +202,6 @@ def test_contraction_matches_brute_force_enumeration():
                     got = kernel_exact(params, z, other)
                     ref = kernel_brute_force(params, z, other)
                     assert abs(got - ref) <= 1e-13 * abs(ref), (d, tau, n, other is z)
-
-
-def test_diagonal_runs_one_recurrence_per_coordinate(monkeypatch):
-    calls = []
-    original = kernel._phi_log_arrays
-
-    def counting(x, tau, n):
-        calls.append(np.size(x))  # sequences in one batched call
-        return original(x, tau, n)
-
-    monkeypatch.setattr(kernel, "_phi_log_arrays", counting)
-    params = ModelParams(d=3, tau=0.5, n=8)
-    z = np.array([0.3 + 0.1j, -0.2j, 0.5])
-    rho1_density(params, z)
-    assert calls == [3]
-    calls.clear()
-    kernel_exact_log(params, z, z + 0.1)
-    assert calls == [6]
-    calls.clear()
-    kernel_exact_log_many(params, [z, z, z], [z, z + 0.1, z])
-    assert calls == [3 + 6 + 3]
 
 
 def _batch(seed: int, d: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,14 +230,6 @@ def _batch(seed: int, d: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(zs), np.array(ws)
 
 
-def _scaled_gap(a, b, log_scale: float) -> float:
-    """|a - b| / exp(log_scale) for two LogMagnitudePhase values."""
-    def scaled(v):
-        return 0.0 if v.log_mag == -math.inf else cmath.exp(v.log_mag - log_scale) * v.phase
-
-    return abs(scaled(a) - scaled(b))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=4),
@@ -252,19 +243,31 @@ def _scaled_gap(a, b, log_scale: float) -> float:
 @example(d=1, tau=5e-324, n=64, rows=5, seed=3, perm_seed=4)
 @example(d=3, tau=0.0, n=12, rows=6, seed=5, perm_seed=6)
 def test_batched_kernel_matches_per_pair_references(d, tau, n, rows, seed, perm_seed):
+    pytest.importorskip("mpmath")
     params = ModelParams(d=d, tau=tau, n=n)
     zs, ws = _batch(seed, d, rows)
     got = kernel_exact_log_many(params, zs, ws)
     assert len(got) == rows
     eps = np.finfo(float).eps
     for b in range(rows):
-        ref, l1_log, log_size = kernel_per_pair(params, zs[b], ws[b])
-        # each of the 2d Hermite values in a term may differ from the
-        # per-step loop by the bound test_phi_log_arrays_match_the_per_step_loop
-        # allows (1e-13 + one ulp in the log, 1e-14 in the phase); a sum of
-        # terms then moves by that much times their L1 norm, plus its rounding
-        tol = 2 * d * (1e-13 + np.spacing(log_size) + 1e-14) + 64 * eps
+        ref = kernel_mpmath_log(params, zs[b], ws[b])
+        hermite, l1_log, log_size = kernel_per_pair(params, zs[b], ws[b])
+        # The bound is the Hermite definition's: each of the 2d Hermite values
+        # in a multi-index term carries up to 1e-13 + one ulp of its log size
+        # in its log and 1e-14 in its phase, which moves a sum of terms by
+        # that much times their L1 norm, plus 64 eps for the sum's rounding.
+        # Against a reference that rounds nothing, the weight
+        # sqrt(omega(z) omega(w)) adds one rounding of its log, whose size is
+        # at most sum_k (|z_k|^2 + |w_k|^2) (|log omega(z)| <= (1 + tau)|z|^2,
+        # halved): eps times that.  Near tau = 1 the degree recurrence adds
+        # its own growth, eps _recurrence_growth(tau, n), which the
+        # definition's bound leaves out (it reached 0.93 of the bound without
+        # it at d = 1, tau = 0.999, n = 512).  Both routes must meet the sum.
+        weight = float(np.sum(np.abs(zs[b]) ** 2 + np.abs(ws[b]) ** 2))
+        tol = 2 * d * (1e-13 + np.spacing(log_size) + 1e-14)
+        tol += eps * (64 + weight + _recurrence_growth(tau, n))
         assert _scaled_gap(got[b], ref, l1_log) <= tol, (b, got[b], ref)
+        assert _scaled_gap(hermite, ref, l1_log) <= tol, (b, hermite, ref)
         if n <= 12 and (tau == 0.0 or tau >= 1e-6) and np.max(np.abs(zs[b])) <= 3.0:
             brute = kernel_brute_force(params, zs[b], ws[b])
             l1 = kernel_brute_force(params, zs[b], ws[b], magnitudes=True).real
@@ -289,95 +292,6 @@ def test_batched_kernel_validates_its_arguments():
             kernel.as_point(params, bad)
 
 
-def test_batched_kernel_runs_in_blocks_of_at_most_block_elements_sequence_entries(monkeypatch):
-    calls = []
-    original = kernel._phi_log_arrays
-
-    def counting(x, tau, n):
-        calls.append(np.size(x))
-        return original(x, tau, n)
-
-    monkeypatch.setattr(kernel, "_phi_log_arrays", counting)
-    monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", 64)
-    params = ModelParams(d=1, tau=0.5, n=16)
-    pts = 0.1 * np.arange(9.0)[:, None]
-    got = kernel_exact_log_many(params, pts, pts)
-    assert calls == [2, 2, 2, 2, 1]  # 64 // (2 d n) = 2 pairs per block, one sequence each
-    assert got == [kernel_exact_log(params, p, p) for p in pts]
-
-
-def _random_log_phase(rng, size, step):
-    """A sequence whose log magnitudes wander over thousands of nats, with zeros."""
-    logs = np.cumsum(rng.normal(0.0, step, size))
-    logs[rng.random(size) < 0.05] = -math.inf
-    return logs, np.exp(1j * rng.uniform(-math.pi, math.pi, size))
-
-
-def _gaps_in_eps(logs, phases, refs, l1_logs):
-    """|value - reference| / l1 for (log, phase) values, in units of eps (1 + |log l1|).
-
-    l1 is the sum of the terms' magnitudes; a log magnitude of size |log l1|
-    is itself only held to eps |log l1|.
-    """
-    gaps = []
-    for lg, ph, ref, l1 in zip(logs, phases, refs, l1_logs):
-        got = 0.0 if lg == -math.inf else cmath.exp(lg - l1) * ph
-        want = 0.0 if ref.log_mag == -math.inf else cmath.exp(ref.log_mag - l1) * ref.phase
-        gaps.append(abs(got - want) / (np.finfo(float).eps * (1.0 + abs(l1))))
-    return np.array(gaps)
-
-
-def _log_l1(logs):
-    shift = np.max(logs)
-    if shift == -math.inf:
-        return 0.0
-    return shift + math.log(np.sum(np.exp(logs - shift)))
-
-
-def test_convolve_truncated_matches_per_degree_loop():
-    # the loop reference sums each anti-diagonal exactly after its own max-shift
-    rng = np.random.default_rng(5)
-    for ka, kb, nmax in [(300, 300, 300), (120, 250, 400), (250, 90, 200), (7, 5, 50), (1, 1, 3)]:
-        la, pa = _random_log_phase(rng, ka, 40.0)
-        lb, pb = _random_log_phase(rng, kb, 40.0)
-        la[0] = -math.inf  # a leading zero
-        logs, phases = kernel._convolve_truncated(la, pa, lb, pb, nmax)
-        assert logs.size == min(nmax, ka + kb - 1)
-        refs, l1s = [], []
-        for m in range(logs.size):
-            i = np.arange(max(0, m - kb + 1), min(m, ka - 1) + 1)
-            refs.append(stable_sum_arrays(la[i] + lb[m - i], pa[i] * pb[m - i]))
-            l1s.append(_log_l1(la[i] + lb[m - i]))
-        assert np.max(_gaps_in_eps(logs, phases, refs, l1s)) <= 8.0
-
-
-def _check_prefix_sums(lb, pb, bound):
-    logs, phases = kernel._prefix_sums(lb, pb)
-    refs = [stable_sum_arrays(lb[: m + 1], pb[: m + 1]) for m in range(lb.size)]
-    l1s = [_log_l1(lb[: m + 1]) for m in range(lb.size)]
-    assert np.max(_gaps_in_eps(logs, phases, refs, l1s)) <= bound
-
-
-def test_prefix_sums_across_levels():
-    # log magnitudes span many 256-nat levels, rising and falling, so the
-    # carry between levels is rescaled and the small terms underflow
-    rng = np.random.default_rng(11)
-    for size, step in [(1000, 30.0), (3, 500.0)]:
-        lb, pb = _random_log_phase(rng, size, step)
-        lb[:2] = -math.inf  # leading zeros
-        _check_prefix_sums(lb, pb, 4.0)
-
-
-def test_prefix_sums_are_compensated():
-    # one unit term then 500 terms near 1/500: a plain running sum drifts by
-    # about 5 eps here, the compensated one stays within rounding
-    rng = np.random.default_rng(12)
-    lb = math.log(1.0 / 500) + rng.uniform(-0.1, 0.0, 500)
-    lb[0] = 0.0
-    pb = np.exp(1j * rng.uniform(0.0, 0.1, 500))
-    _check_prefix_sums(lb, pb, 2.0)
-
-
 def test_d2_evaluation_memory_is_linear_in_n():
     params = ModelParams(d=2, tau=0.5, n=4096)
     z = np.array([40.0 + 20.0j, -30.0 + 5.0j])
@@ -398,6 +312,38 @@ def test_kernel_at_subnormal_tau_is_the_tau0_kernel(tau):
         z = np.zeros(d, dtype=complex)
         got = kernel_exact(ModelParams(d=d, tau=tau, n=9), z, z)
         assert got == kernel_tau0_closed(ModelParams(d=d, tau=0.0, n=9), z, z)
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-12])
+def test_kernel_is_continuous_as_tau_goes_to_zero(tau):
+    # near-edge pairs (|z|^2 = n) at n = 4096.  To first order in tau the
+    # weights move log K by at most tau (|z|^2 + |w|^2) / 2 and the
+    # recurrence's S term by about tau |S| / 2, no more than that again;
+    # the rest is one rounding of the weight's log per evaluation
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(4)
+    n = 4096
+    for d in (1, 2, 3):
+        z = math.sqrt(n / d) * np.exp(1j * rng.uniform(-math.pi, math.pi, d))
+        for w in (z, z + 0.4 * np.exp(1j * rng.uniform(-math.pi, math.pi, d))):
+            size = float(np.sum(np.abs(z) ** 2 + np.abs(w) ** 2))
+            base = kernel_exact_log(ModelParams(d=d, tau=0.0, n=n), z, w)
+            got = kernel_exact_log(ModelParams(d=d, tau=tau, n=n), z, w)
+            assert abs(got.ratio_to(base) - 1.0) <= tau * size + 2 * eps * (64 + size), (d, w is z)
+
+
+def test_kernel_rescales_past_1e150_as_the_closed_form():
+    # |X| ~ 1e4 > n: the degree terms grow to e^7600 by the last degree, so
+    # the recurrence rescales about 22 times; both routes carry log
+    # magnitudes as large as |z|^2 + |w|^2 and round them once or twice
+    eps = np.finfo(float).eps
+    params = ModelParams(d=2, tau=0.0, n=4096)
+    z = np.array([80.0, 60.0j])
+    for w in (z, np.array([79.0 + 3.0j, 1.0 + 61.0j]), -z):
+        size = float(np.sum(np.abs(z) ** 2 + np.abs(w) ** 2))
+        got = kernel_exact_log(params, z, w)
+        ref = kernel_tau0_closed_log(params, z, w)
+        assert abs(got.ratio_to(ref) - 1.0) <= 8 * eps * size
 
 
 def test_tau0_closed_form_j_zero_case():

@@ -14,7 +14,6 @@ from edgedpp.special import (
     gauss_legendre,
     stable_sum,
     stable_sum_arrays,
-    stable_sum_rows,
 )
 
 from oracles import (
@@ -229,26 +228,6 @@ def test_stable_sum_drops_only_exact_zeros():
 def test_stable_sum_rejects_empty():
     with pytest.raises(UsageError):
         stable_sum([])
-    with pytest.raises(UsageError):
-        stable_sum_rows(np.empty((3, 0)), np.empty((3, 0), dtype=complex))
-
-
-def test_stable_sum_rows_is_stable_sum_arrays_of_each_row():
-    # every row gets its own shift: rows thousands of nats apart, an exact
-    # cancellation, an all-zero row and a row with one live term
-    rng = np.random.default_rng(14)
-    logs = rng.normal(0.0, 30.0, (6, 257)) + np.array([[-3000.0], [0.0], [2000.0], [0.0], [0.0], [0.0]])
-    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, (6, 257)))
-    logs[3, :] = 0.0
-    logs[3, -1] = -math.inf  # 128 pairs of +1 and -1, then an exact zero
-    phases[3, :] = np.tile([1.0, -1.0], 129)[:257]
-    logs[4, :] = -math.inf
-    logs[5, 1:] = -math.inf
-    got = stable_sum_rows(logs, phases)
-    assert got == [stable_sum_arrays(lg, ph) for lg, ph in zip(logs, phases)]
-    assert got[3].log_mag == -math.inf and got[4].log_mag == -math.inf
-    with pytest.raises(DomainError):
-        stable_sum_rows(np.array([[0.0, math.nan]]), np.ones((1, 2), dtype=complex))
 
 
 def test_log_magnitude_phase_invariants():
