@@ -560,6 +560,8 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
     frames = int(spec.settings["frames"])
     grid_frames = int(spec.settings["grid_frames"])
     grid_size = int(spec.settings["grid_size"])
+    if grid_frames < 1:  # the violation sample is the maximum over these frames
+        raise DomainError(f"grid_frames must be >= 1, got {grid_frames}")
     results = []
     for d, tau in spec.params_grid:
         rng = _rng(spec.seed, 8, int(tau * 10))

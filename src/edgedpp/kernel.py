@@ -37,13 +37,26 @@ continuous down to subnormal tau.
 
 The wanted solution carries the essential singularity at s = +-1/tau and
 dominates the recurrence's other solutions, so forward evaluation is
-stable (Gautschi, SIAM Review 9, 1967).  Near tau = 1 the other
-solutions grow almost as fast: they share the characteristic roots
-+-tau, each double, so a rounding made at step k grows by about m - k
-relative to the wanted solution until tau^m damps it.  Over
-N = min(n, 1 / (1 - tau)) steps the roundings add up to about
-eps N^(3/2) of the terms' L1 norm; against 40-digit mpmath the error
-stayed below 0.3 eps N^(3/2) for tau up to 0.999999 and n up to 4096.
+stable (Gautschi, SIAM Review 9, 1967).  Near tau = 1, though, the
+characteristic roots +-tau are double and consecutive iterates nearly
+equal, so a rounding of h_m against h_{m-2} acts as a change of their
+difference and grows by about m - k from step k on.  The loop therefore
+carries the differences u_m = h_m - tau^2 h_{m-2}, the coefficients of
+U = (1 - tau^2 s^2) G, beside the h_m, and takes each step as the small
+coefficient w_{m+1} = u_{m+1} - tau^2 u_{m-1} of W = (1 - tau^2 s^2)^2 G,
+from the derivative of W,
+
+    (m+1) w_{m+1} = (d - 4) tau^2 u_{m-1}
+                    + q X (h_m + tau^2 h_{m-2}) - q tau S h_{m-1},
+
+added up twice: u_{m+1} = w_{m+1} + tau^2 u_{m-1} and h_{m+1} = u_{m+1} +
+tau^2 h_{m-1}, as Reinsch's modification does for Clenshaw's recurrence
+near its double root.  The double root then lies exactly in the two
+additions, and a rounding of the small w moves the result by about eps
+relative.  Against
+40-digit mpmath the error stayed within 64 eps of the terms' L1 norm
+plus one rounding of the weight's log for tau up to 0.999999 and n up to
+4096, where the five-term form reached 7e4 eps.
 
 Each pair runs the recurrence as a scalar loop in Python's complex
 arithmetic.  Whenever an iterate passes 1e150 the iterates are divided
@@ -51,8 +64,7 @@ by a power of two, which is exact, and the scale is kept as a binary
 exponent.  math.fsum rounds the sum of the terms once per component,
 flushed at each rescale, and combines the log parts (prefactor, weights,
 scale, log |sum|), so the weight's log, of size up to |z|^2 + |w|^2,
-costs one rounding.  The coefficients that do not depend on the pair are
-computed once per call.  One pair at n = 4096 takes about 5 ms in any d
+costs one rounding.  One pair at n = 4096 takes 5 to 8 ms in any d
 on a 2-core x86-64 machine.
 """
 
@@ -126,26 +138,25 @@ def _fsum(terms: list[complex]) -> complex:
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
-def _degree_sum(qx: complex, qts: complex, t2: float, steps) -> tuple[float, complex]:
+def _degree_sum(qx: complex, qts: complex, t2: float, d4: float, n: int) -> tuple[float, complex]:
     """sum_{m<n} h_m of the module docstring's recurrence as (log scale, total),
-    the sum being exp(log scale) * total, for qx = q X, qts = q tau S and
-    t2 = tau^2; steps holds ((2m - 2 + d) tau^2, (m - 3 + d) tau^2, m + 1)
-    for m < n - 1, shared by every pair of a call.
+    the sum being exp(log scale) * total, for qx = q X, qts = q tau S,
+    t2 = tau^2 and d4 = d - 4, in the difference form of the docstring.
 
-    tau^4 and q tau^2 X enter as tau^2 applied to an iterate: a rounded
-    tau^4 would split the double factor (1 - tau^2 s^2)^2 the recurrence
-    comes from, an error every step repeats, and near tau = 1 that alone
-    cost up to 5e4 eps.
+    The two additions apply the same rounded tau^2, so the double root stays
+    exactly double; no tau^4 is formed.
     """
-    h0, h1, h2, h3 = 1.0 + 0.0j, 0j, 0j, 0j
+    h0, h1, h2, u0, u1 = 1.0 + 0.0j, 0j, 0j, 1.0 + 0.0j, 0j
     terms = [h0]
     exponent = 0  # the iterates and terms are 2^-exponent times the true ones
-    for b, c, k in steps:
-        h0, h1, h2, h3 = (qx * (h0 + t2 * h2) + (b - qts) * h1 - c * (t2 * h3)) / k, h0, h1, h2
+    for k in range(1, n):
+        tu = t2 * u1
+        u0, u1 = (d4 * tu + qx * (h0 + t2 * h2) - qts * h1) / k + tu, u0
+        h0, h1, h2 = u0 + t2 * h1, h0, h1
         if abs(h0) > 1e150:
             e = math.frexp(abs(h0))[1]
             f = math.ldexp(1.0, -e)
-            h0, h1, h2, h3 = h0 * f, h1 * f, h2 * f, h3 * f
+            h0, h1, h2, u0, u1 = h0 * f, h1 * f, h2 * f, u0 * f, u1 * f
             terms = [_fsum(terms) * f]
             exponent += e
         terms.append(h0)
@@ -165,8 +176,9 @@ def _as_points(params: ModelParams, pts) -> np.ndarray:
 def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase]:
     """K_n(z_b, w_b) for every pair b of two (B, d) arrays, in log/phase form.
 
-    Each pair runs the five-term recurrence of the module docstring on its
-    invariants X and S.  Returns one value per pair, in the input order.
+    Each pair runs the degree recurrence of the module docstring, in its
+    difference form, on its invariants X and S.  Returns one value per
+    pair, in the input order.
     """
     z = _as_points(params, zs)
     w = _as_points(params, ws)
@@ -175,14 +187,12 @@ def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase
     d, tau, n = params.d, params.tau, params.n
     t2 = tau * tau
     q = (1.0 - tau) * (1.0 + tau)  # 1 - tau^2 without cancellation near tau = 1
-    m = np.arange(n - 1)
-    steps = list(zip(((2 * m - 2 + d) * t2).tolist(), ((m - 3 + d) * t2).tolist(), range(1, n)))
     log_pref = d * (0.5 * math.log(q) - math.log(math.pi))
     out = []
     for zb, wb in zip(z.tolist(), w.tolist()):
         x = sum(a * b.conjugate() for a, b in zip(zb, wb))
         s = sum(a * a + (b * b).conjugate() for a, b in zip(zb, wb))
-        log_scale, total = _degree_sum(q * x, q * tau * s, t2, steps)
+        log_scale, total = _degree_sum(q * x, q * tau * s, t2, d - 4.0, n)
         if total == 0:
             out.append(LogMagnitudePhase(-math.inf, 1.0 + 0.0j))
             continue
@@ -242,8 +252,7 @@ def truncated_exp_series(x: complex, nterms: int) -> LogMagnitudePhase:
         term = term * x / k
         terms.append(term)
         partial += term
-    ratio = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    tail = LogMagnitudePhase(lead_log, 1.0 + 0.0j).scaled(lead * ratio)
+    tail = LogMagnitudePhase(lead_log, 1.0 + 0.0j).scaled(lead * _fsum(terms))
     exp_x = LogMagnitudePhase.from_log(x)
     return stable_sum_arrays(
         np.array([exp_x.log_mag, tail.log_mag]), np.array([exp_x.phase, -tail.phase])

@@ -161,6 +161,14 @@ def test_every_setting_changes_the_outcome(kind, key):
     assert changed != base
 
 
+@pytest.mark.parametrize("grid_frames", [0, -1])
+def test_max_principle_refuses_an_empty_violation_sample(grid_frames):
+    # with no grid frame the signed violation would be -inf, which JSON cannot carry
+    spec = default_spec("max_principle", params_grid=((1, 0.5),), settings={"grid_frames": grid_frames})
+    with pytest.raises(DomainError, match="grid_frames must be >= 1"):
+        run_experiment(spec)
+
+
 def test_spec_validation():
     with pytest.raises(UsageError):
         default_spec("no_such_kind")

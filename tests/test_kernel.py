@@ -115,14 +115,19 @@ def _scaled_gap(a, b, log_scale: float) -> float:
     return abs(scaled(a) - scaled(b))
 
 
-def _recurrence_growth(tau: float, n: int) -> float:
-    """N^(3/2), N = min(n, 1/(1 - tau)): the degree recurrence's rounding in
-    units of eps times the L1 norm of the terms (kernel module docstring).
-    A rounding at step k grows by about m - k against the wanted solution
-    near tau = 1, until tau^m damps it; N such roundings add up to about
-    eps N^(3/2).  It is 2.8 or less for tau <= 0.5 and reaches 1.2e4 at
-    tau = 0.999, n = 512, where 40-digit mpmath measured about 1.1e3."""
-    return min(n, 1.0 / (1.0 - tau)) ** 1.5
+def _hermite_bound(d: int, log_size: float, weight: float) -> float:
+    """The Hermite definition's error in units of the terms' L1 norm.
+
+    Each of the 2d Hermite values in a multi-index term carries up to
+    1e-13 + one ulp of its log size in its log and 1e-14 in its phase, which
+    moves a sum of terms by that much times their L1 norm, plus 64 eps for
+    the sum's rounding.  Against a reference that rounds nothing, the weight
+    sqrt(omega(z) omega(w)) adds one rounding of its log, whose size is at
+    most weight = sum_k (|z_k|^2 + |w_k|^2) (|log omega(z)| <= (1 + tau)|z|^2,
+    halved): eps times that.
+    """
+    eps = np.finfo(float).eps
+    return 2 * d * (1e-13 + np.spacing(log_size) + 1e-14) + eps * (64 + weight)
 
 
 # |x| = 60 drives the per-step iterates past 1e150 (rescaled down); small x
@@ -131,21 +136,21 @@ def _recurrence_growth(tau: float, n: int) -> float:
 @pytest.mark.parametrize("x", [0j, 0.7 - 0.2j, 30.0 + 12.0j, -60.0j, 42.0 - 42.0j])
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-6, 0.5, 0.999999])
 def test_phi_log_arrays_match_the_per_step_loop(x, tau):
-    # the d = 1 kernel from the degree recurrence against the definition
-    # contracted from the per-step loop's phi log arrays (kernel_per_pair)
-    eps = np.finfo(float).eps
+    # the d = 1 kernel from the degree recurrence against the Hermite
+    # definition contracted from the per-step loop's phi log arrays
+    # (kernel_per_pair), within the definition's own bound
     for n in (1, 2, 4096):
         params = ModelParams(d=1, tau=tau, n=n)
         for w in (x, 0.5 * x + 0.3):
             got = kernel_exact_log(params, [x], [w])
-            ref, l1_log, _ = kernel_per_pair(params, [x], [w])
-            # 64 eps for the sums, one rounding of the weight's log (of size
-            # at most |x|^2 + |w|^2), and the recurrence's growth near tau = 1
-            tol = eps * (64 + abs(x) ** 2 + abs(w) ** 2 + _recurrence_growth(tau, n))
+            ref, l1_log, log_size = kernel_per_pair(params, [x], [w])
+            tol = _hermite_bound(1, log_size, abs(x) ** 2 + abs(w) ** 2)
             assert _scaled_gap(got, ref, l1_log) <= tol, (n, w)
 
 
 def test_phi_log_arrays_cases_reach_both_rescalings():
+    # the cases above drive the Hermite definition's per-step loop through
+    # both of its rescalings, so the d = 1 comparison covers them
     top = phi_log_per_step(-60.0j, 0.5, 4096)[0]
     bottom = phi_log_per_step(0.7 - 0.2j, 1e-6, 4096)[0]
     assert top.max() > math.log(1e150) and bottom.min() < math.log(1e-150)
@@ -248,24 +253,12 @@ def test_batched_kernel_matches_per_pair_references(d, tau, n, rows, seed, perm_
     zs, ws = _batch(seed, d, rows)
     got = kernel_exact_log_many(params, zs, ws)
     assert len(got) == rows
-    eps = np.finfo(float).eps
     for b in range(rows):
         ref = kernel_mpmath_log(params, zs[b], ws[b])
         hermite, l1_log, log_size = kernel_per_pair(params, zs[b], ws[b])
-        # The bound is the Hermite definition's: each of the 2d Hermite values
-        # in a multi-index term carries up to 1e-13 + one ulp of its log size
-        # in its log and 1e-14 in its phase, which moves a sum of terms by
-        # that much times their L1 norm, plus 64 eps for the sum's rounding.
-        # Against a reference that rounds nothing, the weight
-        # sqrt(omega(z) omega(w)) adds one rounding of its log, whose size is
-        # at most sum_k (|z_k|^2 + |w_k|^2) (|log omega(z)| <= (1 + tau)|z|^2,
-        # halved): eps times that.  Near tau = 1 the degree recurrence adds
-        # its own growth, eps _recurrence_growth(tau, n), which the
-        # definition's bound leaves out (it reached 0.93 of the bound without
-        # it at d = 1, tau = 0.999, n = 512).  Both routes must meet the sum.
+        # the Hermite definition's bound (_hermite_bound); both routes meet it
         weight = float(np.sum(np.abs(zs[b]) ** 2 + np.abs(ws[b]) ** 2))
-        tol = 2 * d * (1e-13 + np.spacing(log_size) + 1e-14)
-        tol += eps * (64 + weight + _recurrence_growth(tau, n))
+        tol = _hermite_bound(d, log_size, weight)
         assert _scaled_gap(got[b], ref, l1_log) <= tol, (b, got[b], ref)
         assert _scaled_gap(hermite, ref, l1_log) <= tol, (b, hermite, ref)
         if n <= 12 and (tau == 0.0 or tau >= 1e-6) and np.max(np.abs(zs[b])) <= 3.0:
@@ -275,6 +268,23 @@ def test_batched_kernel_matches_per_pair_references(d, tau, n, rows, seed, perm_
     perm = np.random.default_rng(perm_seed).permutation(rows)
     shuffled = kernel_exact_log_many(params, zs[perm], ws[perm])
     assert [(v.log_mag, v.phase) for v in shuffled] == [(got[i].log_mag, got[i].phase) for i in perm]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_near_tau_one_against_mpmath(d):
+    # tau = 0.999999, n = 4096: the recurrence's roots +-tau are double and
+    # its iterates nearly equal; the five-term form run directly erred by up
+    # to 7e4 eps of the L1 norm on such small points, the bound is about 1e3
+    pytest.importorskip("mpmath")
+    params = ModelParams(d=d, tau=0.999999, n=4096)
+    z = np.array([0.7 - 0.2j, -0.3 + 0.5j, 0.1j][:d])
+    w = z + 0.3
+    got = kernel_exact_log(params, z, w)
+    ref = kernel_mpmath_log(params, z, w)
+    hermite, l1_log, log_size = kernel_per_pair(params, z, w)
+    tol = _hermite_bound(d, log_size, float(np.sum(np.abs(z) ** 2 + np.abs(w) ** 2)))
+    assert _scaled_gap(got, ref, l1_log) <= tol, (got, ref)
+    assert _scaled_gap(hermite, ref, l1_log) <= tol, (hermite, ref)
 
 
 def test_batched_kernel_validates_its_arguments():
