@@ -33,6 +33,14 @@ are nested: the even-indexed half of the N start nodes is the N/2-node
 rule, so a value certified against that embedded half costs N node
 evaluations.  Only when the check fails does a doubling evaluate the
 midpoints of the current rule, reusing its node sum.
+
+Each pass reads a cached, read-only table of cos, sin and 1 -+ cos (from
+the half angle) and computes every node's log magnitude in real
+arithmetic: |1 -+ s|^2 = (1 - r)^2 + 2 r (1 -+ cos) and the like, free of
+cancellation near s = +-1.  Only the nodes within 60 nats of the largest
+get a phase; the rest add at most count e^-60 of it, below the sum's
+rounding, and stay in the cancellation guard.  The turn (n - 1) theta of
+the phase is reduced modulo 2 pi exactly, in integers.
 """
 
 from __future__ import annotations
@@ -45,9 +53,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContourError, DomainError, QuadratureError, UsageError
-from .geometry import SaddleFrame, saddle_frame, zpm_map
+from .geometry import PhaseFunction, SaddleFrame, saddle_frame, zpm_map
 from .kernel import ModelParams, as_point, log_weight_omega
-from .special import LogMagnitudePhase, stable_sum, stable_sum_with_l1
+from .special import LogMagnitudePhase
 
 __all__ = [
     "ContourConfig",
@@ -69,6 +77,9 @@ _RADIUS_CAP_TAU = 0.93
 # Refuse when the pole ends up closer than this many r/sqrt(n) units; the
 # radius nudge is relative, so the guard is too (tau -> 0 puts r near tau).
 _MIN_POLE_GAP = 1e-3
+# A node this many nats below the largest of its pass gets no phase and
+# joins the sum as zero (it stays in the cancellation guard's L1 norm).
+_KEEP_NATS = 60.0
 
 _ONE = LogMagnitudePhase(0.0, 1.0 + 0.0j)
 
@@ -143,14 +154,54 @@ def _reject_hopeless_cancellation(l1_log: float, val: LogMagnitudePhase, r: floa
         )
 
 
+# (node table, midpoints) -> every node's log magnitude, and the phases at given node indices
+_NodeValues = Callable[[np.ndarray, bool], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+
+
+@functools.lru_cache(maxsize=32)
 def _trapezoid_nodes(count: int, midpoints: bool = False) -> np.ndarray:
-    """count equispaced angles 2 pi k / count, or the count midpoints between them."""
-    k = np.arange(count) + 0.5 if midpoints else np.arange(count)
-    return 2.0 * math.pi * k / count
+    """Read-only table of cos, sin, 1 - cos and 1 + cos at the count equispaced
+    angles 2 pi k / count, or at the count midpoints between them.
+
+    1 -+ cos theta come from the half angle, as 2 sin^2 and 2 cos^2 of
+    theta/2 = pi m / (2 count) with m = 2k (+ 1 at the midpoints), and
+    cos(theta/2) as sin(pi (count - m) / (2 count)), the complement taken in
+    integers; so both keep their relative accuracy where the circle passes
+    s = +-1.  The tables are shared by every caller.
+    """
+    m = 2 * np.arange(count) + midpoints
+    step = math.pi / (2 * count)
+    sin_h, cos_h = np.sin(step * m), np.sin(step * (count - m))
+    table = np.stack((np.cos(2.0 * step * m), 2.0 * sin_h * cos_h, 2.0 * sin_h**2, 2.0 * cos_h**2))
+    table.setflags(write=False)
+    return table
+
+
+def _node_pass(
+    node_values: _NodeValues, count: int, midpoints: bool = False
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One pass of the rule over the count nodes (or midpoints) of a node table.
+
+    Returns the largest log magnitude, every node's weight
+    e^{log_mag - shift} (the cancellation guard sums them all) and the
+    terms weight * phase.  Only the nodes within _KEEP_NATS of the largest
+    get a phase; the others' terms are zero.  Each of those would add at
+    most e^-60 of the largest, so together they stay below the sum's own
+    rounding for count < 2^30.
+    """
+    log_mag, phase_of = node_values(_trapezoid_nodes(count, midpoints), midpoints)
+    shift = float(np.max(log_mag))
+    if not shift < math.inf:  # nan or +inf
+        raise DomainError("log magnitudes must be < +inf and not nan")
+    weights = np.exp(log_mag - shift)
+    keep = np.flatnonzero(log_mag >= shift - _KEEP_NATS)
+    terms = np.zeros(count, dtype=complex)
+    terms[keep] = weights[keep] * phase_of(keep)
+    return shift, weights, terms
 
 
 def _nested_trapezoid(
-    node_values: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    node_values: _NodeValues,
     count: int,
     residue: bool,
     config: ContourConfig,
@@ -160,37 +211,43 @@ def _nested_trapezoid(
 ) -> LogMagnitudePhase:
     """Adaptive trapezoid rule on the circle, certified by its embedded half.
 
-    node_values maps angles to the per-node (log magnitude, phase) of the
-    integrand sum without the 1/count weight.  The count (even) start nodes
-    are evaluated once; their even-indexed half is the count/2-node rule,
-    and T_N agreeing with that T_{N/2} to the relative tolerance ends the
-    loop at N evaluations.  Otherwise each doubling evaluates only the
-    count midpoints of the current rule, T_2N = (S_N + S_mid) / 2N with S
-    the plain node sums, until two successive estimates agree.  The
-    residue +1 joins each estimate after the weighting.  Every estimate
-    from T_N on passes the cancellation guard, whose log L1 norm
-    accumulates alongside the node sums.
+    node_values gives the integrand sum's terms without the 1/count
+    weight.  The count (even) start nodes are evaluated once; their
+    even-indexed half is the count/2-node rule, and T_N agreeing with that
+    T_{N/2} to the relative tolerance ends the loop at N evaluations.
+    Otherwise each doubling evaluates only the count midpoints of the
+    current rule, T_2N = (S_N + S_mid) / 2N with S the plain node sums,
+    until two successive estimates agree.  The sums are kept as e^shift
+    times a complex total and an L1 norm.  The residue +1 joins each
+    estimate after the weighting.  Every estimate from T_N on passes the
+    cancellation guard, whose L1 norm covers every evaluated node, the
+    dropped ones included.
     """
-    log_mag, phase = node_values(_trapezoid_nodes(count))
-    even_sum, even_l1 = stable_sum_with_l1(log_mag[::2], phase[::2])
-    odd_sum, odd_l1 = stable_sum_with_l1(log_mag[1::2], phase[1::2])
-    node_sum = stable_sum((even_sum, odd_sum))
-    node_l1 = float(np.logaddexp(even_l1, odd_l1))
+    shift, weights, terms = _node_pass(node_values, count)
+    even_total = complex(np.sum(terms[::2]))
+    total = even_total + complex(np.sum(terms[1::2]))
+    l1 = float(np.sum(weights))
 
-    def estimate(total: LogMagnitudePhase, nodes: int) -> LogMagnitudePhase:
-        val = LogMagnitudePhase(total.log_mag - math.log(nodes), total.phase)
-        return stable_sum((val, _ONE)) if residue else val
+    def estimate(shift: float, total: complex, nodes: int) -> LogMagnitudePhase:
+        shift -= math.log(nodes)
+        if residue:
+            top = max(shift, 0.0)
+            total = total * math.exp(shift - top) + math.exp(-top)
+            shift = top
+        return LogMagnitudePhase.from_shifted(shift, total)
 
-    prev = estimate(even_sum, count // 2)
+    prev = estimate(shift, even_total, count // 2)
     for doubling in range(config.max_doublings + 1):
         if doubling:
-            mid_log, mid_phase = node_values(_trapezoid_nodes(count, midpoints=True))
-            mid_sum, mid_l1 = stable_sum_with_l1(mid_log, mid_phase)
-            node_sum = stable_sum((node_sum, mid_sum))
-            node_l1 = float(np.logaddexp(node_l1, mid_l1))
+            mid_shift, weights, terms = _node_pass(node_values, count, True)
+            top = max(shift, mid_shift)
+            old, mid = math.exp(shift - top), math.exp(mid_shift - top)
+            total = total * old + complex(np.sum(terms)) * mid
+            l1 = l1 * old + float(np.sum(weights)) * mid
+            shift = top
             count *= 2
-        val = estimate(node_sum, count)
-        l1_log = node_l1 - math.log(count)
+        val = estimate(shift, total, count)
+        l1_log = shift + math.log(l1) - math.log(count)  # l1 >= 1: the largest node weighs 1
         if residue:
             l1_log = float(np.logaddexp(l1_log, 0.0))
         _reject_hopeless_cancellation(l1_log, val, r, n)
@@ -209,50 +266,86 @@ def _start_count(config: ContourConfig, n: int) -> int:
     return count + count % 2
 
 
-def _log_on_circle(r: float, theta: np.ndarray) -> np.ndarray:
-    """log s at s = r e^{i theta}, without a complex log.
+def _g_parts(phase: PhaseFunction, r: float, table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Re G on |s| = r for G(s) = F(s) + log s - log tau = (P/2) s/(1+s) - (Q/2) s/(1-s),
+    the real and imaginary parts of s/(1+s) and s/(1-s), and |1 - s^2|^2.
 
-    The branch differs from the principal one by 2 pi i for theta > pi,
-    which the integer n multiplying it turns into a whole number of turns.
+    |1 -+ s|^2 = (1 - r)^2 + 2 r (1 -+ cos), and s/(1 +- s) has numerator
+    r cos +- r^2 + i r sin, written as r ((1 + cos) - (1 - r)) and
+    r ((1 - r) - (1 - cos)): free of cancellation near s = +-1.
     """
-    return math.log(r) + 1j * theta
+    _, sin, one_minus_cos, one_plus_cos = table
+    e = 1.0 - r
+    to_minus, to_plus = e * e + 2.0 * r * one_minus_cos, e * e + 2.0 * r * one_plus_cos
+    parts = (r * (one_plus_cos - e) / to_plus, r * sin / to_plus)
+    parts += (r * (e - one_minus_cos) / to_minus, r * sin / to_minus)
+    p, q = 0.5 * phase.p_sq, 0.5 * phase.q_sq
+    re_g = p.real * parts[0] - p.imag * parts[1] - q.real * parts[2] + q.imag * parts[3]
+    return (re_g, *parts, to_minus * to_plus)
+
+
+def _turn(n: int, keep: np.ndarray, midpoints: bool, count: int) -> np.ndarray:
+    """(n - 1) theta modulo 2 pi at the nodes keep, reduced in integers:
+    theta = 2 pi m / (2 count) with m = 2k, or 2k + 1 at the midpoints."""
+    twice = 2 * count
+    return ((n - 1) % twice * (2 * keep + midpoints) % twice) * (math.pi / count)
 
 
 def _quadrature_tau(
-    frame: SaddleFrame, params: ModelParams, r: float, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (log magnitude, phase) of the normalized integrand at angles theta.
+    frame: SaddleFrame, params: ModelParams, r: float, table: np.ndarray, midpoints: bool
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Per-node log magnitude of the normalized integrand on |s| = r, and its phases.
 
     Contribution of node s, before the 1/count weight: -e^{n (F(s) - F(tau))}
-    (1-tau^2)^{d/2} * s / ((s - tau) (1 - s^2)^{d/2}).
+    (1-tau^2)^{d/2} * s / ((s - tau) (1 - s^2)^{d/2}).  The phases take the
+    principal branch of (1 - s^2)^{d/2}, whose real part every node must
+    keep positive.
     """
     tau, d, n = params.tau, params.d, params.n
-    s = r * np.exp(1j * theta)
-    one_minus_s2 = 1.0 - s * s
-    if np.any(one_minus_s2.real <= 0.0):
+    cos, sin, one_minus_cos, _ = table
+    branch_re = (1.0 - r) * (1.0 + r) + 2.0 * r * r * sin * sin  # Re(1 - s^2)
+    if np.any(branch_re <= 0.0):
         raise ContourError("contour touches the branch region of (1 - s^2)^{d/2}")
-    df = frame.phase.F(s, _log_on_circle(r, theta)) - frame.phase.F_at_pole()
-    # (1 - s^2)^{d/2} through the principal square root: the branch of the
-    # complex power, without its cost for odd d
-    rest = s / ((s - tau) * np.sqrt(one_minus_s2) ** d)
-    log_mag = n * df.real + np.log(np.abs(rest))
-    log_mag += 0.5 * d * math.log1p(-tau * tau)
-    phase = np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
-    return log_mag, phase
+    re_g, *parts, branch_sq = _g_parts(frame.phase, r, table)
+    f_pole, log_r = frame.phase.F_at_pole(), math.log(r)
+    log_mag = n * (re_g + (frame.phase.log_tau - log_r - f_pole.real))
+    to_pole = (r - tau) ** 2 + 2.0 * tau * r * one_minus_cos  # |s - tau|^2
+    log_mag -= 0.5 * np.log(to_pole) + (0.25 * d) * np.log(branch_sq)
+    log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
+
+    def phase_of(keep: np.ndarray) -> np.ndarray:
+        p, q = 0.5 * frame.phase.p_sq, 0.5 * frame.phase.q_sq
+        plus_re, plus_im, minus_re, minus_im = (part[keep] for part in parts)
+        im_g = p.real * plus_im + p.imag * plus_re - q.real * minus_im - q.imag * minus_re
+        r_sin = r * sin[keep]
+        arg_pole = np.arctan2(r_sin, (r - tau) - r * one_minus_cos[keep])
+        arg_branch = np.arctan2(-2.0 * r * r_sin * cos[keep], branch_re[keep])
+        phi = n * (im_g - f_pole.imag) - _turn(n, keep, midpoints, table.shape[1])
+        return np.exp(1j * (phi - arg_pole - (0.5 * d) * arg_branch + math.pi))
+
+    return log_mag, phase_of
 
 
-def _quadrature_zero(zeta: complex, n: int, r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (log magnitude, phase) of the tau = 0 integrand at angles theta.
+def _quadrature_zero(
+    zeta: complex, n: int, r: float, table: np.ndarray, midpoints: bool
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Per-node log magnitude of the tau = 0 integrand on |s| = r, and its phases.
 
     Contribution of node s, before the 1/count weight: -e^{n (zeta s - log s
-    - zeta)} * s / (s - 1).
+    - zeta)} * s / (s - 1), with s - 1 = -((1 - r) + r (1 - cos)) + i r sin.
     """
-    s = r * np.exp(1j * theta)
-    df = zeta * s - _log_on_circle(r, theta) - zeta
-    rest = s / (s - 1.0)
-    log_mag = n * df.real + np.log(np.abs(rest))
-    phase = np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
-    return log_mag, phase
+    _, sin, one_minus_cos, _ = table
+    to_one, r_sin, log_r = (1.0 - r) + r * one_minus_cos, r * sin, math.log(r)  # 1 - r cos
+    log_mag = n * (-(zeta.real * to_one + zeta.imag * r_sin) - log_r)
+    log_mag -= 0.5 * np.log((1.0 - r) ** 2 + 2.0 * r * one_minus_cos)  # |s - 1|^2
+    log_mag += log_r
+
+    def phase_of(keep: np.ndarray) -> np.ndarray:
+        x, y = to_one[keep], r_sin[keep]
+        phi = n * (zeta.real * y - zeta.imag * x) - _turn(n, keep, midpoints, table.shape[1])
+        return np.exp(1j * (phi - np.arctan2(y, -x) + math.pi))
+
+    return log_mag, phase_of
 
 
 def integral_I_tau(
@@ -381,10 +474,10 @@ def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:
 
     Nonpositive (up to rounding) whenever the dominant-saddle inequality
     holds; the returned value is max over the grid of Re F(s) - Re F(1/a).
+    Re F on the circle comes from the node table, as the node magnitudes do.
     """
     if grid_size < 8:
         raise DomainError("grid_size must be >= 8")
-    theta = _trapezoid_nodes(grid_size)
-    s = frame.radius * np.exp(1j * theta)
-    re_f = frame.phase.F(s).real
-    return float(np.max(re_f) - frame.F_at_a_inv.real)
+    r = frame.radius
+    re_g = _g_parts(frame.phase, r, _trapezoid_nodes(grid_size))[0]
+    return float(np.max(re_g) + (frame.phase.log_tau - math.log(r)) - frame.F_at_a_inv.real)

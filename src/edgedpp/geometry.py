@@ -241,13 +241,12 @@ class PhaseFunction:
         self.q_sq = (self.z_plus - self.z_minus) ** 2
         self.log_tau = math.log(tau)
 
-    def F(self, s, log_s=None):
-        """F(s); log_s may pass a known branch of log s (on a circle, log r + i theta)."""
+    def F(self, s):
         s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
         return (
             0.5 * self.p_sq * s / (1.0 + s)
             - 0.5 * self.q_sq * s / (1.0 - s)
-            - (np.log(s) if log_s is None else log_s)
+            - np.log(s)
             + self.log_tau
         )
 

@@ -176,9 +176,9 @@ def _as_points(params: ModelParams, pts) -> np.ndarray:
 def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase]:
     """K_n(z_b, w_b) for every pair b of two (B, d) arrays, in log/phase form.
 
-    Each pair runs the degree recurrence of the module docstring, in its
-    difference form, on its invariants X and S.  Returns one value per
-    pair, in the input order.
+    X, S and the weight logs of all pairs come from numpy; then each pair
+    runs the degree recurrence of the module docstring, in its difference
+    form, on its X and S.  Returns one value per pair, in the input order.
     """
     z = _as_points(params, zs)
     w = _as_points(params, ws)
@@ -188,18 +188,24 @@ def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase
     t2 = tau * tau
     q = (1.0 - tau) * (1.0 + tau)  # 1 - tau^2 without cancellation near tau = 1
     log_pref = d * (0.5 * math.log(q) - math.log(math.pi))
+    # X, S and the 2d weight logs of every pair in the real operations of
+    # scalar complex arithmetic and log_weight_omega, with no fused
+    # multiply-add: X stays exactly real on the diagonal
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    x = np.sum(zr * wr + zi * wi, axis=1) + 1j * np.sum(zi * wr - zr * wi, axis=1)
+    s = np.sum(zr * zr - zi * zi + (wr * wr - wi * wi), axis=1)
+    s = s + 1j * np.sum(zr * zi + zi * zr - (wr * wi + wi * wr), axis=1)
+    cr, ci = np.concatenate((zr, wr), axis=1), np.concatenate((zi, wi), axis=1)
+    log_w = 0.5 * (-np.hypot(cr, ci) ** 2 + tau * (cr * cr - ci * ci))
     out = []
-    for zb, wb in zip(z.tolist(), w.tolist()):
-        x = sum(a * b.conjugate() for a, b in zip(zb, wb))
-        s = sum(a * a + (b * b).conjugate() for a, b in zip(zb, wb))
-        log_scale, total = _degree_sum(q * x, q * tau * s, t2, d - 4.0, n)
+    for xb, sb, log_wb in zip(x.tolist(), s.tolist(), log_w.tolist()):
+        log_scale, total = _degree_sum(q * xb, q * tau * sb, t2, d - 4.0, n)
         if total == 0:
             out.append(LogMagnitudePhase(-math.inf, 1.0 + 0.0j))
             continue
         size = abs(total)
-        parts = [log_pref, log_scale, math.log(size)]
-        parts += [0.5 * log_weight_omega(c, tau) for c in zb + wb]
-        out.append(LogMagnitudePhase(math.fsum(parts), total / size))
+        log_mag = math.fsum([log_pref, log_scale, math.log(size), *log_wb])
+        out.append(LogMagnitudePhase(log_mag, total / size))
     return out
 
 

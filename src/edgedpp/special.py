@@ -52,7 +52,6 @@ __all__ = [
     "gauss_legendre",
     "stable_sum",
     "stable_sum_arrays",
-    "stable_sum_with_l1",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -175,6 +174,14 @@ class LogMagnitudePhase:
         return cls(math.log(mag), value / mag)
 
     @classmethod
+    def from_shifted(cls, shift: float, total: complex) -> "LogMagnitudePhase":
+        """exp(shift) * total; a zero total is an exact zero."""
+        if total == 0:
+            return cls(-math.inf, 1.0 + 0.0j)
+        size = abs(total)
+        return cls(shift + math.log(size), total / size)
+
+    @classmethod
     def from_log(cls, log_value: complex) -> "LogMagnitudePhase":
         """Build exp(log_value) for a complex exponent."""
         log_value = complex(log_value)
@@ -244,15 +251,6 @@ def stable_sum(terms: Sequence[LogMagnitudePhase] | Iterable[LogMagnitudePhase])
 
 def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudePhase:
     """Array form of stable_sum; log_mags float, phases unit complex."""
-    return stable_sum_with_l1(log_mags, phases)[0]
-
-
-def stable_sum_with_l1(log_mags: np.ndarray, phases: np.ndarray) -> tuple[LogMagnitudePhase, float]:
-    """stable_sum_arrays together with the log of the terms' L1 norm.
-
-    Both come from the same shifted magnitudes exp(log_mag_i - M), so the
-    L1 norm the sum's rounding scales with costs one real sum, no exp.
-    """
     log_mags = np.asarray(log_mags, dtype=float)
     phases = np.asarray(phases, dtype=complex)
     if log_mags.size == 0:
@@ -261,14 +259,5 @@ def stable_sum_with_l1(log_mags: np.ndarray, phases: np.ndarray) -> tuple[LogMag
         raise DomainError("log magnitudes must be < +inf and not nan")
     shift = float(np.max(log_mags))
     if shift == -math.inf:
-        return LogMagnitudePhase(-math.inf, 1.0 + 0.0j), -math.inf
-    mags = np.exp(log_mags - shift)
-    l1_log = shift + math.log(float(np.sum(mags)))
-    return _from_shifted(shift, complex(np.sum(phases * mags))), l1_log
-
-
-def _from_shifted(shift: float, total: complex) -> LogMagnitudePhase:
-    """exp(shift) * total as a LogMagnitudePhase; a zero total is an exact zero."""
-    if total == 0:
         return LogMagnitudePhase(-math.inf, 1.0 + 0.0j)
-    return LogMagnitudePhase(shift + math.log(abs(total)), total / abs(total))
+    return LogMagnitudePhase.from_shifted(shift, complex(np.sum(phases * np.exp(log_mags - shift))))

@@ -469,6 +469,34 @@ def integral_I_zero_closed(params: ModelParams, zeta: complex) -> LogMagnitudePh
     return series * LogMagnitudePhase.from_log(-params.n * zeta)
 
 
+def quadrature_tau_complex(frame, params: ModelParams, r: float, theta: np.ndarray):
+    """Reference for contour._quadrature_tau: per-node (log magnitude, phase)
+    of -e^{n (F(s) - F(tau))} (1-tau^2)^{d/2} s / ((s - tau) (1 - s^2)^{d/2})
+    at s = r e^{i theta}, in complex arithmetic at every node.
+
+    log s is taken as log r + i theta, which differs from the principal
+    branch by whole turns that the integer n absorbs.
+    """
+    tau, d, n = params.tau, params.d, params.n
+    phase = frame.phase
+    s = r * np.exp(1j * theta)
+    f = 0.5 * phase.p_sq * s / (1.0 + s) - 0.5 * phase.q_sq * s / (1.0 - s)
+    df = f - (math.log(r) + 1j * theta) + phase.log_tau - phase.F_at_pole()
+    rest = s / ((s - tau) * np.sqrt(1.0 - s * s) ** d)
+    log_mag = n * df.real + np.log(np.abs(rest)) + 0.5 * d * math.log1p(-tau * tau)
+    return log_mag, np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
+
+
+def quadrature_zero_complex(zeta: complex, n: int, r: float, theta: np.ndarray):
+    """Reference for contour._quadrature_zero: per-node (log magnitude, phase)
+    of -e^{n (zeta s - log s - zeta)} s / (s - 1) at s = r e^{i theta}."""
+    s = r * np.exp(1j * theta)
+    df = zeta * s - (math.log(r) + 1j * theta) - zeta
+    rest = s / (s - 1.0)
+    log_mag = n * df.real + np.log(np.abs(rest))
+    return log_mag, np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
+
+
 def weight_omega(zeta: complex, tau: float) -> float:
     """Planar weight omega(zeta) = exp(-|zeta|^2 + tau Re zeta^2)."""
     if not (0.0 <= tau < 1.0):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,8 +22,10 @@ from edgedpp.errors import ContourError, DomainError, QuadratureError, UsageErro
 from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
 from edgedpp.harness import default_spec, run_experiment
 from edgedpp.kernel import ModelParams, kernel_exact_log
-from edgedpp.special import stable_sum_arrays
-from oracles import integral_I_zero_closed
+from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
+from oracles import integral_I_zero_closed, quadrature_tau_complex, quadrature_zero_complex
+
+EPS = 2.0**-52
 
 
 def edge_frame(params, seed, u=None, v=None):
@@ -115,6 +118,12 @@ def test_radius_offset_robustness():
         assert abs(v.ratio_to(vals[0]) - 1.0) <= 1e-9
 
 
+def _all_nodes(node_values, count, midpoints=False):
+    """Log magnitudes and phases of every node of a count-node table."""
+    lg, phase_of = node_values(_trapezoid_nodes(count, midpoints), midpoints)
+    return lg, phase_of(np.arange(count))
+
+
 def test_pole_side_consistency():
     # Cauchy: circle with the pole enclosed plus the residue equals the
     # circle with the pole excluded.
@@ -124,12 +133,141 @@ def test_pole_side_consistency():
     count = 8192
     r_out = tau * 1.02
     r_in = tau * 0.98
-    theta, weight = _trapezoid_nodes(count), math.log(count)
-    lg_o, ph_o = _quadrature_tau(frame, params, r_out, theta)
+    weight = math.log(count)
+    lg_o, ph_o = _all_nodes(lambda *a: _quadrature_tau(frame, params, r_out, *a), count)
     enclosed = stable_sum_arrays(np.append(lg_o - weight, 0.0), np.append(ph_o, 1.0 + 0.0j))
-    lg_i, ph_i = _quadrature_tau(frame, params, r_in, theta)
+    lg_i, ph_i = _all_nodes(lambda *a: _quadrature_tau(frame, params, r_in, *a), count)
     excluded = stable_sum_arrays(lg_i - weight, ph_i)
     assert abs(enclosed.ratio_to(excluded) - 1.0) <= 1e-9
+
+
+def _node_cases(d, tau, n):
+    """Per radius and midpoints flag: the node function on the node table, the
+    complex reference on the same angles, and each node's rounding scale.
+
+    The radii lie on both sides of the pole and at 0.998 (near the branch
+    points +-1 for tau > 0, or the pole at tau = 0).  The scale bounds the
+    sizes the two evaluations round: n times the terms of n F(s) (each
+    divided by |1 +- s| once more, as the reference forms 1 +- s in complex
+    arithmetic) and the whole turn n theta, plus the reference's relative
+    error in s - pole and 1 - s^2.
+    """
+    params = ModelParams(d=d, tau=tau, n=n)
+    z = edge_point_sample(params, 3).z
+    rn = math.sqrt(n)
+    u, v = np.zeros(d), 0.3 * np.exp(1j * np.arange(d))
+    count = 1024
+    for midpoints in (False, True):
+        theta = 2 * math.pi * (np.arange(count) + 0.5 * midpoints) / count
+        table = _trapezoid_nodes(count, midpoints)
+        if tau == 0.0:
+            zeta = complex(np.sum((z + u / rn) * np.conj(z + v / rn)))
+            for r in (0.98, 0.998, 1.02):
+                s = r * np.exp(1j * theta)
+                scale = n * (abs(zeta) * (r + 1.0) + abs(math.log(r)) + 2 * math.pi)
+                scale = scale + r / np.abs(s - 1.0) + 1.0
+                yield (
+                    _quadrature_zero(zeta, n, r, table, midpoints),
+                    quadrature_zero_complex(zeta, n, r, theta),
+                    scale,
+                )
+            continue
+        frame = saddle_frame(params, *zpm_map(params, z, u, v))
+        phase = frame.phase
+        size = abs(math.log(tau)) + abs(phase.F_at_pole()) + 2 * math.pi
+        for r in (0.98 * tau, 0.5 * (tau + 0.999), 0.998):
+            s = r * np.exp(1j * theta)
+            plus, minus = np.abs(1.0 + s), np.abs(1.0 - s)
+            scale = abs(phase.p_sq) * r / plus * (1.0 + 1.0 / plus)
+            scale = scale + abs(phase.q_sq) * r / minus * (1.0 + 1.0 / minus)
+            scale = n * (scale + abs(math.log(r)) + size) + d / np.abs(1.0 - s * s)
+            yield (
+                _quadrature_tau(frame, params, r, table, midpoints),
+                quadrature_tau_complex(frame, params, r, theta),
+                scale + r / np.abs(s - tau) + 1.0,
+            )
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096])
+@pytest.mark.parametrize("tau", [0.0, 1e-3, 0.5, 0.93, 0.99])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_nodes_match_the_complex_expression(d, tau, n):
+    # real-arithmetic magnitudes and phases against the complex expression
+    # at every node, within 8 eps of each node's rounding scale (the worst
+    # measured is 1.1); and the count-node rule over the kept nodes against
+    # the reference sum of all of them, within those node errors plus the
+    # rounding of the two sums
+    count = 1024
+    for (log_mag, phase_of), (ref_log, ref_phase), scale in _node_cases(d, tau, n):
+        tol = 8 * EPS * scale
+        assert np.all(np.abs(log_mag - ref_log) <= tol)
+        assert np.all(np.abs(phase_of(np.arange(count)) - ref_phase) <= tol)
+
+        shift, _, terms = contour._node_pass(lambda *_: (log_mag, phase_of), count)
+        got = LogMagnitudePhase.from_shifted(shift - math.log(count), complex(np.sum(terms)))
+        want = stable_sum_arrays(ref_log - math.log(count), ref_phase)
+        ref_weights = np.exp(ref_log - shift) / count
+        bound = float(np.sum(ref_weights * tol)) + 2 * (10 + 16) * EPS * float(np.sum(ref_weights))
+        assert abs(got.ratio_to(want) - 1.0) * math.exp(want.log_mag - shift) <= bound
+
+
+def test_dropped_nodes_move_an_integral_by_less_than_2_eps_of_its_l1_norm(monkeypatch):
+    # at n = 4096 most nodes lie more than 60 nats below the largest and get
+    # no phase; keeping them all moves the integral by less than 2 eps of
+    # the L1 norm of its weighted node terms
+    passes = []
+    original = contour._node_pass
+
+    def recorded(*args):
+        shift, weights, terms = original(*args)
+        passes.append((shift, weights, np.count_nonzero(terms)))
+        return shift, weights, terms
+
+    monkeypatch.setattr(contour, "_node_pass", recorded)
+    for d, tau in [(1, 0.0), (2, 0.5), (3, 0.93)]:
+        params = ModelParams(d=d, tau=tau, n=4096)
+        z = edge_point_sample(params, 7).z
+        u, v = np.zeros(d), 0.4 * np.exp(1j * np.arange(d))
+        for residue in (True, False):
+            passes.clear()
+            got, _ = normalized_integral(params, z, u, v, include_residue=residue)
+            assert sum(np.count_nonzero(w) - kept for _, w, kept in passes) > 0
+            monkeypatch.setattr(contour, "_KEEP_NATS", math.inf)
+            passes.clear()
+            full, _ = normalized_integral(params, z, u, v, include_residue=residue)
+            monkeypatch.setattr(contour, "_KEEP_NATS", 60.0)
+            assert all(np.count_nonzero(w) == kept for _, w, kept in passes)
+            count = sum(w.size for _, w, _ in passes)
+            top = max(shift for shift, _, _ in passes)
+            l1 = sum(math.exp(shift - top) * float(np.sum(w)) for shift, w, _ in passes)
+            l1_log = top + math.log(l1 / count)
+            assert abs(got.ratio_to(full) - 1.0) * math.exp(full.log_mag - l1_log) < 2 * EPS
+
+
+def test_node_tables_are_read_only_cached_and_bounded():
+    for count in (64, 1000):
+        for midpoints in (False, True):
+            table = _trapezoid_nodes(count, midpoints)
+            assert table is _trapezoid_nodes(count, midpoints)
+            assert table.shape == (4, count) and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+            theta = 2 * math.pi * (np.arange(count) + 0.5 * midpoints) / count
+            cos, sin = np.cos(theta), np.sin(theta)
+            # the reference angles themselves round by up to 4 eps (an ulp of 2 pi)
+            assert np.allclose(table, [cos, sin, 1.0 - cos, 1.0 + cos], rtol=0.0, atol=8 * EPS)
+            # 1 -+ cos keep their relative accuracy near theta = 0 and pi,
+            # against the exact angles pi m / count, m = 2k (+ 1 at midpoints)
+            with mpmath.workdps(30):
+                for k in [*range(4), *range(count // 2 - 2, count // 2 + 2)]:
+                    half = mpmath.mpf(2 * k + midpoints) / (2 * count)  # in units of pi
+                    for row, want in ((2, 2 * mpmath.sinpi(half) ** 2), (3, 2 * mpmath.cospi(half) ** 2)):
+                        assert abs(table[row, k] - want) <= 8 * EPS * abs(want)
+    limit = _trapezoid_nodes.cache_info().maxsize
+    assert limit is not None
+    for count in range(64, 64 + 2 * limit):
+        _trapezoid_nodes(count)
+    assert _trapezoid_nodes.cache_info().currsize <= limit
 
 
 def _record_passes(monkeypatch, node_function):
@@ -141,7 +279,7 @@ def _record_passes(monkeypatch, node_function):
         return _trapezoid_nodes(count, *args, **kwargs)
 
     def recorded(*args):
-        radii.append(args[-2])
+        radii.append(args[-3])  # (..., r, table, midpoints)
         return node_function(*args)
 
     monkeypatch.setattr(contour, "_trapezoid_nodes", counted)
@@ -151,7 +289,7 @@ def _record_passes(monkeypatch, node_function):
 
 def _single_pass(node_values, count, residue):
     """The plain count-node trapezoid sum, all nodes evaluated at once."""
-    lg, ph = node_values(_trapezoid_nodes(count))
+    lg, ph = _all_nodes(node_values, count)
     if residue:
         return stable_sum_arrays(np.append(lg - math.log(count), 0.0), np.append(ph, 1.0 + 0.0j))
     return stable_sum_arrays(lg - math.log(count), ph)
@@ -166,7 +304,7 @@ def _route_cases():
         params,
         lambda config, residue: integral_I_tau(params, frame, config, residue),
         _quadrature_tau,
-        lambda r: lambda theta: _quadrature_tau(frame, params, r, theta),
+        lambda r: lambda *table: _quadrature_tau(frame, params, r, *table),
         lambda r: r > params.tau,
     )
     params0 = ModelParams(d=1, tau=0.0, n=1024)
@@ -175,25 +313,20 @@ def _route_cases():
             params0,
             lambda config, residue, zeta=zeta: integral_I_zero(params0, zeta, config, residue),
             _quadrature_zero,
-            lambda r, zeta=zeta: lambda theta: _quadrature_zero(zeta, params0.n, r, theta),
+            lambda r, zeta=zeta: lambda *table: _quadrature_zero(zeta, params0.n, r, *table),
             lambda r: r > 1.0,
         )
 
 
-def _grid_values(count, even, odd, mid_even, mid_odd):
-    """Hand-built node values by position: the even and odd points of the
-    count-node grid, and the even and odd points of its midpoints."""
+def _grid_values(even, odd, mid_even, mid_odd):
+    """Hand-built node values by position: the even and odd points of a
+    node table, and the even and odd points of its midpoints."""
 
-    def node_values(theta):
-        k = theta * count / (2 * math.pi)
-        on_grid = np.abs(k - np.rint(k)) < 0.25
-        j = np.where(on_grid, np.rint(k), np.floor(k))
-        values = np.where(
-            on_grid,
-            np.where(j % 2 == 0, even, odd),
-            np.where(j % 2 == 0, mid_even, mid_odd),
-        ).astype(complex)
-        return np.log(np.abs(values)), values / np.abs(values)
+    def node_values(table, midpoints):
+        odd_index = np.arange(table.shape[1]) % 2 == 1
+        values = np.where(odd_index, mid_odd if midpoints else odd, mid_even if midpoints else even)
+        values = values.astype(complex)
+        return np.log(np.abs(values)), lambda keep: (values / np.abs(values))[keep]
 
     return node_values
 
@@ -234,7 +367,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # from the even half's 1.0 but only 0.3 from the odd half's 2.5, so only
     # the even half misses the 0.5 tolerance and forces the doubling
     counts, _ = _record_passes(monkeypatch, _quadrature_zero)
-    nodes = _grid_values(64, 1.0, 2.5, 1.75, 1.75)
+    nodes = _grid_values(1.0, 2.5, 1.75, 1.75)
     loose = ContourConfig(tolerance=0.5, max_doublings=1)
     val = contour._nested_trapezoid(nodes, 64, False, loose, 0.9, 16, "hand-built")
     assert counts == [64, 64]
@@ -268,12 +401,12 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
     delta = math.exp(log_delta)
     base = delta - 1.0 if residue else delta
     evaluated, guarded = [], []
-    hand_built = _grid_values(64, base + 1.0, base - 1.0, base + mid_spread, base - mid_spread)
+    hand_built = _grid_values(base + 1.0, base - 1.0, base + mid_spread, base - mid_spread)
 
-    def node_values(theta):
-        lg, ph = hand_built(theta)
+    def node_values(table, midpoints):
+        lg, phase_of = hand_built(table, midpoints)
         evaluated.append(lg)
-        return lg, ph
+        return lg, phase_of
 
     def guard(l1_log, val, r, n):
         guarded.append((l1_log, val))
@@ -437,6 +570,20 @@ def test_max_principle_on_random_edge_frames():
     for seed in range(10):
         _, frame = edge_frame(params, seed)
         assert max_principle_check(frame, 10_000) <= 1e-12
+
+
+def test_max_principle_check_is_the_complex_phase_on_the_grid():
+    # Re F on the saddle circle from the node table, against the complex
+    # PhaseFunction.F at the same angles, within the rounding of F's terms
+    for tau in (0.3, 0.6, 0.9):
+        params = ModelParams(d=1, tau=tau, n=2)
+        for seed in range(5):
+            _, frame = edge_frame(params, seed)
+            theta = 2 * math.pi * np.arange(1000) / 1000
+            s = frame.radius * np.exp(1j * theta)
+            ref = float(np.max(frame.phase.F(s).real) - frame.F_at_a_inv.real)
+            size = abs(frame.phase.p_sq) + abs(frame.phase.q_sq) / float(np.min(np.abs(1.0 - s))) ** 2
+            assert abs(max_principle_check(frame, 1000) - ref) <= 16 * EPS * (size + 1.0)
 
 
 def test_max_principle_maximizer_location():
