@@ -21,7 +21,7 @@ from .errors import (
     QuadratureError,
     UsageError,
 )
-from .special import LogMagnitudePhase, erfc_complex, erfcx_complex, stable_sum
+from .special import LogMagnitudePhase, erfc_complex, erfcx_complex
 
 __all__ = [
     "ConsistencyError",
@@ -36,7 +36,6 @@ __all__ = [
     "UsageError",
     "erfc_complex",
     "erfcx_complex",
-    "stable_sum",
 ]
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .contour import ContourConfig
 from .errors import EdgeDppError
 from .geometry import edge_point_sample
 from .harness import (
+    DEFAULT_SEED,
     EXPERIMENT_KINDS,
     ConvergenceReport,
     default_spec,
@@ -45,7 +46,7 @@ _FIXED_GRID_KINDS = ("refined_d1", "saddle_pole", "max_principle", "phi_expansio
 def config_defaults() -> dict:
     """Built-in configuration: global keys, contour knobs, per-kind grids."""
     cfg = {
-        "global": {"seed": 20260401},
+        "global": {"seed": DEFAULT_SEED},
         "contour": {f.name: f.default for f in dataclasses.fields(ContourConfig)},
     }
     for kind in EXPERIMENT_KINDS:

@@ -1,28 +1,36 @@
-"""Stable evaluation of the single contour-integral kernel representations.
+"""Stable evaluation of the single contour-integral kernel representation.
 
-For 0 < tau < 1 the kernel at scaled arguments equals a weight factor
-times
+With q = 1 - tau^2, the kernel at (sqrt(n) z', sqrt(n) w') sees the pair,
+besides its weights, only through X = sum_k z'_k conj(w'_k) and
+Q = sum_k (z'_k - conj(w'_k))^2.  Cauchy's integral of Mehler's
+generating function (DLMF 18.18.28) in the degree variable t gives, for
+every 0 <= tau < 1, a weight factor times
 
-    I(z_pm) = -(1/2 pi i) oint e^{n F(s)} / ((s - tau) (1 - s^2)^{d/2}) ds
+    I = -(1/2 pi i) oint e^{n (G(t) - log t)} / ((t - 1) (1 - tau^2 t^2)^{d/2}) dt,
+    G(t) = q (X t/(1 + tau t) - (tau Q/2) t^2/(1 - tau^2 t^2)),
 
-over a small loop around the origin, with F the phase of
-geometry.PhaseFunction.  The loop is deformed to a circle through the
-dominant saddle 1/a; when the deformation crosses the simple pole at
-s = tau the residue is picked up.  Everything is normalized by
-e^{-n F(pole)} inside the loop, so the returned quantity
+over a small loop around the origin (s = tau t gives the s-plane form,
+pole s = tau and phase geometry.PhaseFunction).  The loop is deformed to
+a circle through the dominant saddle; when it crosses the simple pole at
+t = 1 the residue is picked up.  Normalized by e^{-n G(1)} inside the
+loop, the returned quantity
 
-    N_tau = (1 - tau^2)^{d/2} e^{-n F(tau)} I
+    N = (1 - tau^2)^{d/2} e^{-n G(1)} I,    G(1) = (1 - tau) X - tau Q/2,
 
-is the order-one object the edge expansions describe (N -> 1 deep in the
-bulk, 1/2 on the edge, 0 outside).  At tau = 0 the same machinery applies
-to F(s) = zeta s - log s with the pole at s = 1 and
+is the order-one object of the edge expansions (N -> 1 deep in the bulk,
+1/2 on the edge, 0 outside).  At tau = 0, G(t) = X t; nothing divides by
+tau, so every node, circle and refusal is continuous as tau -> 0, down to
+subnormal tau.
 
-    N_0 = e^{-n F(1)} I.
-
-normalized_integral returns N and F(pole) for the kernel arguments
-(sqrt(n) z + u, sqrt(n) z + v) and is the one place that picks the
-tau = 0 or the tau > 0 integral; the kernel route, the normalized kernel
-and the bulk experiment all go through it.
+The saddle is t = 1/(tau a), tau a = w_+ w_- / 2, with w_pm the root of
+larger modulus of zhat_pm +- sqrt(zhat_pm^2 - 2 tau), zhat_pm =
+sqrt(q/2) (sqrt P +- sqrt Q)/2 and P = sum_k (z'_k + conj(w'_k))^2:
+geometry's saddle of the z_pm pair times tau (zhat_pm = sqrt(tau) z_pm),
+and X at tau = 0.  The circle |t| = r lies near 1/|tau a|, capped at
+max(0.93, (1 + tau)/2)/tau (no cap at tau = 0) below the branch points
+t = +-1/tau, and is nudged away from the pole.  X, Q and P are summed
+coordinate by coordinate; forming Q or P from X and the square sums loses
+accuracy on near-real pairs.
 
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
@@ -34,17 +42,21 @@ rule, so a value certified against that embedded half costs N node
 evaluations.  Only when the check fails does a doubling evaluate the
 midpoints of the current rule, reusing its node sum.
 
-Each pass reads a cached, read-only table of cos, sin and 1 -+ cos (from
-the half angle) and computes every node's log magnitude in real
-arithmetic: |1 -+ s|^2 = (1 - r)^2 + 2 r (1 -+ cos) and the like, free of
-cancellation near s = +-1.  Only the nodes within 60 nats of the largest
-get a phase; the rest add at most count e^-60 of it, below the sum's
-rounding, and stay in the cancellation guard.  The turn (n - 1) theta of
-the phase is reduced modulo 2 pi exactly, in integers.
+Each pass reads a cached, read-only table of cos, sin, 1 -+ cos, sin 2
+theta and 2 sin^2 theta and computes every node's log magnitude in real
+arithmetic, free of cancellation near t = 1 and t = +-1/tau: with rho =
+tau r, |1 -+ tau t|^2 = (1 - rho)^2 + 2 rho (1 -+ cos), t/(1 + tau t) =
+r ((1 + cos) - (1 - rho) + i sin)/|1 + tau t|^2 and tau t^2/(1 - tau^2
+t^2) = r rho ((1 - rho)(1 + rho) - 2 sin^2 + i sin 2 theta)/|1 - tau^2
+t^2|^2.  Only the nodes within 60 nats of the largest get a phase; the
+rest add at most count e^-60 of it, below the sum's rounding, and stay in
+the cancellation guard.  The turn (n - 1) theta of the phase is reduced
+modulo 2 pi exactly, in integers.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -52,8 +64,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContourError, DomainError, QuadratureError, UsageError
-from .geometry import PhaseFunction, SaddleFrame, saddle_frame, zpm_map
+from .errors import ContourError, DegenerateSaddleError, DomainError, QuadratureError, UsageError
+from .geometry import SaddleFrame, _outer_root
 from .kernel import ModelParams, as_point, log_weight_omega
 from .special import LogMagnitudePhase
 
@@ -61,36 +73,33 @@ __all__ = [
     "ContourConfig",
     "DEFAULT_CONTOUR",
     "integral_I_tau",
-    "integral_I_zero",
     "normalized_integral",
     "kernel_via_contour_log",
     "max_principle_check",
 ]
 
-# Keep the circle out of the branch region of (1 - s^2)^{d/2}.
+# Keep the circle out of the branch region of (1 - tau^2 t^2)^{d/2}: |tau t| < 0.999.
 _MAX_RADIUS_TAU = 0.999
-# Cap the base circle below the essential singularities at +-1.  Whenever
-# the saddle circle |a|^{-1} exceeds the cap the configuration is bulk-like
-# (|a|^{-1} > tau always holds there), the pole stays enclosed on either
-# circle, and by Cauchy's theorem the value is unchanged.
+# Cap the base circle below the essential singularities at t = +-1/tau, at
+# this bound on |tau t|.  Whenever the saddle circle exceeds the cap the
+# configuration is bulk-like (the saddle lies outside the pole), the pole
+# stays enclosed on either circle, and by Cauchy's theorem the value is
+# unchanged.
 _RADIUS_CAP_TAU = 0.93
 # Refuse when the pole ends up closer than this many r/sqrt(n) units; the
-# radius nudge is relative, so the guard is too (tau -> 0 puts r near tau).
+# radius nudge is relative, so the guard is too.
 _MIN_POLE_GAP = 1e-3
 # A node this many nats below the largest of its pass gets no phase and
 # joins the sum as zero (it stays in the cancellation guard's L1 norm).
 _KEEP_NATS = 60.0
-
-_ONE = LogMagnitudePhase(0.0, 1.0 + 0.0j)
-
 
 @dataclass(frozen=True)
 class ContourConfig:
     """Quadrature knobs for the circle contour.
 
     radius_offset is the relative radius shift in units of 1/sqrt(n): the
-    circle is |a|^{-1} (1 +- radius_offset/sqrt(n)), with the sign chosen
-    away from the pole.
+    circle is |t| = |tau a|^{-1} (1 +- radius_offset/sqrt(n)), with the
+    sign chosen away from the pole.
     """
 
     node_count: int = 512
@@ -160,19 +169,23 @@ _NodeValues = Callable[[np.ndarray, bool], tuple[np.ndarray, Callable[[np.ndarra
 
 @functools.lru_cache(maxsize=32)
 def _trapezoid_nodes(count: int, midpoints: bool = False) -> np.ndarray:
-    """Read-only table of cos, sin, 1 - cos and 1 + cos at the count equispaced
-    angles 2 pi k / count, or at the count midpoints between them.
+    """Read-only table of cos, sin, 1 - cos, 1 + cos, sin 2 theta and
+    2 sin^2 theta at the count equispaced angles 2 pi k / count, or at the
+    count midpoints between them.
 
     1 -+ cos theta come from the half angle, as 2 sin^2 and 2 cos^2 of
-    theta/2 = pi m / (2 count) with m = 2k (+ 1 at the midpoints), and
-    cos(theta/2) as sin(pi (count - m) / (2 count)), the complement taken in
-    integers; so both keep their relative accuracy where the circle passes
-    s = +-1.  The tables are shared by every caller.
+    theta/2 = pi m / (2 count) with m = 2k (+ 1 at the midpoints),
+    sin(theta/2) as sin(pi min(m, 2 count - m) / (2 count)) and cos(theta/2)
+    as sin(pi (count - m) / (2 count)), the supplement and complement taken
+    in integers; so 1 -+ cos, sin and 2 sin^2 keep their relative accuracy
+    where the circle passes theta = 0, pi and 2 pi.  The tables are shared
+    by every caller.
     """
     m = 2 * np.arange(count) + midpoints
     step = math.pi / (2 * count)
-    sin_h, cos_h = np.sin(step * m), np.sin(step * (count - m))
-    table = np.stack((np.cos(2.0 * step * m), 2.0 * sin_h * cos_h, 2.0 * sin_h**2, 2.0 * cos_h**2))
+    sin_h, cos_h = np.sin(step * np.minimum(m, 2 * count - m)), np.sin(step * (count - m))
+    cos, sin = np.cos(2.0 * step * m), 2.0 * sin_h * cos_h
+    table = np.stack((cos, sin, 2.0 * sin_h**2, 2.0 * cos_h**2, 2.0 * sin * cos, 2.0 * sin * sin))
     table.setflags(write=False)
     return table
 
@@ -266,22 +279,30 @@ def _start_count(config: ContourConfig, n: int) -> int:
     return count + count % 2
 
 
-def _g_parts(phase: PhaseFunction, r: float, table: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Re G on |s| = r for G(s) = F(s) + log s - log tau = (P/2) s/(1+s) - (Q/2) s/(1-s),
-    the real and imaginary parts of s/(1+s) and s/(1-s), and |1 - s^2|^2.
+def _phase_on_circle(
+    tau: float, x: complex, q_sum: complex, r: float, table: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """Re G on |t| = r, Im G at given node indices, and |1 - tau^2 t^2|^2.
 
-    |1 -+ s|^2 = (1 - r)^2 + 2 r (1 -+ cos), and s/(1 +- s) has numerator
-    r cos +- r^2 + i r sin, written as r ((1 + cos) - (1 - r)) and
-    r ((1 - r) - (1 - cos)): free of cancellation near s = +-1.
+    G(t) = q X t/(1 + tau t) - (q Q/2) tau t^2/(1 - tau^2 t^2), with both
+    fractions in the real forms of the module docstring.
     """
-    _, sin, one_minus_cos, one_plus_cos = table
-    e = 1.0 - r
-    to_minus, to_plus = e * e + 2.0 * r * one_minus_cos, e * e + 2.0 * r * one_plus_cos
-    parts = (r * (one_plus_cos - e) / to_plus, r * sin / to_plus)
-    parts += (r * (e - one_minus_cos) / to_minus, r * sin / to_minus)
-    p, q = 0.5 * phase.p_sq, 0.5 * phase.q_sq
-    re_g = p.real * parts[0] - p.imag * parts[1] - q.real * parts[2] + q.imag * parts[3]
-    return (re_g, *parts, to_minus * to_plus)
+    _, sin, _, one_plus_cos, sin_2, two_sin_sq = table
+    rho = tau * r
+    e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
+    to_plus = e * e + 2.0 * rho * one_plus_cos  # |1 + tau t|^2
+    branch_sq = c0 * c0 + (2.0 * rho * rho) * two_sin_sq  # |1 - tau^2 t^2|^2
+    a_scale, b_scale = r / to_plus, (r * rho) / branch_sq
+    a_re, b_re = one_plus_cos - e, c0 - two_sin_sq  # the real parts over the scales
+    q = (1.0 - tau) * (1.0 + tau)
+    qx, qq = q * x, 0.5 * q * q_sum
+    re_g = a_scale * (qx.real * a_re - qx.imag * sin) - b_scale * (qq.real * b_re - qq.imag * sin_2)
+
+    def im_g(keep: np.ndarray) -> np.ndarray:
+        a_part = qx.real * sin[keep] + qx.imag * a_re[keep]
+        return a_scale[keep] * a_part - b_scale[keep] * (qq.real * sin_2[keep] + qq.imag * b_re[keep])
+
+    return re_g, im_g, branch_sq
 
 
 def _turn(n: int, keep: np.ndarray, midpoints: bool, count: int) -> np.ndarray:
@@ -291,136 +312,128 @@ def _turn(n: int, keep: np.ndarray, midpoints: bool, count: int) -> np.ndarray:
     return ((n - 1) % twice * (2 * keep + midpoints) % twice) * (math.pi / count)
 
 
-def _quadrature_tau(
-    frame: SaddleFrame, params: ModelParams, r: float, table: np.ndarray, midpoints: bool
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Per-node log magnitude of the normalized integrand on |s| = r, and its phases.
+def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
+    """G(1) = (1 - tau) X - tau Q/2, the phase at the pole t = 1."""
+    return (1.0 - tau) * x - 0.5 * tau * q_sum
 
-    Contribution of node s, before the 1/count weight: -e^{n (F(s) - F(tau))}
-    (1-tau^2)^{d/2} * s / ((s - tau) (1 - s^2)^{d/2}).  The phases take the
-    principal branch of (1 - s^2)^{d/2}, whose real part every node must
-    keep positive.
+
+def _quadrature(
+    params: ModelParams, x: complex, q_sum: complex, r: float, table: np.ndarray, midpoints: bool
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Per-node log magnitude of the normalized integrand on |t| = r, and its phases.
+
+    Contribution of node t, before the 1/count weight: -e^{n (G(t) - log t
+    - G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with
+    t - 1 = -((1 - r) + r (1 - cos)) + i r sin.  The phases take the
+    principal branch of (1 - tau^2 t^2)^{d/2}, whose real part every node
+    must keep positive.
     """
     tau, d, n = params.tau, params.d, params.n
-    cos, sin, one_minus_cos, _ = table
-    branch_re = (1.0 - r) * (1.0 + r) + 2.0 * r * r * sin * sin  # Re(1 - s^2)
-    if np.any(branch_re <= 0.0):
-        raise ContourError("contour touches the branch region of (1 - s^2)^{d/2}")
-    re_g, *parts, branch_sq = _g_parts(frame.phase, r, table)
-    f_pole, log_r = frame.phase.F_at_pole(), math.log(r)
-    log_mag = n * (re_g + (frame.phase.log_tau - log_r - f_pole.real))
-    to_pole = (r - tau) ** 2 + 2.0 * tau * r * one_minus_cos  # |s - tau|^2
-    log_mag -= 0.5 * np.log(to_pole) + (0.25 * d) * np.log(branch_sq)
+    _, sin, one_minus_cos, _, sin_2, two_sin_sq = table
+    rho = tau * r
+    # Re(1 - tau^2 t^2) = (1 - rho^2) + rho^2 2 sin^2 stays positive on the circle iff rho < 1
+    if not rho < 1.0:
+        raise ContourError("contour touches the branch region of (1 - tau^2 t^2)^{d/2}")
+    re_g, im_g, branch_sq = _phase_on_circle(tau, x, q_sum, r, table)
+    f_pole, log_r = _g_at_pole(tau, x, q_sum), math.log(r)
+    to_pole = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos  # |t - 1|^2
+    log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(to_pole) - (0.25 * d) * np.log(branch_sq)
     log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
 
     def phase_of(keep: np.ndarray) -> np.ndarray:
-        p, q = 0.5 * frame.phase.p_sq, 0.5 * frame.phase.q_sq
-        plus_re, plus_im, minus_re, minus_im = (part[keep] for part in parts)
-        im_g = p.real * plus_im + p.imag * plus_re - q.real * minus_im - q.imag * minus_re
         r_sin = r * sin[keep]
-        arg_pole = np.arctan2(r_sin, (r - tau) - r * one_minus_cos[keep])
-        arg_branch = np.arctan2(-2.0 * r * r_sin * cos[keep], branch_re[keep])
-        phi = n * (im_g - f_pole.imag) - _turn(n, keep, midpoints, table.shape[1])
+        arg_pole = np.arctan2(r_sin, (r - 1.0) - r * one_minus_cos[keep])
+        branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq[keep]
+        arg_branch = np.arctan2(-rho * rho * sin_2[keep], branch_re)
+        phi = n * (im_g(keep) - f_pole.imag) - _turn(n, keep, midpoints, table.shape[1])
         return np.exp(1j * (phi - arg_pole - (0.5 * d) * arg_branch + math.pi))
 
     return log_mag, phase_of
 
 
-def _quadrature_zero(
-    zeta: complex, n: int, r: float, table: np.ndarray, midpoints: bool
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Per-node log magnitude of the tau = 0 integrand on |s| = r, and its phases.
+def _saddle_t(tau: float, x: complex, q_sum: complex, p_sum: complex) -> complex:
+    """tau a = w_+ w_- / 2, the reciprocal of the dominant saddle in t.
 
-    Contribution of node s, before the 1/count weight: -e^{n (zeta s - log s
-    - zeta)} * s / (s - 1), with s - 1 = -((1 - r) + r (1 - cos)) + i r sin.
+    The larger of zhat_pm comes from the sum of the roots, the other from
+    zhat_+ zhat_- = q X / 2, so neither cancels when |X| is small against
+    |P|.  Refuses focal inputs, zhat_pm^2 within 1e-10 tau of 2 tau, where
+    the saddles have order two and the quadratic theory breaks down.
     """
-    _, sin, one_minus_cos, _ = table
-    to_one, r_sin, log_r = (1.0 - r) + r * one_minus_cos, r * sin, math.log(r)  # 1 - r cos
-    log_mag = n * (-(zeta.real * to_one + zeta.imag * r_sin) - log_r)
-    log_mag -= 0.5 * np.log((1.0 - r) ** 2 + 2.0 * r * one_minus_cos)  # |s - 1|^2
-    log_mag += log_r
-
-    def phase_of(keep: np.ndarray) -> np.ndarray:
-        x, y = to_one[keep], r_sin[keep]
-        phi = n * (zeta.real * y - zeta.imag * x) - _turn(n, keep, midpoints, table.shape[1])
-        return np.exp(1j * (phi - np.arctan2(y, -x) + math.pi))
-
-    return log_mag, phase_of
+    q = (1.0 - tau) * (1.0 + tau)
+    root_p, root_q = cmath.sqrt(p_sum), cmath.sqrt(q_sum)
+    if abs(root_p + root_q) < abs(root_p - root_q):
+        root_q = -root_q
+    hat_p = 0.5 * math.sqrt(0.5 * q) * (root_p + root_q)
+    hat_m = 0.5 * q * x / hat_p if hat_p else hat_p
+    if min(abs(hat_p * hat_p - 2.0 * tau), abs(hat_m * hat_m - 2.0 * tau)) < 1e-10 * tau:
+        raise DegenerateSaddleError("saddle points coincide at a focal input")
+    return 0.5 * _outer_root(hat_p, 2.0 * tau) * _outer_root(hat_m, 2.0 * tau)
 
 
 def integral_I_tau(
     params: ModelParams,
-    frame: SaddleFrame,
+    x: complex,
+    q_sum: complex,
+    p_sum: complex,
     config: ContourConfig = DEFAULT_CONTOUR,
     include_residue: bool = True,
 ) -> LogMagnitudePhase:
-    """Pole-normalized contour value N_tau = (1-tau^2)^{d/2} e^{-n F(tau)} I.
+    """Pole-normalized contour value N = (1-tau^2)^{d/2} e^{-n G(1)} I of the
+    pair invariants X = x, Q = q_sum and P = p_sum, for every 0 <= tau < 1.
 
-    Trapezoid rule on the circle |s| = |a|^{-1} (1 +- offset/sqrt(n)); the
-    residue term +1 is added whenever the circle encloses the pole s = tau.
-    Node count doubles until two successive values agree to the relative
-    tolerance.  include_residue=False returns the bare circle integral,
-    which deep in the bulk is exactly N_tau - 1 and stays representable in
-    log form long after the difference underflows in doubles.
+    Trapezoid rule on the circle |t| = |tau a|^{-1} (1 +- offset/sqrt(n)),
+    capped below the branch points; the residue term +1 is added whenever
+    the circle encloses the pole t = 1.  Node count doubles until two
+    successive values agree to the relative tolerance.
+    include_residue=False returns the bare circle integral, which deep in
+    the bulk is exactly N - 1 and stays representable in log form long
+    after the difference underflows in doubles.  At tau = 0 and X = 0 the
+    integral is the residue polynomial and equals 1 exactly.
     """
     tau, n = params.tau, params.n
-    if not (0.0 < tau < 1.0):
-        raise UsageError("integral_I_tau requires 0 < tau < 1")
-    cap = max(_RADIUS_CAP_TAU, 0.5 * (1.0 + tau))
-    base = min(frame.radius, cap)
-    r, pole_inside = _choose_radius(base, tau, n, config.radius_offset)
-    if base == cap:
-        # never below the cap, which lies above tau: past tau = 0.96 the
-        # clip alone would shrink the circle inside the pole it counts
-        r = min(r, max(0.5 * (cap + 1.0) - 0.03, cap))
-    if r >= _MAX_RADIUS_TAU:
-        raise ContourError(f"contour radius {r:.6f} reaches the branch region at |s| = 1")
-    if abs(r - tau) < _MIN_POLE_GAP * r / math.sqrt(n):
-        raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
-    return _nested_trapezoid(
-        functools.partial(_quadrature_tau, frame, params, r),
-        _start_count(config, n),
-        pole_inside and include_residue,
-        config,
-        r,
-        n,
-        f"radius={r:.6g}",
-    )
-
-
-def integral_I_zero(
-    params: ModelParams,
-    zeta: complex,
-    config: ContourConfig = DEFAULT_CONTOUR,
-    include_residue: bool = True,
-) -> LogMagnitudePhase:
-    """Pole-normalized value N_0 = e^{-n F(1)} I for the tau = 0 phase.
-
-    F(s) = zeta s - log s with pole at s = 1 and F(1) = zeta.  At zeta = 0
-    the integral is the residue polynomial and equals 1 exactly.
-    """
-    n = params.n
-    zeta = complex(zeta)
-    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
-        raise DomainError("zeta must be finite")
-    if zeta == 0:
+    x, q_sum, p_sum = complex(x), complex(q_sum), complex(p_sum)
+    if not all(cmath.isfinite(c) for c in (x, q_sum, p_sum)):
+        raise DomainError("pair invariants must be finite")
+    if tau == 0.0 and x == 0:
         if not include_residue:
-            raise UsageError("zeta = 0 bypasses quadrature; no residue split exists")
-        return _ONE
-
-    base = 1.0 / abs(zeta)
-    r, pole_inside = _choose_radius(base, 1.0, n, config.radius_offset)
+            raise UsageError("X = 0 at tau = 0 bypasses quadrature; no residue split exists")
+        return LogMagnitudePhase(0.0, 1.0 + 0.0j)
+    ta = abs(_saddle_t(tau, x, q_sum, p_sum))
+    if not ta > 0.0:  # tau = 0 with P and Q underflowing to 0 while X does not
+        raise ContourError("the saddle lies at infinity: tau a rounds to 0")
+    cap = max(_RADIUS_CAP_TAU, 0.5 * (1.0 + tau))
+    capped = tau >= cap * ta  # 1/|tau a| >= cap/tau, never at tau = 0
+    r, pole_inside = _choose_radius(cap / tau if capped else 1.0 / ta, 1.0, n, config.radius_offset)
+    if capped:
+        # never below the cap, which lies above the pole: past tau = 0.96
+        # the clip alone would shrink the circle inside the pole it counts
+        r = min(r, max(0.5 * (cap + 1.0) - 0.03, cap) / tau)
+    # refusals state the radius in s = tau t, where the rules above are set
+    shown = tau * r if tau > 0.0 else r
+    if tau * r >= _MAX_RADIUS_TAU:
+        raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
     if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
         raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
     return _nested_trapezoid(
-        functools.partial(_quadrature_zero, zeta, n, r),
+        functools.partial(_quadrature, params, x, q_sum, r),
         _start_count(config, n),
         pole_inside and include_residue,
         config,
-        r,
+        shown,
         n,
-        f"zeta={zeta!r}",
+        f"radius={shown:.6g}",
     )
+
+
+def _pole_normalized(
+    params: ModelParams, zp: np.ndarray, wp: np.ndarray, config: ContourConfig, include_residue: bool
+) -> tuple[LogMagnitudePhase, complex]:
+    """N and G(1) of the validated pair (z', w'), invariants summed coordinate by coordinate."""
+    wc = np.conj(wp)
+    x = complex(np.sum(zp * wc))
+    q_sum, p_sum = complex(np.sum((zp - wc) ** 2)), complex(np.sum((zp + wc) ** 2))
+    big_n = integral_I_tau(params, x, q_sum, p_sum, config, include_residue)
+    return big_n, _g_at_pole(params.tau, x, q_sum)
 
 
 def normalized_integral(
@@ -431,20 +444,17 @@ def normalized_integral(
     config: ContourConfig = DEFAULT_CONTOUR,
     include_residue: bool = True,
 ) -> tuple[LogMagnitudePhase, complex]:
-    """N and F(pole) for the kernel arguments (sqrt(n) z + u, sqrt(n) z + v).
+    """N and G(1) for the kernel arguments (sqrt(n) z + u, sqrt(n) z + v).
 
-    At tau = 0 the phase is F(s) = zeta s - log s with zeta the dot
-    product of z + u/sqrt(n) and z + v/sqrt(n), so F(1) = zeta; for
-    0 < tau < 1 it is the saddle frame of the z_pm pair.  The only place
-    that chooses between integral_I_zero and integral_I_tau.
+    The pair is z' = z + u/sqrt(n), w' = z + v/sqrt(n); its invariants X,
+    Q and P feed the one integral integral_I_tau for every 0 <= tau < 1,
+    and G(1) = (1 - tau) X - tau Q/2 (= X at tau = 0) is the phase at the
+    pole.  Each point is validated once.
     """
-    if params.tau == 0.0:
-        rn = math.sqrt(params.n)
-        z = as_point(params, z)
-        zeta = complex(np.sum((z + as_point(params, u) / rn) * np.conj(z + as_point(params, v) / rn)))
-        return integral_I_zero(params, zeta, config, include_residue), zeta
-    frame = saddle_frame(params, *zpm_map(params, z, u, v))
-    return integral_I_tau(params, frame, config, include_residue), frame.phase.F_at_pole()
+    z = as_point(params, z)
+    rn = math.sqrt(params.n)
+    zp, wp = z + as_point(params, u) / rn, z + as_point(params, v) / rn
+    return _pole_normalized(params, zp, wp, config, include_residue)
 
 
 def kernel_via_contour_log(
@@ -452,9 +462,10 @@ def kernel_via_contour_log(
 ) -> LogMagnitudePhase:
     """K_n(sqrt(n) z, sqrt(n) w) through the contour representation.
 
-    pi^{-d} prod_k sqrt(omega(sqrt n z_k) omega(sqrt n w_k)) e^{n F(pole)} N,
+    pi^{-d} prod_k sqrt(omega(sqrt n z_k) omega(sqrt n w_k)) e^{n G(1)} N,
     the route independent of the degree recurrence; z and w are the
-    unscaled droplet-coordinate points.
+    unscaled droplet-coordinate points, validated once.  The same integral
+    serves every 0 <= tau < 1, continuous as tau -> 0.
     """
     d, tau, n = params.d, params.tau, params.n
     z = as_point(params, z)
@@ -464,7 +475,7 @@ def kernel_via_contour_log(
         log_weight_omega(complex(rn * z[k]), tau) + log_weight_omega(complex(rn * w[k]), tau)
         for k in range(d)
     )
-    big_n, f_pole = normalized_integral(params, z, np.zeros(d), rn * (w - z), config)
+    big_n, f_pole = _pole_normalized(params, z, w, config, True)
     pref = LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole)
     return big_n * pref
 
@@ -474,10 +485,15 @@ def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:
 
     Nonpositive (up to rounding) whenever the dominant-saddle inequality
     holds; the returned value is max over the grid of Re F(s) - Re F(1/a).
-    Re F on the circle comes from the node table, as the node magnitudes do.
+    With s = tau t, Re F = Re G(t) - log |t| comes from the node table, as
+    the node magnitudes do, with X = 2 tau z_+ z_-/q and Q = 2 tau
+    (z_+ - z_-)^2/q of the frame.
     """
     if grid_size < 8:
         raise DomainError("grid_size must be >= 8")
-    r = frame.radius
-    re_g = _g_parts(frame.phase, r, _trapezoid_nodes(grid_size))[0]
-    return float(np.max(re_g) + (frame.phase.log_tau - math.log(r)) - frame.F_at_a_inv.real)
+    tau = frame.phase.tau
+    scale = 2.0 * tau / ((1.0 - tau) * (1.0 + tau))
+    r = frame.radius / tau
+    x, q_sum = scale * frame.z_plus * frame.z_minus, scale * frame.phase.q_sq
+    re_g = _phase_on_circle(tau, x, q_sum, r, _trapezoid_nodes(grid_size))[0]
+    return float(np.max(re_g) - math.log(r) - frame.F_at_a_inv.real)

@@ -11,10 +11,10 @@ the planar ellipse point |Re z| + i |Im z|, written in elliptic
 coordinates as sqrt(2) cosh(xi_tau + i eta) / sqrt(sinh 2 xi_tau) with
 xi_tau = log(1/tau) / 2.
 
-For kernel arguments (sqrt(n) z + u, sqrt(n) z + v) the contour route
-needs the pair z_plus, z_minus built from the analytic square sums of the
-coordinates, the displacement measures Delta_plus, Delta_minus, and the
-phase function
+For kernel arguments (sqrt(n) z + u, sqrt(n) z + v) the saddle-point
+analysis uses the pair z_plus, z_minus built from the analytic square sums
+of the coordinates, the displacement measures Delta_plus, Delta_minus, and
+the phase function (the contour route's G(t) - log t at s = tau t)
 
     F(s) = s/(1+s) (z_+ + z_-)^2 / 2 - s/(1-s) (z_+ - z_-)^2 / 2
            - log s + log tau,
@@ -262,11 +262,6 @@ class PhaseFunction:
         s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
         return 3.0 * self.p_sq / (1.0 + s) ** 4 - 3.0 * self.q_sq / (1.0 - s) ** 4 - 2.0 / s**3
 
-    def F_at_pole(self) -> complex:
-        """F(tau); the log terms cancel exactly at the pole."""
-        t = self.tau
-        return 0.5 * self.p_sq * t / (1.0 + t) - 0.5 * self.q_sq * t / (1.0 - t)
-
 
 @dataclass(frozen=True)
 class SaddleFrame:
@@ -288,9 +283,9 @@ class SaddleFrame:
         return (self.a, self.a_inv, self.b, self.b_inv)
 
 
-def _outer_root(z: complex) -> complex:
-    """z + sqrt(z^2 - 2) with the branch of modulus >= sqrt(2)."""
-    r = cmath.sqrt(z * z - 2.0)
+def _outer_root(z: complex, c: float = 2.0) -> complex:
+    """z + sqrt(z^2 - c) with the branch of modulus >= sqrt(c)."""
+    r = cmath.sqrt(z * z - c)
     w1 = z + r
     w2 = z - r
     return w1 if abs(w1) >= abs(w2) else w2

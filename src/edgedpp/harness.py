@@ -56,8 +56,7 @@ from .kernel import (
 )
 from .predictors import (
     bulk_prediction,
-    edge_density_prediction,
-    edge_density_second_term,
+    edge_density_terms,
     edge_kernel_prediction,
     normalized_kernel_many,
     dot_product,
@@ -74,6 +73,7 @@ from .saddle import (
 from .special import stable_sum_arrays
 
 __all__ = [
+    "DEFAULT_SEED",
     "EXPERIMENT_KINDS",
     "ExperimentSpec",
     "SeriesResult",
@@ -83,6 +83,9 @@ __all__ = [
     "fit_convergence_rate",
     "emit_report",
 ]
+
+# The seed of every experiment unless a config or a caller gives another.
+DEFAULT_SEED = 20260401
 
 EXPERIMENT_KINDS = (
     "representation_equivalence",
@@ -221,7 +224,7 @@ _POLE_PATH = (-1.0, 1.0)
 _PHI_LAMBDA = 0.6
 
 
-def default_spec(kind: str, seed: int = 20260401, **overrides) -> ExperimentSpec:
+def default_spec(kind: str, seed: int = DEFAULT_SEED, **overrides) -> ExperimentSpec:
     """The built-in specification of one experiment kind, seed applied."""
     if kind not in _DEFAULTS:
         raise UsageError(f"unknown experiment kind {kind!r}")
@@ -435,8 +438,8 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
             worst = lead_err = second_scale = 0.0
             for (ep, lam), rho in zip(grid, rhos):
                 val = n**d * rho
-                pred = edge_density_prediction(params, ep, lam)
-                second = edge_density_second_term(params, ep, lam)
+                lead, second = edge_density_terms(params, ep, lam)
+                pred = lead + second
                 worst = max(worst, abs(val - pred))
                 lead_err = max(lead_err, abs(val - (pred - second)))
                 second_scale = max(second_scale, abs(second))

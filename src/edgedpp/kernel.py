@@ -85,7 +85,7 @@ __all__ = [
     "kernel_exact",
     "kernel_exact_log",
     "kernel_exact_log_many",
-    "kernel_tau0_closed",
+    "kernel_tau0_closed_log",
     "rho1_density",
     "truncated_exp_series",
 ]
@@ -265,14 +265,10 @@ def truncated_exp_series(x: complex, nterms: int) -> LogMagnitudePhase:
     )
 
 
-def kernel_tau0_closed(params: ModelParams, z, w) -> complex:
-    """Closed form at tau = 0: pi^{-d} exp(-(|z|^2+|w|^2)/2) sum_{j<n} (z.w)^j / j!."""
-    return kernel_tau0_closed_log(params, z, w).value
-
-
 def kernel_tau0_closed_log(params: ModelParams, z, w) -> LogMagnitudePhase:
+    """Closed form at tau = 0: pi^{-d} exp(-(|z|^2+|w|^2)/2) sum_{j<n} (z.w)^j / j!."""
     if params.tau != 0.0:
-        raise UsageError("kernel_tau0_closed requires tau = 0")
+        raise UsageError("kernel_tau0_closed_log requires tau = 0")
     z = as_point(params, z)
     w = as_point(params, w)
     zw = complex(np.sum(z * np.conj(w)))

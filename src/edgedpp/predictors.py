@@ -60,6 +60,7 @@ __all__ = [
     "normalized_kernel_many",
     "edge_kernel_prediction",
     "edge_density_prediction",
+    "edge_density_terms",
     "bulk_prediction",
 ]
 
@@ -186,7 +187,8 @@ def edge_kernel_prediction(edge: EdgePoint, u, v) -> complex:
     return 0.5 * erfc_complex(s / math.sqrt(2.0))
 
 
-def _density_terms(params: ModelParams, edge: EdgePoint, lam: float) -> tuple[float, float]:
+def edge_density_terms(params: ModelParams, edge: EdgePoint, lam: float) -> tuple[float, float]:
+    """The leading term and the 1/sqrt(n) term of edge_density_prediction."""
     d, tau, n = params.d, params.tau, params.n
     kappa = edge.kappa
     fact = math.factorial(d)
@@ -212,13 +214,8 @@ def edge_density_prediction(params: ModelParams, edge: EdgePoint, lam: float) ->
         (lambda^2 - 1 - 1_{tau != 0} 3 tau^2 (d-1)/((1-tau^2) kappa^{2/3}))
         e^{-2 lambda^2}.
     """
-    lead, second = _density_terms(params, edge, lam)
+    lead, second = edge_density_terms(params, edge, lam)
     return lead + second
-
-
-def edge_density_second_term(params: ModelParams, edge: EdgePoint, lam: float) -> float:
-    """The 1/sqrt(n) term alone (used by the acceptance leading-order check)."""
-    return _density_terms(params, edge, lam)[1]
 
 
 def bulk_prediction(d: int, u, v) -> complex:

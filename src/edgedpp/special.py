@@ -22,7 +22,7 @@ boundary in [1.0, 1.6] keeps the worst relative error under 1e-14.
 
 LogMagnitudePhase represents a complex quantity as exp(log_mag) * phase
 with |phase| = 1, so magnitudes of order exp(+-n F) with n in the
-thousands stay representable.  stable_sum adds such quantities by
+thousands stay representable.  stable_sum_arrays adds such quantities by
 shifting out the largest exponent and adding the shifted values with
 numpy's pairwise summation.  Each shifted value already carries about eps
 of rounding from exp, so the sum errs by about eps times the L1 norm of
@@ -39,8 +39,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import DomainError, UsageError
@@ -50,7 +48,6 @@ __all__ = [
     "erfc_complex",
     "erfcx_complex",
     "gauss_legendre",
-    "stable_sum",
     "stable_sum_arrays",
 ]
 
@@ -233,28 +230,19 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def stable_sum(terms: Sequence[LogMagnitudePhase] | Iterable[LogMagnitudePhase]) -> LogMagnitudePhase:
-    """Sum of LogMagnitudePhase terms with max-shift normalization.
+def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudePhase:
+    """Sum of the terms phases_i e^{log_mags_i} (phases unit complex) with
+    max-shift normalization.
 
     The largest log magnitude M is subtracted, the shifted values
     phase_i * exp(log_mag_i - M) are added by numpy's pairwise sum, and M
     is restored.  The result errs by at most about (log2(N) + 16) eps times
     the L1 norm of the terms, so it is permutation stable to that level.
     """
-    terms = list(terms)
-    if not terms:
-        raise UsageError("stable_sum requires a non-empty sequence")
-    logs = np.array([t.log_mag for t in terms], dtype=float)
-    phases = np.array([t.phase for t in terms], dtype=complex)
-    return stable_sum_arrays(logs, phases)
-
-
-def stable_sum_arrays(log_mags: np.ndarray, phases: np.ndarray) -> LogMagnitudePhase:
-    """Array form of stable_sum; log_mags float, phases unit complex."""
     log_mags = np.asarray(log_mags, dtype=float)
     phases = np.asarray(phases, dtype=complex)
     if log_mags.size == 0:
-        raise UsageError("stable_sum requires a non-empty sequence")
+        raise UsageError("stable_sum_arrays requires a non-empty sequence")
     if not (log_mags < math.inf).all():  # nan or +inf
         raise DomainError("log magnitudes must be < +inf and not nan")
     shift = float(np.max(log_mags))

@@ -462,17 +462,49 @@ def phi_sequence(x: complex, tau: float, n: int) -> list[LogMagnitudePhase]:
 
 
 def integral_I_zero_closed(params: ModelParams, zeta: complex) -> LogMagnitudePhase:
-    """Residue closed form of contour.integral_I_zero:
+    """Residue closed form of contour.integral_I_tau at tau = 0 and X = zeta:
     e^{-n zeta} sum_{j<n} (n zeta)^j / j!."""
     zeta = complex(zeta)
     series = truncated_exp_series(params.n * zeta, params.n)
     return series * LogMagnitudePhase.from_log(-params.n * zeta)
 
 
+def pair_invariants(zp, wp) -> tuple[complex, complex, complex]:
+    """X = sum z'_k conj(w'_k), Q = sum (z'_k - conj(w'_k))^2 and
+    P = sum (z'_k + conj(w'_k))^2 of the pair (z', w'), each summed
+    coordinate by coordinate."""
+    zp = np.atleast_1d(np.asarray(zp, dtype=complex))
+    wc = np.conj(np.atleast_1d(np.asarray(wp, dtype=complex)))
+    return complex(np.sum(zp * wc)), complex(np.sum((zp - wc) ** 2)), complex(np.sum((zp + wc) ** 2))
+
+
+def ginibre_invariants(zeta: complex) -> tuple[complex, complex, complex]:
+    """(X, Q, P) = (zeta, 0, 4 zeta): the d = 1 pair z' = sqrt(zeta),
+    w' = conj(z'), whose tau = 0 phase is zeta t."""
+    zeta = complex(zeta)
+    return zeta, 0j, 4.0 * zeta
+
+
+def zpm_invariants(tau: float, z_plus: complex, z_minus: complex) -> tuple[complex, complex, complex]:
+    """(X, Q, P) of a geometry z_pm pair at 0 < tau < 1: z_pm = c (sqrt P +- sqrt Q)/2
+    with c^2 = sinh 2 xi_tau = q/(2 tau), so P = (z_+ + z_-)^2/c^2,
+    Q = (z_+ - z_-)^2/c^2 and X = (P - Q)/4 = z_+ z_-/c^2."""
+    inv_c2 = 2.0 * tau / ((1.0 - tau) * (1.0 + tau))
+    z_plus, z_minus = complex(z_plus), complex(z_minus)
+    return inv_c2 * z_plus * z_minus, inv_c2 * (z_plus - z_minus) ** 2, inv_c2 * (z_plus + z_minus) ** 2
+
+
+def phase_at_pole(phase) -> complex:
+    """F(tau) of a geometry.PhaseFunction; the log terms cancel exactly at the pole."""
+    t = phase.tau
+    return 0.5 * phase.p_sq * t / (1.0 + t) - 0.5 * phase.q_sq * t / (1.0 - t)
+
+
 def quadrature_tau_complex(frame, params: ModelParams, r: float, theta: np.ndarray):
-    """Reference for contour._quadrature_tau: per-node (log magnitude, phase)
-    of -e^{n (F(s) - F(tau))} (1-tau^2)^{d/2} s / ((s - tau) (1 - s^2)^{d/2})
-    at s = r e^{i theta}, in complex arithmetic at every node.
+    """Reference for contour._quadrature at tau > 0 on |t| = r/tau: per-node
+    (log magnitude, phase) of -e^{n (F(s) - F(tau))} (1-tau^2)^{d/2} s /
+    ((s - tau) (1 - s^2)^{d/2}) at s = tau t = r e^{i theta}, in complex
+    arithmetic at every node.
 
     log s is taken as log r + i theta, which differs from the principal
     branch by whole turns that the integer n absorbs.
@@ -481,15 +513,16 @@ def quadrature_tau_complex(frame, params: ModelParams, r: float, theta: np.ndarr
     phase = frame.phase
     s = r * np.exp(1j * theta)
     f = 0.5 * phase.p_sq * s / (1.0 + s) - 0.5 * phase.q_sq * s / (1.0 - s)
-    df = f - (math.log(r) + 1j * theta) + phase.log_tau - phase.F_at_pole()
+    df = f - (math.log(r) + 1j * theta) + phase.log_tau - phase_at_pole(phase)
     rest = s / ((s - tau) * np.sqrt(1.0 - s * s) ** d)
     log_mag = n * df.real + np.log(np.abs(rest)) + 0.5 * d * math.log1p(-tau * tau)
     return log_mag, np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
 
 
 def quadrature_zero_complex(zeta: complex, n: int, r: float, theta: np.ndarray):
-    """Reference for contour._quadrature_zero: per-node (log magnitude, phase)
-    of -e^{n (zeta s - log s - zeta)} s / (s - 1) at s = r e^{i theta}."""
+    """Reference for contour._quadrature at tau = 0 and X = zeta: per-node
+    (log magnitude, phase) of -e^{n (zeta s - log s - zeta)} s / (s - 1)
+    at s = t = r e^{i theta}."""
     s = r * np.exp(1j * theta)
     df = zeta * s - (math.log(r) + 1j * theta) - zeta
     rest = s / (s - 1.0)

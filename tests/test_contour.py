@@ -5,25 +5,32 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgedpp import contour
 from edgedpp.contour import (
     ContourConfig,
-    _quadrature_tau,
-    _quadrature_zero,
+    _quadrature,
     _trapezoid_nodes,
     integral_I_tau,
-    integral_I_zero,
     kernel_via_contour_log,
     max_principle_check,
     normalized_integral,
 )
-from edgedpp.errors import ContourError, DomainError, QuadratureError, UsageError
+from edgedpp.errors import ContourError, DomainError, EdgeDppError, QuadratureError, UsageError
 from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
 from edgedpp.harness import default_spec, run_experiment
 from edgedpp.kernel import ModelParams, kernel_exact_log
 from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
-from oracles import integral_I_zero_closed, quadrature_tau_complex, quadrature_zero_complex
+from oracles import (
+    ginibre_invariants,
+    integral_I_zero_closed,
+    pair_invariants,
+    phase_at_pole,
+    quadrature_tau_complex,
+    quadrature_zero_complex,
+)
 
 EPS = 2.0**-52
 
@@ -37,6 +44,17 @@ def edge_frame(params, seed, u=None, v=None):
     return ep, saddle_frame(params, zp, zm)
 
 
+def edge_invariants(params, seed):
+    """(X, Q, P) of the pair (z, z) at a seeded edge point z."""
+    z = edge_point_sample(params, seed).z
+    return pair_invariants(z, z)
+
+
+def integral_zero(params, zeta, config=ContourConfig(), include_residue=True):
+    """The tau = 0 integral of the phase zeta t."""
+    return integral_I_tau(params, *ginibre_invariants(zeta), config, include_residue)
+
+
 def test_integral_zero_matches_partial_sum():
     rng = np.random.default_rng(2)
     for n in (2, 4, 8, 16, 32):
@@ -45,7 +63,7 @@ def test_integral_zero_matches_partial_sum():
             zeta = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
             if abs(zeta) < 0.05:
                 continue
-            quad = integral_I_zero(params, zeta)
+            quad = integral_zero(params, zeta)
             closed = integral_I_zero_closed(params, zeta)
             assert abs(quad.ratio_to(closed) - 1.0) <= 1e-10
 
@@ -54,16 +72,16 @@ def test_integral_zero_single_term():
     params = ModelParams(d=1, tau=0.0, n=1)
     for zeta in (0.7, 1.3 - 0.4j):
         # I_{1,0} = 1, so N_0 = e^{-zeta}
-        val = integral_I_zero(params, zeta)
+        val = integral_zero(params, zeta)
         assert abs(val.value - np.exp(-zeta)) <= 1e-12 * abs(np.exp(-zeta))
-    assert integral_I_zero(params, 0.0).value == 1.0
+    assert integral_zero(params, 0.0).value == 1.0
 
 
 def test_integral_zero_edge_tends_to_half():
     prev_gap = None
     for n in (64, 256, 1024):
         params = ModelParams(d=1, tau=0.0, n=n)
-        val = integral_I_zero(params, 1.0).value
+        val = integral_zero(params, 1.0).value
         gap = abs(val - 0.5)
         if prev_gap is not None:
             assert gap < prev_gap
@@ -73,14 +91,12 @@ def test_integral_zero_edge_tends_to_half():
 
 def test_integral_tau_edge_and_bulk_values():
     params = ModelParams(d=1, tau=0.5, n=1024)
-    _, frame = edge_frame(params, 3)
-    val = integral_I_tau(params, frame).value
+    val = integral_I_tau(params, *edge_invariants(params, 3)).value
     assert abs(val - 0.5) <= 0.05
     # deep bulk: N -> 1
     ep = edge_point_sample(params, 4)
-    zp, zm = zpm_map(params, 0.3 * ep.z, np.zeros(1), np.zeros(1))
-    fr = saddle_frame(params, zp, zm)
-    assert abs(integral_I_tau(params, fr).value - 1.0) <= 1e-10
+    inv = pair_invariants(0.3 * ep.z, 0.3 * ep.z)
+    assert abs(integral_I_tau(params, *inv).value - 1.0) <= 1e-10
 
 
 def test_kernel_representation_small_grid():
@@ -100,20 +116,20 @@ def test_kernel_representation_small_grid():
 
 def test_quadrature_order_robustness():
     params = ModelParams(d=2, tau=0.4, n=256)
-    _, frame = edge_frame(params, 11)
-    base = integral_I_tau(params, frame, ContourConfig(tolerance=1e-11))
+    inv = edge_invariants(params, 11)
+    base = integral_I_tau(params, *inv, ContourConfig(tolerance=1e-11))
     finer = integral_I_tau(
-        params, frame, ContourConfig(node_count=3 * 512, tolerance=1e-11)
+        params, *inv, ContourConfig(node_count=3 * 512, tolerance=1e-11)
     )
     assert abs(finer.ratio_to(base) - 1.0) <= 1e-10
 
 
 def test_radius_offset_robustness():
     params = ModelParams(d=1, tau=0.5, n=400)
-    _, frame = edge_frame(params, 13)
+    inv = edge_invariants(params, 13)
     vals = []
     for offset in (0.5, 1.0, 1.5):
-        vals.append(integral_I_tau(params, frame, ContourConfig(radius_offset=offset)))
+        vals.append(integral_I_tau(params, *inv, ContourConfig(radius_offset=offset)))
     for v in vals[1:]:
         assert abs(v.ratio_to(vals[0]) - 1.0) <= 1e-9
 
@@ -128,15 +144,14 @@ def test_pole_side_consistency():
     # Cauchy: circle with the pole enclosed plus the residue equals the
     # circle with the pole excluded.
     params = ModelParams(d=1, tau=0.5, n=256)
-    _, frame = edge_frame(params, 17)
-    tau = params.tau
+    x, q_sum, _ = edge_invariants(params, 17)
     count = 8192
-    r_out = tau * 1.02
-    r_in = tau * 0.98
+    r_out = 1.02
+    r_in = 0.98
     weight = math.log(count)
-    lg_o, ph_o = _all_nodes(lambda *a: _quadrature_tau(frame, params, r_out, *a), count)
+    lg_o, ph_o = _all_nodes(lambda *a: _quadrature(params, x, q_sum, r_out, *a), count)
     enclosed = stable_sum_arrays(np.append(lg_o - weight, 0.0), np.append(ph_o, 1.0 + 0.0j))
-    lg_i, ph_i = _all_nodes(lambda *a: _quadrature_tau(frame, params, r_in, *a), count)
+    lg_i, ph_i = _all_nodes(lambda *a: _quadrature(params, x, q_sum, r_in, *a), count)
     excluded = stable_sum_arrays(lg_i - weight, ph_i)
     assert abs(enclosed.ratio_to(excluded) - 1.0) <= 1e-9
 
@@ -146,11 +161,12 @@ def _node_cases(d, tau, n):
     complex reference on the same angles, and each node's rounding scale.
 
     The radii lie on both sides of the pole and at 0.998 (near the branch
-    points +-1 for tau > 0, or the pole at tau = 0).  The scale bounds the
-    sizes the two evaluations round: n times the terms of n F(s) (each
-    divided by |1 +- s| once more, as the reference forms 1 +- s in complex
-    arithmetic) and the whole turn n theta, plus the reference's relative
-    error in s - pole and 1 - s^2.
+    points +-1 of s = tau t for tau > 0, or the pole at tau = 0); the node
+    function runs on |t| = r/tau where the reference runs on |s| = r.  The
+    scale bounds the sizes the two evaluations round: n times the terms of
+    n F(s) (each divided by |1 +- s| once more, as the reference forms
+    1 +- s in complex arithmetic) and the whole turn n theta, plus the
+    reference's relative error in s - pole and 1 - s^2.
     """
     params = ModelParams(d=d, tau=tau, n=n)
     z = edge_point_sample(params, 3).z
@@ -160,21 +176,22 @@ def _node_cases(d, tau, n):
     for midpoints in (False, True):
         theta = 2 * math.pi * (np.arange(count) + 0.5 * midpoints) / count
         table = _trapezoid_nodes(count, midpoints)
+        x, q_sum, _ = pair_invariants(z + u / rn, z + v / rn)
         if tau == 0.0:
-            zeta = complex(np.sum((z + u / rn) * np.conj(z + v / rn)))
+            zeta = x
             for r in (0.98, 0.998, 1.02):
                 s = r * np.exp(1j * theta)
                 scale = n * (abs(zeta) * (r + 1.0) + abs(math.log(r)) + 2 * math.pi)
                 scale = scale + r / np.abs(s - 1.0) + 1.0
                 yield (
-                    _quadrature_zero(zeta, n, r, table, midpoints),
+                    _quadrature(params, x, q_sum, r, table, midpoints),
                     quadrature_zero_complex(zeta, n, r, theta),
                     scale,
                 )
             continue
         frame = saddle_frame(params, *zpm_map(params, z, u, v))
         phase = frame.phase
-        size = abs(math.log(tau)) + abs(phase.F_at_pole()) + 2 * math.pi
+        size = abs(math.log(tau)) + abs(phase_at_pole(phase)) + 2 * math.pi
         for r in (0.98 * tau, 0.5 * (tau + 0.999), 0.998):
             s = r * np.exp(1j * theta)
             plus, minus = np.abs(1.0 + s), np.abs(1.0 - s)
@@ -182,7 +199,7 @@ def _node_cases(d, tau, n):
             scale = scale + abs(phase.q_sq) * r / minus * (1.0 + 1.0 / minus)
             scale = n * (scale + abs(math.log(r)) + size) + d / np.abs(1.0 - s * s)
             yield (
-                _quadrature_tau(frame, params, r, table, midpoints),
+                _quadrature(params, x, q_sum, r / tau, table, midpoints),
                 quadrature_tau_complex(frame, params, r, theta),
                 scale + r / np.abs(s - tau) + 1.0,
             )
@@ -249,20 +266,26 @@ def test_node_tables_are_read_only_cached_and_bounded():
         for midpoints in (False, True):
             table = _trapezoid_nodes(count, midpoints)
             assert table is _trapezoid_nodes(count, midpoints)
-            assert table.shape == (4, count) and not table.flags.writeable
+            assert table.shape == (6, count) and not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
             theta = 2 * math.pi * (np.arange(count) + 0.5 * midpoints) / count
             cos, sin = np.cos(theta), np.sin(theta)
             # the reference angles themselves round by up to 4 eps (an ulp of 2 pi)
-            assert np.allclose(table, [cos, sin, 1.0 - cos, 1.0 + cos], rtol=0.0, atol=8 * EPS)
-            # 1 -+ cos keep their relative accuracy near theta = 0 and pi,
-            # against the exact angles pi m / count, m = 2k (+ 1 at midpoints)
+            assert np.allclose(table[:4], [cos, sin, 1.0 - cos, 1.0 + cos], rtol=0.0, atol=8 * EPS)
+            # against the exact angles pi m / count, m = 2k (+ 1 at midpoints):
+            # sin 2 theta and 2 sin^2 theta within 8 eps of their size at every
+            # seventh node, and 1 -+ cos and 2 sin^2 within 8 eps relative near
+            # theta = 0, pi and 2 pi, where they vanish
             with mpmath.workdps(30):
-                for k in [*range(4), *range(count // 2 - 2, count // 2 + 2)]:
+                near = [*range(4), *range(count // 2 - 2, count // 2 + 2), *range(count - 4, count)]
+                for k in sorted({*near, *range(0, count, 7)}):
                     half = mpmath.mpf(2 * k + midpoints) / (2 * count)  # in units of pi
-                    for row, want in ((2, 2 * mpmath.sinpi(half) ** 2), (3, 2 * mpmath.cospi(half) ** 2)):
-                        assert abs(table[row, k] - want) <= 8 * EPS * abs(want)
+                    rows = [(2, 2 * mpmath.sinpi(half) ** 2), (3, 2 * mpmath.cospi(half) ** 2)]
+                    rows += [(4, mpmath.sinpi(4 * half)), (5, 2 * mpmath.sinpi(2 * half) ** 2)]
+                    for row, want in rows:
+                        size = abs(want) if k in near and row != 4 else max(abs(want), 1.0)
+                        assert abs(table[row, k] - want) <= 8 * EPS * size
     limit = _trapezoid_nodes.cache_info().maxsize
     assert limit is not None
     for count in range(64, 64 + 2 * limit):
@@ -296,25 +319,21 @@ def _single_pass(node_values, count, residue):
 
 
 def _route_cases():
-    """Per route: params, the integral of (config, include_residue), its node
-    function, the node values on a radius, and whether a radius encloses the pole."""
+    """Per case: params, the integral of (config, include_residue) and the
+    node values on a radius |t| = r, which encloses the pole t = 1 when r > 1."""
     params = ModelParams(d=2, tau=0.4, n=256)
-    _, frame = edge_frame(params, 11)
+    inv = edge_invariants(params, 11)
     yield (
         params,
-        lambda config, residue: integral_I_tau(params, frame, config, residue),
-        _quadrature_tau,
-        lambda r: lambda *table: _quadrature_tau(frame, params, r, *table),
-        lambda r: r > params.tau,
+        lambda config, residue: integral_I_tau(params, *inv, config, residue),
+        lambda r: lambda *table: _quadrature(params, inv[0], inv[1], r, *table),
     )
     params0 = ModelParams(d=1, tau=0.0, n=1024)
     for zeta in (0.99 + 0.01j, 1.01 - 0.01j):
         yield (
             params0,
-            lambda config, residue, zeta=zeta: integral_I_zero(params0, zeta, config, residue),
-            _quadrature_zero,
-            lambda r, zeta=zeta: lambda *table: _quadrature_zero(zeta, params0.n, r, *table),
-            lambda r: r > 1.0,
+            lambda config, residue, zeta=zeta: integral_zero(params0, zeta, config, residue),
+            lambda r, zeta=zeta: lambda *table: _quadrature(params0, zeta, 0j, r, *table),
         )
 
 
@@ -338,14 +357,14 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # nested value is the 2N-node rule summed in one pass.  The strict
     # config puts the circle nearer the pole, where the half rule misses.
     strict = ContourConfig(radius_offset=0.5, tolerance=1e-12, max_doublings=1)
-    for params, integral, node_function, node_values, encloses in _route_cases():
+    for params, integral, node_values in _route_cases():
         count = 64 * math.isqrt(params.n - 1) + 64
         for include_residue in (True, False):
-            counts, radii = _record_passes(monkeypatch, node_function)
+            counts, radii = _record_passes(monkeypatch, _quadrature)
             val = integral(ContourConfig(), include_residue)
             assert counts == [count]
             r = radii[0]
-            residue = include_residue and encloses(r)
+            residue = include_residue and r > 1.0
             ref = _single_pass(node_values(r), count, residue)
             assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
 
@@ -354,7 +373,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
             val = integral(strict, include_residue)
             assert counts == [count, count]
             r = radii[0]
-            residue = include_residue and encloses(r)
+            residue = include_residue and r > 1.0
             half = _single_pass(node_values(r), count // 2, residue)
             ref = _single_pass(node_values(r), count, residue)
             ref2 = _single_pass(node_values(r), 2 * count, residue)
@@ -366,7 +385,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # the half is the even-indexed nodes: T_N = 1.75 sits 0.75 (relative)
     # from the even half's 1.0 but only 0.3 from the odd half's 2.5, so only
     # the even half misses the 0.5 tolerance and forces the doubling
-    counts, _ = _record_passes(monkeypatch, _quadrature_zero)
+    counts, _ = _record_passes(monkeypatch, _quadrature)
     nodes = _grid_values(1.0, 2.5, 1.75, 1.75)
     loose = ContourConfig(tolerance=0.5, max_doublings=1)
     val = contour._nested_trapezoid(nodes, 64, False, loose, 0.9, 16, "hand-built")
@@ -377,7 +396,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # and the value stays exact (N_0 = e^{-zeta} at n = 1)
     for zeta in (0.7, 1.3 - 0.4j):
         counts.clear()
-        val = integral_I_zero(ModelParams(d=1, tau=0.0, n=1), zeta, ContourConfig(node_count=65))
+        val = integral_zero(ModelParams(d=1, tau=0.0, n=1), zeta, ContourConfig(node_count=65))
         assert counts[0] == 66
         assert abs(val.value - np.exp(-zeta)) <= 1e-12 * abs(np.exp(-zeta))
 
@@ -461,22 +480,75 @@ def test_routes_agree_for_tau_near_one(tau):
             via = kernel_via_contour_log(params, z, w)
             assert abs(via.ratio_to(exact) - 1.0) <= 1e-8
 
-            zp, zm = zpm_map(params, z, np.zeros(d), rn * (w - z))
-            frame = saddle_frame(params, zp, zm)
-            big_n = integral_I_tau(params, frame).value * exact.ratio_to(via)
-            bare = integral_I_tau(params, frame, include_residue=False).value
-            enclosed = frame.radius > tau
+            inv = pair_invariants(z, w)
+            big_n = integral_I_tau(params, *inv).value * exact.ratio_to(via)
+            bare = integral_I_tau(params, *inv, include_residue=False).value
+            enclosed = saddle_frame(params, *zpm_map(params, z, np.zeros(d), rn * (w - z))).radius > tau
             assert abs(bare + enclosed - big_n) <= 1e-8 * abs(big_n)
+
+
+def _near_edge_pair(params, seed, u_size, v_size):
+    """z + u/sqrt(n) and z + v/sqrt(n) at a seeded edge point z, with seeded
+    directions for u and v and |u| = u_size, |v| = v_size."""
+    rng = np.random.default_rng(seed)
+    rn = math.sqrt(params.n)
+    z = edge_point_sample(params, seed).z
+    shifts = []
+    for size in (u_size, v_size):
+        x = rng.standard_normal(params.d) + 1j * rng.standard_normal(params.d)
+        shifts.append(size * x / np.linalg.norm(x))
+    return z + shifts[0] / rn, z + shifts[1] / rn
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    tau=st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e-150), st.floats(min_value=0.0, max_value=0.999)),
+    n=st.integers(min_value=2, max_value=2048),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    u_size=st.floats(min_value=0.0, max_value=1.0),
+    v_size=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(d=2, tau=1e-200, n=256, seed=1, u_size=0.5, v_size=0.7)
+@example(d=1, tau=5e-324, n=2048, seed=2, u_size=1.0, v_size=0.0)
+def test_contour_route_agrees_with_the_exact_route(d, tau, n, seed, u_size, v_size):
+    # across the whole domain the contour route gives the exact kernel to
+    # 1e-8, or refuses with a typed error (as it does past tau ~ 0.92 for
+    # some radii); subnormal tau is the tau = 0 integral, not a crash
+    params = ModelParams(d=d, tau=tau, n=n)
+    z, w = _near_edge_pair(params, seed, u_size, v_size)
+    try:
+        via = kernel_via_contour_log(params, z, w)
+    except EdgeDppError:
+        return
+    exact = kernel_exact_log(params, math.sqrt(n) * z, math.sqrt(n) * w)
+    assert abs(via.ratio_to(exact) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-200, 1e-100, 1e-12])
+def test_contour_route_is_continuous_as_tau_goes_to_zero(tau):
+    # near-edge pairs taken from tau = 0 to tiny tau: the contour route
+    # agrees with the exact route, and down to 1e-100 (where tau n |z|^2
+    # is below rounding) it returns its tau = 0 value within a few eps
+    for d, n in [(1, 16), (2, 256), (3, 1024), (1, 4096)]:
+        for seed in (1, 2):
+            params0 = ModelParams(d=d, tau=0.0, n=n)
+            z, w = _near_edge_pair(params0, seed, 0.8, 0.6)
+            params = ModelParams(d=d, tau=tau, n=n)
+            via = kernel_via_contour_log(params, z, w)
+            exact = kernel_exact_log(params, math.sqrt(n) * z, math.sqrt(n) * w)
+            assert abs(via.ratio_to(exact) - 1.0) <= 1e-8
+            if tau <= 1e-100:
+                assert abs(via.ratio_to(kernel_via_contour_log(params0, z, w)) - 1.0) <= 8 * EPS
 
 
 def test_quadrature_error_when_rule_cannot_converge():
     never = ContourConfig(tolerance=1e-300, max_doublings=1)
     params = ModelParams(d=1, tau=0.5, n=256)
-    _, frame = edge_frame(params, 3)
     with pytest.raises(QuadratureError, match="final node count 2048, tolerance 1e-300"):
-        integral_I_tau(params, frame, never)
+        integral_I_tau(params, *edge_invariants(params, 3), never)
     with pytest.raises(QuadratureError, match="final node count 2048, tolerance 1e-300"):
-        integral_I_zero(ModelParams(d=1, tau=0.0, n=256), 0.95 + 0.1j, never)
+        integral_zero(ModelParams(d=1, tau=0.0, n=256), 0.95 + 0.1j, never)
 
 
 def test_branch_safety_on_contour():
@@ -501,9 +573,7 @@ def test_outside_droplet_exponential_decay():
     logs = []
     for n in (64, 128, 256):
         params = ModelParams(d=1, tau=tau, n=n)
-        zp, zm = zpm_map(params, z_out, np.zeros(1), np.zeros(1))
-        frame = saddle_frame(params, zp, zm)
-        val = integral_I_tau(params, frame)
+        val = integral_I_tau(params, *pair_invariants(z_out, z_out))
         logs.append(val.log_mag)
         exact = kernel_exact_log(params, math.sqrt(n) * z_out, math.sqrt(n) * z_out)
         via = kernel_via_contour_log(params, z_out, z_out)
@@ -520,25 +590,18 @@ def test_bulk_deviation_log_form_matches_double_difference():
     for tau in (0.0, 0.25):
         params = ModelParams(d=1, tau=tau, n=16)
         ep = edge_point_sample(ModelParams(d=1, tau=tau, n=2), 3)
-        z_half = 0.5 * ep.z
-        if tau == 0.0:
-            zeta = complex(z_half[0] * np.conj(z_half[0]))
-            full = integral_I_zero(params, zeta)
-            dev = integral_I_zero(params, zeta, include_residue=False)
-        else:
-            zp, zm = zpm_map(params, z_half, np.zeros(1), np.zeros(1))
-            frame = saddle_frame(params, zp, zm)
-            full = integral_I_tau(params, frame)
-            dev = integral_I_tau(params, frame, include_residue=False)
+        inv = pair_invariants(0.5 * ep.z, 0.5 * ep.z)
+        full = integral_I_tau(params, *inv)
+        dev = integral_I_tau(params, *inv, include_residue=False)
         direct = full.value - 1.0
         assert abs(dev.value - direct) <= 1e-9 * max(abs(direct), 1e-10)
         assert abs(dev.value) > 1e-10  # representable at this n, so the check bites
 
 
 def test_normalized_integral_is_the_tau_route_of_its_arguments():
-    # (sqrt(n) z + u, sqrt(n) z + v): the dot product of the shifted points
-    # at tau = 0, the saddle frame of their z_pm pair above; same bits, in
-    # both residue modes, with F(pole) alongside
+    # (sqrt(n) z + u, sqrt(n) z + v): the one integral of the invariants of
+    # the shifted points, summed coordinate by coordinate, for every tau;
+    # same bits, in both residue modes, with G(1) alongside (X at tau = 0)
     rng = np.random.default_rng(41)
     for d, tau in [(1, 0.0), (2, 0.0), (1, 0.5), (3, 0.3)]:
         params = ModelParams(d=d, tau=tau, n=64)
@@ -547,13 +610,11 @@ def test_normalized_integral_is_the_tau_route_of_its_arguments():
         v = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
         for residue in (True, False):
             got, f_pole = normalized_integral(params, ep.z, u, v, include_residue=residue)
+            x, q_sum, p_sum = pair_invariants(ep.z + u / 8.0, ep.z + v / 8.0)
+            want = integral_I_tau(params, x, q_sum, p_sum, include_residue=residue)
+            assert (got, f_pole) == (want, (1.0 - tau) * x - 0.5 * tau * q_sum)
             if tau == 0.0:
-                zeta = complex(np.sum((ep.z + u / 8.0) * np.conj(ep.z + v / 8.0)))
-                assert (got, f_pole) == (integral_I_zero(params, zeta, include_residue=residue), zeta)
-            else:
-                frame = saddle_frame(params, *zpm_map(params, ep.z, u, v))
-                want = integral_I_tau(params, frame, include_residue=residue)
-                assert (got, f_pole) == (want, frame.phase.F_at_pole())
+                assert f_pole == x
 
 
 def test_contour_config_validation():
@@ -561,8 +622,10 @@ def test_contour_config_validation():
         ContourConfig(node_count=32)
     with pytest.raises(DomainError):
         ContourConfig(tolerance=0.0)
+    # X = 0 at tau = 0: the residue alone, exactly 1, with no bare integral
+    assert integral_I_tau(ModelParams(d=2, tau=0.0, n=4), 0.0, 1.0, 1.0).value == 1.0
     with pytest.raises(UsageError):
-        integral_I_tau(ModelParams(d=1, tau=0.0, n=4), None)
+        integral_I_tau(ModelParams(d=1, tau=0.0, n=4), 0.0, 0.0, 0.0, include_residue=False)
 
 
 def test_max_principle_on_random_edge_frames():

@@ -19,7 +19,6 @@ from edgedpp.kernel import (
     kernel_exact,
     kernel_exact_log,
     kernel_exact_log_many,
-    kernel_tau0_closed,
     kernel_tau0_closed_log,
     log_weight_omega,
     rho1_density,
@@ -321,7 +320,7 @@ def test_kernel_at_subnormal_tau_is_the_tau0_kernel(tau):
     for d in (1, 2):
         z = np.zeros(d, dtype=complex)
         got = kernel_exact(ModelParams(d=d, tau=tau, n=9), z, z)
-        assert got == kernel_tau0_closed(ModelParams(d=d, tau=0.0, n=9), z, z)
+        assert got == kernel_tau0_closed_log(ModelParams(d=d, tau=0.0, n=9), z, z).value
 
 
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-12])
@@ -363,7 +362,7 @@ def test_tau0_closed_form_j_zero_case():
     zw = np.sum(z * np.conj(w))
     assert abs(zw) < 1e-15
     expect = math.pi ** (-2) * math.exp(-0.5 * (2.0 + 2.0))
-    assert abs(kernel_tau0_closed(params, z, w) - expect) <= 1e-15
+    assert abs(kernel_tau0_closed_log(params, z, w).value - expect) <= 1e-15
 
 
 def test_tau0_closed_matches_exact():
@@ -374,7 +373,7 @@ def test_tau0_closed_matches_exact():
             z = rng.uniform(-1.5, 1.5, d) + 1j * rng.uniform(-1.5, 1.5, d)
             w = rng.uniform(-1.5, 1.5, d) + 1j * rng.uniform(-1.5, 1.5, d)
             a = kernel_exact(params, z, w)
-            b = kernel_tau0_closed(params, z, w)
+            b = kernel_tau0_closed_log(params, z, w).value
             assert abs(a - b) <= 1e-12 * abs(b)
 
 
@@ -406,7 +405,7 @@ def test_tau0_closed_form_against_mpmath():
         for _ in range(50):
             z = rng.uniform(-1.5, 1.5, d) + 1j * rng.uniform(-1.5, 1.5, d)
             w = rng.uniform(-1.5, 1.5, d) + 1j * rng.uniform(-1.5, 1.5, d)
-            got = kernel_tau0_closed(params, z, w)
+            got = kernel_tau0_closed_log(params, z, w).value
             with mp.workdps(50):
                 zs = [mp.mpc(c) for c in z]
                 ws = [mp.mpc(c) for c in w]
@@ -424,12 +423,12 @@ def test_tau0_closed_is_ginibre_at_d1():
         / math.pi
         * sum((z * np.conj(w)) ** j / math.factorial(j) for j in range(7))
     )
-    assert abs(kernel_tau0_closed(params, [z], [w]) - direct) <= 1e-15 * abs(direct)
+    assert abs(kernel_tau0_closed_log(params, [z], [w]).value - direct) <= 1e-15 * abs(direct)
 
 
 def test_tau0_closed_rejects_positive_tau():
     with pytest.raises(UsageError):
-        kernel_tau0_closed(ModelParams(d=1, tau=0.2, n=4), [0.0], [0.0])
+        kernel_tau0_closed_log(ModelParams(d=1, tau=0.2, n=4), [0.0], [0.0]).value
 
 
 def test_rho1_integrates_to_one_by_monte_carlo():

@@ -13,7 +13,7 @@ from edgedpp.predictors import (
     bulk_prediction,
     cofactor_cn,
     edge_density_prediction,
-    edge_density_second_term,
+    edge_density_terms,
     edge_kernel_prediction,
     normalized_kernel,
     normalized_kernel_many,
@@ -138,7 +138,7 @@ def test_edge_density_prediction_matches_exact_kernel():
         for lam in (-0.5, 0.0, 0.75):
             val = n**d * rho1_density(params, rn * ep.z + lam * ep.normal)
             pred = edge_density_prediction(params, ep, lam)
-            second = edge_density_second_term(params, ep, lam)
+            second = edge_density_terms(params, ep, lam)[1]
             assert abs(val - pred) <= 0.35 * max(abs(second), 1e-4)
 
 
@@ -202,13 +202,13 @@ def test_edge_kernel_residual_uniform_over_boundary():
 
 def test_kernel_tau_to_zero_continuity():
     # the tau = 0 kernel is the tau -> 0 limit of the Hermite form
-    from edgedpp.kernel import kernel_exact, kernel_tau0_closed
+    from edgedpp.kernel import kernel_exact, kernel_tau0_closed_log
 
     rng = np.random.default_rng(59)
     z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
     w = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
     tiny = kernel_exact(ModelParams(d=2, tau=1e-8, n=6), z, w)
-    zero = kernel_tau0_closed(ModelParams(d=2, tau=0.0, n=6), z, w)
+    zero = kernel_tau0_closed_log(ModelParams(d=2, tau=0.0, n=6), z, w).value
     assert abs(tiny - zero) <= 1e-6 * abs(zero)
 
 
@@ -216,12 +216,12 @@ def test_contour_kernel_tau_to_zero_continuity():
     # the same limit through the contour route: near tau = 0 the circle
     # radius is about tau, and the pole guard scales with it
     from edgedpp.contour import kernel_via_contour_log
-    from edgedpp.kernel import kernel_tau0_closed
+    from edgedpp.kernel import kernel_tau0_closed_log
 
     rng = np.random.default_rng(59)
     z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
     w = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-    zero = kernel_tau0_closed(ModelParams(d=2, tau=0.0, n=6), z, w)
+    zero = kernel_tau0_closed_log(ModelParams(d=2, tau=0.0, n=6), z, w).value
     for tau in (1e-4, 1e-6, 1e-8):
         tiny = kernel_via_contour_log(ModelParams(d=2, tau=tau, n=6), z / math.sqrt(6), w / math.sqrt(6))
         assert abs(tiny.value - zero) <= 100.0 * tau * abs(zero)

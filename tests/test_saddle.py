@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from edgedpp.contour import integral_I_tau, integral_I_zero
+from edgedpp.contour import integral_I_tau
 from edgedpp.errors import DomainError
 from edgedpp.geometry import edge_point_sample, saddle_frame, xi_for_tau, zpm_map
 from edgedpp.kernel import ModelParams
@@ -21,6 +21,7 @@ from edgedpp.saddle import (
     pole_gaussian_integral,
     sinh_ratio,
 )
+from oracles import ginibre_invariants, zpm_invariants
 
 
 def test_pole_gaussian_low_pole():
@@ -129,7 +130,7 @@ def test_asymptotic_zero_at_coalescence():
         want = 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * n))
         assert abs(got - want) <= 1e-14
         # the exact value approaches the same number like 1/n
-        exact = integral_I_zero(params, 1.0).value
+        exact = integral_I_tau(params, *ginibre_invariants(1.0)).value
         assert abs(exact - got) <= 5.0 / n
 
 
@@ -152,8 +153,7 @@ def test_asymptotic_matches_contour_with_rate():
         for n in (256, 1024):
             params = ModelParams(d=d, tau=tau, n=n)
             zp, zm, dp, dm = _edge_delta_frame(tau, eta, shape_p, shape_m, n)
-            fr = saddle_frame(params, zp, zm)
-            exact = integral_I_tau(params, fr).value
+            exact = integral_I_tau(params, *zpm_invariants(tau, zp, zm)).value
             asym = asymptotic_I_tau(params, eta, dp, dm)
             errs.append(abs(exact - asym))
         ratio = errs[1] / errs[0]
@@ -166,7 +166,7 @@ def test_asymptotic_zero_matches_contour_with_rate():
     for n in (256, 1024):
         params = ModelParams(d=2, tau=0.0, n=n)
         delta = shape / math.sqrt(n)
-        exact = integral_I_zero(params, 1.0 + delta).value
+        exact = integral_I_tau(params, *ginibre_invariants(1.0 + delta)).value
         asym = asymptotic_I_zero(params, delta)
         errs.append(abs(exact - asym))
     ratio = errs[1] / errs[0]
