@@ -28,9 +28,10 @@ sqrt(q/2) (sqrt P +- sqrt Q)/2 and P = sum_k (z'_k + conj(w'_k))^2:
 geometry's saddle of the z_pm pair times tau (zhat_pm = sqrt(tau) z_pm),
 and X at tau = 0.  The circle |t| = r lies near 1/|tau a|, capped at
 max(0.93, (1 + tau)/2)/tau (no cap at tau = 0) below the branch points
-t = +-1/tau, and is nudged away from the pole.  X, Q and P are summed
-coordinate by coordinate; forming Q or P from X and the square sums loses
-accuracy on near-real pairs.
+t = +-1/tau, and is nudged away from the pole, an uncapped circle at most
+halfway to the branch points.  X, Q and P are summed coordinate by
+coordinate; forming Q or P from X and the square sums loses accuracy on
+near-real pairs.
 
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
@@ -408,6 +409,8 @@ def integral_I_tau(
         # never below the cap, which lies above the pole: past tau = 0.96
         # the clip alone would shrink the circle inside the pole it counts
         r = min(r, max(0.5 * (cap + 1.0) - 0.03, cap) / tau)
+    elif tau > 0.0:  # in s, at most halfway from the saddle or pole circle to 1
+        r = min(r, 0.5 * (max(tau / ta, tau) + 1.0) / tau)
     # refusals state the radius in s = tau t, where the rules above are set
     shown = tau * r if tau > 0.0 else r
     if tau * r >= _MAX_RADIUS_TAU:

@@ -17,14 +17,12 @@ a pair only through its weights and two invariants
     X = sum_k z_k conj(w_k),    S = sum_k z_k^2 + sum_k conj(w_k)^2.
 
 Mehler's formula (DLMF 18.18.28), one factor per coordinate, gives the
-generating function of the degree-m parts h_m of the sum; with
-q = 1 - tau^2,
+generating function of the degree-m parts h_m of the sum; with q = 1 - tau^2,
 
     sum_m h_m s^m = (1 - tau^2 s^2)^(-d/2)
                     exp((q X s - (q tau / 2) S s^2) / (1 - tau^2 s^2)).
 
-Its logarithmic derivative is rational, so the h_m obey the five-term
-recurrence
+Its logarithmic derivative is rational, so the h_m obey the five-term recurrence
 
     (m+1) h_{m+1} = q X h_m + ((2m - 2 + d) tau^2 - q tau S) h_{m-1}
                     + q tau^2 X h_{m-2} - (m - 3 + d) tau^4 h_{m-3},
@@ -53,19 +51,20 @@ added up twice: u_{m+1} = w_{m+1} + tau^2 u_{m-1} and h_{m+1} = u_{m+1} +
 tau^2 h_{m-1}, as Reinsch's modification does for Clenshaw's recurrence
 near its double root.  The double root then lies exactly in the two
 additions, and a rounding of the small w moves the result by about eps
-relative.  Against
-40-digit mpmath the error stayed within 64 eps of the terms' L1 norm
-plus one rounding of the weight's log for tau up to 0.999999 and n up to
-4096, where the five-term form reached 7e4 eps.
+relative.  Against 40-digit mpmath the error stayed within 64 eps of the
+terms' L1 norm plus one rounding of the weight's log for tau up to
+0.999999 and n up to 4096, where the five-term form reached 7e4 eps.
 
-Each pair runs the recurrence as a scalar loop in Python's complex
-arithmetic.  Whenever an iterate passes 1e150 the iterates are divided
-by a power of two, which is exact, and the scale is kept as a binary
-exponent.  math.fsum rounds the sum of the terms once per component,
-flushed at each rescale, and combines the log parts (prefactor, weights,
-scale, log |sum|), so the weight's log, of size up to |z|^2 + |w|^2,
-costs one rounding.  One pair at n = 4096 takes 5 to 8 ms in any d
-on a 2-core x86-64 machine.
+Each pair runs the recurrence as a scalar Python loop, in float arithmetic
+when X and S are real (every diagonal pair; the same bits as the complex
+loop) and in complex arithmetic otherwise.  Past 1e150 the iterates are
+divided by a power of two, exactly, and the scale kept as a binary
+exponent.  numpy's pairwise sum adds the terms per component, flushed at
+each rescale, within about log2(n) eps of their L1 norm (Higham, SIAM J.
+Sci. Comput. 14, 1993); math.fsum combines the log parts, so the weight's
+log, of size up to |z|^2 + |w|^2, costs one rounding.  At n = 4096 a
+diagonal pair takes 1 to 2 ms and an off-diagonal one 2.4 to 4.5 ms in
+any d on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -133,20 +132,21 @@ def log_weight_omega(zeta: complex, tau: float) -> float:
     return -abs(zeta) ** 2 + tau * (zeta * zeta).real
 
 
-def _fsum(terms: list[complex]) -> complex:
-    """Correctly rounded sum of complex terms, per component."""
-    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+def _pairwise_sum(terms: list):
+    """numpy's pairwise sum of float or complex terms, per component, so
+    real terms give the same bits in either type."""
+    a = np.array(terms)
+    return float(a.sum()) if a.dtype.kind == "f" else complex(a.real.sum(), a.imag.sum())
 
 
-def _degree_sum(qx: complex, qts: complex, t2: float, d4: float, n: int) -> tuple[float, complex]:
-    """sum_{m<n} h_m of the module docstring's recurrence as (log scale, total),
-    the sum being exp(log scale) * total, for qx = q X, qts = q tau S,
-    t2 = tau^2 and d4 = d - 4, in the difference form of the docstring.
-
-    The two additions apply the same rounded tau^2, so the double root stays
-    exactly double; no tau^4 is formed.
+def _degree_sum(qx, qts, t2: float, d4: float, n: int):
+    """sum_{m<n} h_m as (log scale, total), the sum being exp(log scale) *
+    total, for qx = q X, qts = q tau S, t2 = tau^2 and d4 = d - 4, in the
+    module docstring's difference form and in the arithmetic of qx: float or
+    complex.  Both additions apply one rounded tau^2, so the double root
+    stays exactly double; no tau^4 is formed.
     """
-    h0, h1, h2, u0, u1 = 1.0 + 0.0j, 0j, 0j, 1.0 + 0.0j, 0j
+    h0, h1, h2, u0, u1 = (type(qx)(v) for v in (1, 0, 0, 1, 0))
     terms = [h0]
     exponent = 0  # the iterates and terms are 2^-exponent times the true ones
     for k in range(1, n):
@@ -157,10 +157,10 @@ def _degree_sum(qx: complex, qts: complex, t2: float, d4: float, n: int) -> tupl
             e = math.frexp(abs(h0))[1]
             f = math.ldexp(1.0, -e)
             h0, h1, h2, u0, u1 = h0 * f, h1 * f, h2 * f, u0 * f, u1 * f
-            terms = [_fsum(terms) * f]
+            terms = [_pairwise_sum(terms) * f]
             exponent += e
         terms.append(h0)
-    return exponent * _LOG2, _fsum(terms)
+    return exponent * _LOG2, _pairwise_sum(terms)
 
 
 def _as_points(params: ModelParams, pts) -> np.ndarray:
@@ -174,12 +174,9 @@ def _as_points(params: ModelParams, pts) -> np.ndarray:
 
 
 def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase]:
-    """K_n(z_b, w_b) for every pair b of two (B, d) arrays, in log/phase form.
-
-    X, S and the weight logs of all pairs come from numpy; then each pair
-    runs the degree recurrence of the module docstring, in its difference
-    form, on its X and S.  Returns one value per pair, in the input order.
-    """
+    """K_n(z_b, w_b) for every pair b of two (B, d) arrays, in log/phase form
+    and input order: X, S and the weight logs of all pairs come from numpy,
+    then each pair runs the degree recurrence on its X and S."""
     z = _as_points(params, zs)
     w = _as_points(params, ws)
     if z.shape != w.shape:
@@ -188,9 +185,8 @@ def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase
     t2 = tau * tau
     q = (1.0 - tau) * (1.0 + tau)  # 1 - tau^2 without cancellation near tau = 1
     log_pref = d * (0.5 * math.log(q) - math.log(math.pi))
-    # X, S and the 2d weight logs of every pair in the real operations of
-    # scalar complex arithmetic and log_weight_omega, with no fused
-    # multiply-add: X stays exactly real on the diagonal
+    # X, S and the 2d weight logs in the real operations of scalar complex arithmetic
+    # and log_weight_omega, no fused multiply-add: X and S stay real on the diagonal
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
     x = np.sum(zr * wr + zi * wi, axis=1) + 1j * np.sum(zi * wr - zr * wi, axis=1)
     s = np.sum(zr * zr - zi * zi + (wr * wr - wi * wi), axis=1)
@@ -199,6 +195,8 @@ def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase
     log_w = 0.5 * (-np.hypot(cr, ci) ** 2 + tau * (cr * cr - ci * ci))
     out = []
     for xb, sb, log_wb in zip(x.tolist(), s.tolist(), log_w.tolist()):
+        if xb.imag == 0.0 and sb.imag == 0.0:  # every diagonal pair
+            xb, sb = xb.real, sb.real
         log_scale, total = _degree_sum(q * xb, q * tau * sb, t2, d - 4.0, n)
         if total == 0:
             out.append(LogMagnitudePhase(-math.inf, 1.0 + 0.0j))
@@ -226,9 +224,8 @@ def kernel_exact(params: ModelParams, z, w) -> complex:
 
 
 def truncated_exp_series(x: complex, nterms: int) -> LogMagnitudePhase:
-    """sum_{j < nterms} x^j / j! in log/phase form.
-
-    For |x| < nterms it is e^x minus the tail sum_{j >= nterms} x^j / j!.
+    """sum_{j < nterms} x^j / j! in log/phase form: for |x| < nterms, e^x
+    minus the tail sum_{j >= nterms} x^j / j!.
     The tail is x^nterms / nterms!, a rescaled running product, times a
     series whose terms shrink by |x| / (j + 1) < 1.  The log-domain sum of
     the terms instead rounds each log j log|x| - lgamma(j + 1), which costs
@@ -258,7 +255,7 @@ def truncated_exp_series(x: complex, nterms: int) -> LogMagnitudePhase:
         term = term * x / k
         terms.append(term)
         partial += term
-    tail = LogMagnitudePhase(lead_log, 1.0 + 0.0j).scaled(lead * _fsum(terms))
+    tail = LogMagnitudePhase(lead_log, 1.0 + 0.0j).scaled(lead * _pairwise_sum(terms))
     exp_x = LogMagnitudePhase.from_log(x)
     return stable_sum_arrays(
         np.array([exp_x.log_mag, tail.log_mag]), np.array([exp_x.phase, -tail.phase])

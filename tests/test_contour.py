@@ -511,10 +511,13 @@ def _near_edge_pair(params, seed, u_size, v_size):
 )
 @example(d=2, tau=1e-200, n=256, seed=1, u_size=0.5, v_size=0.7)
 @example(d=1, tau=5e-324, n=2048, seed=2, u_size=1.0, v_size=0.0)
+@example(d=1, tau=0.9626320027516655, n=926, seed=26449127, u_size=0.18062569720250998, v_size=0.9905707051900403)
 def test_contour_route_agrees_with_the_exact_route(d, tau, n, seed, u_size, v_size):
     # across the whole domain the contour route gives the exact kernel to
-    # 1e-8, or refuses with a typed error (as it does past tau ~ 0.92 for
-    # some radii); subnormal tau is the tau = 0 integral, not a crash
+    # 1e-8, or refuses with a typed error (as it does for some near-edge
+    # pairs past tau = 0.9); subnormal tau is the tau = 0 integral, not a
+    # crash.  The tau = 0.96 example is a circle an unbounded outward nudge
+    # takes to |s| = 0.9987, next to the branch points
     params = ModelParams(d=d, tau=tau, n=n)
     z, w = _near_edge_pair(params, seed, u_size, v_size)
     try:
@@ -523,6 +526,26 @@ def test_contour_route_agrees_with_the_exact_route(d, tau, n, seed, u_size, v_si
         return
     exact = kernel_exact_log(params, math.sqrt(n) * z, math.sqrt(n) * w)
     assert abs(via.ratio_to(exact) - 1.0) <= 1e-8
+
+
+def test_contour_route_near_tau_one_agrees_or_refuses():
+    # 40 seeded near-edge draws with tau in [0.9, 0.999], where the outward
+    # radius nudge reached the branch points: each agrees with the exact
+    # route to 1e-8 or refuses with a typed error, and most agree
+    rng = np.random.default_rng(20260401)
+    agreed = 0
+    for _ in range(40):
+        d, tau, n = int(rng.integers(1, 5)), float(rng.uniform(0.9, 0.999)), int(rng.integers(2, 2049))
+        params = ModelParams(d=d, tau=tau, n=n)
+        z, w = _near_edge_pair(params, int(rng.integers(2**32)), *rng.uniform(0.0, 1.0, 2))
+        try:
+            via = kernel_via_contour_log(params, z, w)
+        except EdgeDppError:
+            continue
+        exact = kernel_exact_log(params, math.sqrt(n) * z, math.sqrt(n) * w)
+        assert abs(via.ratio_to(exact) - 1.0) <= 1e-8, (d, tau, n)
+        agreed += 1
+    assert agreed >= 30
 
 
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-200, 1e-100, 1e-12])

@@ -286,6 +286,46 @@ def test_kernel_near_tau_one_against_mpmath(d):
     assert _scaled_gap(hermite, ref, l1_log) <= tol, (hermite, ref)
 
 
+def test_kernel_at_deep_bulk_off_diagonal_pairs_against_mpmath():
+    # d = 2, tau = 0.05, n = 4096, |z_k| = 0.3 sqrt(n), w = z + 0.5 e^{i phi}:
+    # deep in the bulk, off the diagonal, the recurrence meets the Hermite
+    # definition's bound in units of |K|, at most the terms' L1 norm
+    pytest.importorskip("mpmath")
+    params = ModelParams(d=2, tau=0.05, n=4096)
+    for k in range(4):
+        z = 0.3 * math.sqrt(params.n) * np.exp(1j * (np.array([0.4, 1.9]) + 1.3 * k))
+        w = z + 0.5 * np.exp(1j * (np.array([0.7, 1.8]) + 2.0 * k))
+        got = kernel_exact_log(params, z, w)
+        ref = kernel_mpmath_log(params, z, w)
+        tol = _hermite_bound(2, ref.log_mag, float(np.sum(np.abs(z) ** 2 + np.abs(w) ** 2)))
+        assert _scaled_gap(got, ref, ref.log_mag) <= tol, (k, got, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [0.0, 5e-324, 0.5, 0.999999])
+def test_degree_sum_on_real_invariants_is_the_complex_loop_in_floats(d, tau):
+    # real X and S run the loop in float arithmetic: the same bits as the
+    # complex loop, whose imaginary parts stay 0; q X = 3000 rescales
+    q = (1.0 - tau) * (1.0 + tau)
+    for n in (1, 2, 64, 4096):
+        for x, s in ((0.7, -0.3), (-25.0 / q, 40.0), (3000.0 / q, 1500.0 / q)):
+            got = kernel._degree_sum(q * x, q * tau * s, tau * tau, d - 4.0, n)
+            ref = kernel._degree_sum(q * complex(x), q * tau * complex(s), tau * tau, d - 4.0, n)
+            assert type(got[1]) is float and ref[1].imag == 0.0
+            assert got == (ref[0], ref[1].real), (n, x, s)
+    assert got[0] > 0.0
+
+
+def test_diagonal_kernel_values_have_phase_exactly_one():
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        for tau in (0.0, 0.5, 0.999):
+            params = ModelParams(d=d, tau=tau, n=64)
+            zs = 4.0 * (rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d)))
+            for got in kernel_exact_log_many(params, zs, zs):
+                assert got.phase in (1.0, -1.0) and got.phase.imag == 0.0, (d, tau, got)
+
+
 def test_batched_kernel_validates_its_arguments():
     params = ModelParams(d=2, tau=0.5, n=4)
     assert kernel_exact_log_many(params, np.empty((0, 2)), np.empty((0, 2))) == []
