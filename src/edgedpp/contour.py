@@ -49,10 +49,11 @@ arithmetic, free of cancellation near t = 1 and t = +-1/tau: with rho =
 tau r, |1 -+ tau t|^2 = (1 - rho)^2 + 2 rho (1 -+ cos), t/(1 + tau t) =
 r ((1 + cos) - (1 - rho) + i sin)/|1 + tau t|^2 and tau t^2/(1 - tau^2
 t^2) = r rho ((1 - rho)(1 + rho) - 2 sin^2 + i sin 2 theta)/|1 - tau^2
-t^2|^2.  Only the nodes within 60 nats of the largest get a phase; the
-rest add at most count e^-60 of it, below the sum's rounding, and stay in
-the cancellation guard.  The turn (n - 1) theta of the phase is reduced
-modulo 2 pi exactly, in integers.
+t^2|^2, a fraction that is 0 at rho = 0 and then not formed.  Only the
+nodes within 60 nats of the largest get a weight and a phase; the rest
+add at most count e^-60 of it, below the sum's rounding, and the
+cancellation guard counts each at that bound.  The turn (n - 1) theta of
+the phase is reduced modulo 2 pi exactly, in integers.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ _RADIUS_CAP_TAU = 0.93
 # Refuse when the pole ends up closer than this many r/sqrt(n) units; the
 # radius nudge is relative, so the guard is too.
 _MIN_POLE_GAP = 1e-3
-# A node this many nats below the largest of its pass gets no phase and
-# joins the sum as zero (it stays in the cancellation guard's L1 norm).
+# A node this many nats below the largest of its pass gets no weight or phase
+# and joins the sum as zero; the cancellation guard counts it at e^-_KEEP_NATS.
 _KEEP_NATS = 60.0
 
 @dataclass(frozen=True)
@@ -191,37 +192,29 @@ def _trapezoid_nodes(count: int, midpoints: bool = False) -> np.ndarray:
     return table
 
 
-def _node_pass(
-    node_values: _NodeValues, count: int, midpoints: bool = False
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _node_pass(node_values: _NodeValues, count: int, midpoints: bool = False) -> tuple[float, float, np.ndarray]:
     """One pass of the rule over the count nodes (or midpoints) of a node table.
 
-    Returns the largest log magnitude, every node's weight
-    e^{log_mag - shift} (the cancellation guard sums them all) and the
-    terms weight * phase.  Only the nodes within _KEEP_NATS of the largest
-    get a phase; the others' terms are zero.  Each of those would add at
-    most e^-60 of the largest, so together they stay below the sum's own
-    rounding for count < 2^30.
+    Returns the largest log magnitude, the L1 norm of the weights
+    e^{log_mag - shift} and the terms weight * phase.  Only the nodes
+    within _KEEP_NATS of the largest get a weight and a phase (numpy's exp
+    is slow on the inputs that underflow); the others' terms are zero, and
+    the L1 norm counts each at its bound e^-_KEEP_NATS.  Together they stay
+    below the sum's own rounding for count < 2^30.
     """
     log_mag, phase_of = node_values(_trapezoid_nodes(count, midpoints), midpoints)
-    shift = float(np.max(log_mag))
+    shift = float(log_mag.max())
     if not shift < math.inf:  # nan or +inf
         raise DomainError("log magnitudes must be < +inf and not nan")
-    weights = np.exp(log_mag - shift)
     keep = np.flatnonzero(log_mag >= shift - _KEEP_NATS)
+    weights = np.exp(log_mag[keep] - shift)
     terms = np.zeros(count, dtype=complex)
-    terms[keep] = weights[keep] * phase_of(keep)
-    return shift, weights, terms
+    terms[keep] = weights * phase_of(keep)
+    return shift, float(weights.sum()) + (count - keep.size) * math.exp(-_KEEP_NATS), terms
 
 
 def _nested_trapezoid(
-    node_values: _NodeValues,
-    count: int,
-    residue: bool,
-    config: ContourConfig,
-    r: float,
-    n: int,
-    where: str,
+    node_values: _NodeValues, count: int, residue: bool, config: ContourConfig, r: float, n: int, where: str
 ) -> LogMagnitudePhase:
     """Adaptive trapezoid rule on the circle, certified by its embedded half.
 
@@ -235,12 +228,11 @@ def _nested_trapezoid(
     times a complex total and an L1 norm.  The residue +1 joins each
     estimate after the weighting.  Every estimate from T_N on passes the
     cancellation guard, whose L1 norm covers every evaluated node, the
-    dropped ones included.
+    dropped ones at their bound.
     """
-    shift, weights, terms = _node_pass(node_values, count)
-    even_total = complex(np.sum(terms[::2]))
-    total = even_total + complex(np.sum(terms[1::2]))
-    l1 = float(np.sum(weights))
+    shift, l1, terms = _node_pass(node_values, count)
+    even_total = complex(terms[::2].sum())
+    total = even_total + complex(terms[1::2].sum())
 
     def estimate(shift: float, total: complex, nodes: int) -> LogMagnitudePhase:
         shift -= math.log(nodes)
@@ -253,17 +245,17 @@ def _nested_trapezoid(
     prev = estimate(shift, even_total, count // 2)
     for doubling in range(config.max_doublings + 1):
         if doubling:
-            mid_shift, weights, terms = _node_pass(node_values, count, True)
+            mid_shift, mid_l1, terms = _node_pass(node_values, count, True)
             top = max(shift, mid_shift)
             old, mid = math.exp(shift - top), math.exp(mid_shift - top)
-            total = total * old + complex(np.sum(terms)) * mid
-            l1 = l1 * old + float(np.sum(weights)) * mid
+            total = total * old + complex(terms.sum()) * mid
+            l1 = l1 * old + mid_l1 * mid
             shift = top
             count *= 2
         val = estimate(shift, total, count)
         l1_log = shift + math.log(l1) - math.log(count)  # l1 >= 1: the largest node weighs 1
-        if residue:
-            l1_log = float(np.logaddexp(l1_log, 0.0))
+        if residue:  # log(e^l1_log + 1)
+            l1_log = max(l1_log, 0.0) + math.log1p(math.exp(-abs(l1_log)))
         _reject_hopeless_cancellation(l1_log, val, r, n)
         if _converged(val, prev, config.tolerance):
             return val
@@ -282,26 +274,35 @@ def _start_count(config: ContourConfig, n: int) -> int:
 
 def _phase_on_circle(
     tau: float, x: complex, q_sum: complex, r: float, table: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, Callable[..., np.ndarray], np.ndarray | None]:
     """Re G on |t| = r, Im G at given node indices, and |1 - tau^2 t^2|^2.
 
-    G(t) = q X t/(1 + tau t) - (q Q/2) tau t^2/(1 - tau^2 t^2), with both
-    fractions in the real forms of the module docstring.
+    G(t) = q X t/(1 + tau t) - (q Q/2) tau t^2/(1 - tau^2 t^2).  Each
+    fraction's scale and real part (module docstring) is a row of one array,
+    gathered once at the kept nodes.  At rho = tau r = 0 the second fraction
+    (exactly 0) and |1 - tau^2 t^2|^2 (exactly 1; None) are not formed.
     """
     _, sin, _, one_plus_cos, sin_2, two_sin_sq = table
     rho = tau * r
     e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
-    to_plus = e * e + 2.0 * rho * one_plus_cos  # |1 + tau t|^2
-    branch_sq = c0 * c0 + (2.0 * rho * rho) * two_sin_sq  # |1 - tau^2 t^2|^2
-    a_scale, b_scale = r / to_plus, (r * rho) / branch_sq
-    a_re, b_re = one_plus_cos - e, c0 - two_sin_sq  # the real parts over the scales
     q = (1.0 - tau) * (1.0 + tau)
     qx, qq = q * x, 0.5 * q * q_sum
-    re_g = a_scale * (qx.real * a_re - qx.imag * sin) - b_scale * (qq.real * b_re - qq.imag * sin_2)
+    rows = np.empty((4 if rho else 2, sin.size))  # a_scale, a_re[, b_scale, b_re]
+    np.divide(r, e * e + 2.0 * rho * one_plus_cos, out=rows[0])  # over |1 + tau t|^2
+    np.subtract(one_plus_cos, e, out=rows[1])
+    re_g = rows[0] * (qx.real * rows[1] - qx.imag * sin)
+    branch_sq = c0 * c0 + (2.0 * rho * rho) * two_sin_sq if rho else None
+    if rho:
+        np.divide(r * rho, branch_sq, out=rows[2])
+        np.subtract(c0, two_sin_sq, out=rows[3])
+        re_g -= rows[2] * (qq.real * rows[3] - qq.imag * sin_2)
 
-    def im_g(keep: np.ndarray) -> np.ndarray:
-        a_part = qx.real * sin[keep] + qx.imag * a_re[keep]
-        return a_scale[keep] * a_part - b_scale[keep] * (qq.real * sin_2[keep] + qq.imag * b_re[keep])
+    def im_g(keep: np.ndarray, sin: np.ndarray, sin_2: np.ndarray) -> np.ndarray:  # sin, sin 2 theta at keep
+        a_scale, a_re, *b = rows.take(keep, axis=1)
+        im = a_scale * (qx.real * sin + qx.imag * a_re)
+        if b:
+            im -= b[0] * (qq.real * sin_2 + qq.imag * b[1])
+        return im
 
     return re_g, im_g, branch_sq
 
@@ -309,8 +310,8 @@ def _phase_on_circle(
 def _turn(n: int, keep: np.ndarray, midpoints: bool, count: int) -> np.ndarray:
     """(n - 1) theta modulo 2 pi at the nodes keep, reduced in integers:
     theta = 2 pi m / (2 count) with m = 2k, or 2k + 1 at the midpoints."""
-    twice = 2 * count
-    return ((n - 1) % twice * (2 * keep + midpoints) % twice) * (math.pi / count)
+    step = (n - 1) % (2 * count)  # (n - 1) m = 2 (n - 1) k (+ n - 1), modulo 2 count
+    return ((2 * step * keep + step * midpoints) % (2 * count)) * (math.pi / count)
 
 
 def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
@@ -327,27 +328,30 @@ def _quadrature(
     - G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with
     t - 1 = -((1 - r) + r (1 - cos)) + i r sin.  The phases take the
     principal branch of (1 - tau^2 t^2)^{d/2}, whose real part every node
-    must keep positive.
+    must keep positive; at rho = tau r = 0 it is 1 and adds nothing.
     """
     tau, d, n = params.tau, params.d, params.n
-    _, sin, one_minus_cos, _, sin_2, two_sin_sq = table
     rho = tau * r
     # Re(1 - tau^2 t^2) = (1 - rho^2) + rho^2 2 sin^2 stays positive on the circle iff rho < 1
     if not rho < 1.0:
         raise ContourError("contour touches the branch region of (1 - tau^2 t^2)^{d/2}")
     re_g, im_g, branch_sq = _phase_on_circle(tau, x, q_sum, r, table)
     f_pole, log_r = _g_at_pole(tau, x, q_sum), math.log(r)
-    to_pole = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos  # |t - 1|^2
-    log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(to_pole) - (0.25 * d) * np.log(branch_sq)
+    to_pole = (1.0 - r) ** 2 + 2.0 * r * table[2]  # |t - 1|^2, with 1 - cos in row 2
+    log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(to_pole)
+    if rho:
+        log_mag -= (0.25 * d) * np.log(branch_sq)
     log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
 
     def phase_of(keep: np.ndarray) -> np.ndarray:
-        r_sin = r * sin[keep]
-        arg_pole = np.arctan2(r_sin, (r - 1.0) - r * one_minus_cos[keep])
-        branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq[keep]
-        arg_branch = np.arctan2(-rho * rho * sin_2[keep], branch_re)
-        phi = n * (im_g(keep) - f_pole.imag) - _turn(n, keep, midpoints, table.shape[1])
-        return np.exp(1j * (phi - arg_pole - (0.5 * d) * arg_branch + math.pi))
+        _, sin, one_minus_cos, _, sin_2, two_sin_sq = table.take(keep, axis=1)
+        phi = n * (im_g(keep, sin, sin_2) - f_pole.imag)
+        phi -= _turn(n, keep, midpoints, table.shape[1])
+        phi -= np.arctan2(r * sin, (r - 1.0) - r * one_minus_cos)  # arg(t - 1)
+        if rho:
+            branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq
+            phi -= (0.5 * d) * np.arctan2(-rho * rho * sin_2, branch_re)
+        return np.exp(1j * (phi + math.pi))
 
     return log_mag, phase_of
 
@@ -432,11 +436,10 @@ def _pole_normalized(
     params: ModelParams, zp: np.ndarray, wp: np.ndarray, config: ContourConfig, include_residue: bool
 ) -> tuple[LogMagnitudePhase, complex]:
     """N and G(1) of the validated pair (z', w'), invariants summed coordinate by coordinate."""
-    wc = np.conj(wp)
-    x = complex(np.sum(zp * wc))
-    q_sum, p_sum = complex(np.sum((zp - wc) ** 2)), complex(np.sum((zp + wc) ** 2))
-    big_n = integral_I_tau(params, x, q_sum, p_sum, config, include_residue)
-    return big_n, _g_at_pole(params.tau, x, q_sum)
+    wc = wp.conj()
+    x = complex((zp * wc).sum())
+    q_sum, p_sum = complex(((zp - wc) ** 2).sum()), complex(((zp + wc) ** 2).sum())
+    return integral_I_tau(params, x, q_sum, p_sum, config, include_residue), _g_at_pole(params.tau, x, q_sum)
 
 
 def normalized_integral(
@@ -471,13 +474,10 @@ def kernel_via_contour_log(
     serves every 0 <= tau < 1, continuous as tau -> 0.
     """
     d, tau, n = params.d, params.tau, params.n
-    z = as_point(params, z)
-    w = as_point(params, w)
+    z, w = as_point(params, z), as_point(params, w)
     rn = math.sqrt(n)
-    log_w = 0.5 * sum(
-        log_weight_omega(complex(rn * z[k]), tau) + log_weight_omega(complex(rn * w[k]), tau)
-        for k in range(d)
-    )
+    scaled = zip((rn * z).tolist(), (rn * w).tolist())
+    log_w = 0.5 * sum(log_weight_omega(zk, tau) + log_weight_omega(wk, tau) for zk, wk in scaled)
     big_n, f_pole = _pole_normalized(params, z, w, config, True)
     pref = LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole)
     return big_n * pref
@@ -499,4 +499,4 @@ def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:
     r = frame.radius / tau
     x, q_sum = scale * frame.z_plus * frame.z_minus, scale * frame.phase.q_sq
     re_g = _phase_on_circle(tau, x, q_sum, r, _trapezoid_nodes(grid_size))[0]
-    return float(np.max(re_g) - math.log(r) - frame.F_at_a_inv.real)
+    return float(re_g.max() - math.log(r) - frame.F_at_a_inv.real)

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from edgedpp.errors import ConsistencyError, DegenerateCoordinatesError, DomainError, UsageError
+from edgedpp import contour
+from edgedpp.errors import ConsistencyError, ContourError, DegenerateCoordinatesError, DomainError, UsageError
 from edgedpp.kernel import (
     ModelParams,
     as_point,
@@ -528,6 +529,73 @@ def quadrature_zero_complex(zeta: complex, n: int, r: float, theta: np.ndarray):
     rest = s / (s - 1.0)
     log_mag = n * df.real + np.log(np.abs(rest))
     return log_mag, np.exp(1j * (n * df.imag)) * (rest / np.abs(rest)) * (-1.0)
+
+
+def _phase_on_circle_reference(tau: float, x: complex, q_sum: complex, r: float, table: np.ndarray):
+    """Re G on |t| = r from every term of both fractions, tau terms
+    included at tau = 0; Im G at given node indices; and |1 - tau^2 t^2|^2."""
+    _, sin, _, one_plus_cos, sin_2, two_sin_sq = table
+    rho = tau * r
+    e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
+    to_plus = e * e + 2.0 * rho * one_plus_cos  # |1 + tau t|^2
+    branch_sq = c0 * c0 + (2.0 * rho * rho) * two_sin_sq  # |1 - tau^2 t^2|^2
+    a_scale, b_scale = r / to_plus, (r * rho) / branch_sq
+    a_re, b_re = one_plus_cos - e, c0 - two_sin_sq  # the real parts over the scales
+    q = (1.0 - tau) * (1.0 + tau)
+    qx, qq = q * x, 0.5 * q * q_sum
+    re_g = a_scale * (qx.real * a_re - qx.imag * sin) - b_scale * (qq.real * b_re - qq.imag * sin_2)
+
+    def im_g(keep: np.ndarray) -> np.ndarray:
+        a_part = qx.real * sin[keep] + qx.imag * a_re[keep]
+        return a_scale[keep] * a_part - b_scale[keep] * (qq.real * sin_2[keep] + qq.imag * b_re[keep])
+
+    return re_g, im_g, branch_sq
+
+
+def quadrature_reference(params: ModelParams, x: complex, q_sum: complex, r: float, table: np.ndarray, midpoints: bool):
+    """Reference for contour._quadrature: the same real arithmetic on the
+    same node table, but with every tau term formed at every tau, each node
+    row indexed on its own and the turn (n - 1) m reduced as one product, so
+    that equal floats show that the production pass's skips at tau r = 0,
+    its gathered rows and its integer reduction change no bit."""
+    tau, d, n = params.tau, params.d, params.n
+    _, sin, one_minus_cos, _, sin_2, two_sin_sq = table
+    rho = tau * r
+    if not rho < 1.0:
+        raise ContourError("contour touches the branch region of (1 - tau^2 t^2)^{d/2}")
+    re_g, im_g, branch_sq = _phase_on_circle_reference(tau, x, q_sum, r, table)
+    f_pole, log_r = (1.0 - tau) * x - 0.5 * tau * q_sum, math.log(r)
+    to_pole = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos  # |t - 1|^2
+    log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(to_pole) - (0.25 * d) * np.log(branch_sq)
+    log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
+    count = table.shape[1]
+
+    def phase_of(keep: np.ndarray) -> np.ndarray:
+        r_sin = r * sin[keep]
+        arg_pole = np.arctan2(r_sin, (r - 1.0) - r * one_minus_cos[keep])
+        branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq[keep]
+        arg_branch = np.arctan2(-rho * rho * sin_2[keep], branch_re)
+        twice = 2 * count
+        turn = ((n - 1) % twice * (2 * keep + midpoints) % twice) * (math.pi / count)
+        phi = n * (im_g(keep) - f_pole.imag) - turn
+        return np.exp(1j * (phi - arg_pole - (0.5 * d) * arg_branch + math.pi))
+
+    return log_mag, phase_of
+
+
+def node_pass_all_nodes(node_values, count: int, midpoints: bool = False):
+    """Reference for contour._node_pass: every node gets its weight
+    e^{log_mag - shift}, and the L1 norm is their plain sum; the nodes
+    within contour._KEEP_NATS of the largest get a phase."""
+    log_mag, phase_of = node_values(contour._trapezoid_nodes(count, midpoints), midpoints)
+    shift = float(np.max(log_mag))
+    if not shift < math.inf:
+        raise DomainError("log magnitudes must be < +inf and not nan")
+    weights = np.exp(log_mag - shift)
+    keep = np.flatnonzero(log_mag >= shift - contour._KEEP_NATS)
+    terms = np.zeros(count, dtype=complex)
+    terms[keep] = weights[keep] * phase_of(keep)
+    return shift, float(np.sum(weights)), terms
 
 
 def weight_omega(zeta: complex, tau: float) -> float:

@@ -1,6 +1,8 @@
 """Contour quadrature of the single-integral kernel representations."""
 
+import functools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -26,8 +28,10 @@ from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
 from oracles import (
     ginibre_invariants,
     integral_I_zero_closed,
+    node_pass_all_nodes,
     pair_invariants,
     phase_at_pole,
+    quadrature_reference,
     quadrature_tau_complex,
     quadrature_zero_complex,
 )
@@ -230,15 +234,18 @@ def test_nodes_match_the_complex_expression(d, tau, n):
 
 def test_dropped_nodes_move_an_integral_by_less_than_2_eps_of_its_l1_norm(monkeypatch):
     # at n = 4096 most nodes lie more than 60 nats below the largest and get
-    # no phase; keeping them all moves the integral by less than 2 eps of
-    # the L1 norm of its weighted node terms
+    # no weight or phase; keeping them all moves the integral by less than
+    # 2 eps of the L1 norm of its weighted node terms
     passes = []
     original = contour._node_pass
 
     def recorded(*args):
-        shift, weights, terms = original(*args)
-        passes.append((shift, weights, np.count_nonzero(terms)))
-        return shift, weights, terms
+        shift, l1, terms = original(*args)
+        passes.append((shift, l1, terms))
+        return shift, l1, terms
+
+    def nonzero_terms():
+        return sum(np.count_nonzero(terms) for _, _, terms in passes)
 
     monkeypatch.setattr(contour, "_node_pass", recorded)
     for d, tau in [(1, 0.0), (2, 0.5), (3, 0.93)]:
@@ -248,17 +255,111 @@ def test_dropped_nodes_move_an_integral_by_less_than_2_eps_of_its_l1_norm(monkey
         for residue in (True, False):
             passes.clear()
             got, _ = normalized_integral(params, z, u, v, include_residue=residue)
-            assert sum(np.count_nonzero(w) - kept for _, w, kept in passes) > 0
+            kept = nonzero_terms()
+            assert kept < sum(terms.size for _, _, terms in passes)
             monkeypatch.setattr(contour, "_KEEP_NATS", math.inf)
             passes.clear()
             full, _ = normalized_integral(params, z, u, v, include_residue=residue)
             monkeypatch.setattr(contour, "_KEEP_NATS", 60.0)
-            assert all(np.count_nonzero(w) == kept for _, w, kept in passes)
-            count = sum(w.size for _, w, _ in passes)
+            # the full run sums nodes the default run drops, and with no node
+            # dropped its L1 norm is the plain sum of all the weights
+            assert nonzero_terms() > kept
+            count = sum(terms.size for _, _, terms in passes)
             top = max(shift for shift, _, _ in passes)
-            l1 = sum(math.exp(shift - top) * float(np.sum(w)) for shift, w, _ in passes)
+            l1 = sum(math.exp(shift - top) * l1 for shift, l1, _ in passes)
             l1_log = top + math.log(l1 / count)
             assert abs(got.ratio_to(full) - 1.0) * math.exp(full.log_mag - l1_log) < 2 * EPS
+
+
+def _with_reference_nodes(monkeypatch, integral):
+    """integral() on the reference node expressions of tests/oracles.py:
+    every tau term formed at every tau, and a weight at every node."""
+    with monkeypatch.context() as patched:
+        patched.setattr(contour, "_quadrature", quadrature_reference)
+        patched.setattr(contour, "_node_pass", node_pass_all_nodes)
+        return integral()
+
+
+def _value_or_refusal(integral):
+    try:
+        return integral()
+    except EdgeDppError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096])
+@pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-3, 0.5, 0.95])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_trimmed_node_pass_gives_the_reference_floats(monkeypatch, d, tau, n):
+    # weights and phases only at the kept nodes, no tau terms at rho = 0 and
+    # the gathered rows change no bit of the integral: equal floats, not a
+    # tolerance (or the same refusal), with the pole inside (half an edge
+    # point) and outside (1.2 times it), with and without the residue
+    params = ModelParams(d=d, tau=tau, n=n)
+    edge = edge_point_sample(params, 5).z
+    inside = []
+
+    def recorded(params, x, q_sum, r, *table):
+        inside.append(r > 1.0)
+        return _quadrature(params, x, q_sum, r, *table)
+
+    monkeypatch.setattr(contour, "_quadrature", recorded)
+    values = 0
+    for scale in (0.5, 1.2):
+        z = scale * edge
+        inv = pair_invariants(z, z + 0.3 / math.sqrt(n) * np.exp(1j * np.arange(d)))
+        for residue in (True, False):
+            integral = functools.partial(integral_I_tau, params, *inv, include_residue=residue)
+            inside.clear()
+            got = _value_or_refusal(integral)
+            assert got == _with_reference_nodes(monkeypatch, functools.partial(_value_or_refusal, integral))
+            assert inside[0] == (scale == 0.5)
+            values += isinstance(got, LogMagnitudePhase)
+    # only a bare integral inside the pole may cancel past double precision
+    assert values >= 3
+
+
+@pytest.mark.parametrize("d, tau", [(1, 0.0), (2, 0.5), (3, 0.93)])
+def test_cancellation_guard_bounds_every_evaluated_node(monkeypatch, d, tau):
+    # the guard's log L1 norm counts each dropped node at its bound e^-60 of
+    # the largest: it is at least the log-sum-exp of every evaluated node
+    # (and the residue) and exceeds it by at most count e^-60 relative, up
+    # to the rounding of the two sums and their logs (a few eps of the
+    # shifts they add)
+    params = ModelParams(d=d, tau=tau, n=4096)
+    z = edge_point_sample(params, 7).z
+    u, v = np.zeros(d), 0.4 * np.exp(1j * np.arange(d))
+    evaluated, guarded, radii = [], [], []
+    original_guard = contour._reject_hopeless_cancellation
+
+    def node_values(params, x, q_sum, r, table, midpoints):
+        radii.append(r)
+        log_mag, phase_of = _quadrature(params, x, q_sum, r, table, midpoints)
+        evaluated.append(log_mag)
+        return log_mag, phase_of
+
+    def guard(l1_log, val, r, n):
+        guarded.append(l1_log)
+        return original_guard(l1_log, val, r, n)
+
+    monkeypatch.setattr(contour, "_quadrature", node_values)
+    monkeypatch.setattr(contour, "_reject_hopeless_cancellation", guard)
+    for residue in (True, False):
+        evaluated.clear()
+        guarded.clear()
+        radii.clear()
+        normalized_integral(params, z, u, v, include_residue=residue)
+        count = evaluated[0].size
+        for i, l1_log in enumerate(guarded):
+            weighted = np.concatenate(evaluated[: i + 1]) - math.log(count)
+            if residue and radii[0] > 1.0:
+                weighted = np.append(weighted, 0.0)
+            shift = float(np.max(weighted))
+            assert np.count_nonzero(weighted < shift - 60.0) > 0  # the bound is exercised
+            oracle = shift + math.log(math.fsum(np.exp(weighted - shift)))
+            slack = 16 * EPS * (abs(shift) + math.log(count) + 1.0)
+            assert oracle - slack <= l1_log <= oracle + math.log1p(weighted.size * math.exp(-60.0)) + slack
+            count *= 2
 
 
 def test_node_tables_are_read_only_cached_and_bounded():
@@ -546,6 +647,25 @@ def test_contour_route_near_tau_one_agrees_or_refuses():
         assert abs(via.ratio_to(exact) - 1.0) <= 1e-8, (d, tau, n)
         agreed += 1
     assert agreed >= 30
+
+
+@pytest.mark.parametrize("tau", [0.997, 0.998, 0.999, 0.9999])
+def test_bulk_side_point_has_no_circle_from_tau_0_998(tau):
+    # a bulk-side point (half the seed-5 edge point, d = 1, n = 64) takes the
+    # capped circle |s| = (1 + tau)/2; from tau = 0.998 on that reaches
+    # |s| = 0.999, where the branch region starts, and the route refuses
+    # with its typed error.  Just below, it agrees with the exact route
+    # (2.7e-15 at tau = 0.997)
+    params = ModelParams(d=1, tau=tau, n=64)
+    z = 0.5 * edge_point_sample(params, 5).z
+    w = z + 0.01
+    if tau < 0.998:
+        exact = kernel_exact_log(params, 8.0 * z, 8.0 * w)
+        assert abs(kernel_via_contour_log(params, z, w).ratio_to(exact) - 1.0) <= 1e-12
+        return
+    shown = re.escape(f"{0.5 * (1.0 + tau):.6f}")
+    with pytest.raises(ContourError, match=rf"^contour radius {shown} reaches the branch region at \|s\| = 1$"):
+        kernel_via_contour_log(params, z, w)
 
 
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-200, 1e-100, 1e-12])
