@@ -10,50 +10,46 @@ every 0 <= tau < 1, a weight factor times
     G(t) = q (X t/(1 + tau t) - (tau Q/2) t^2/(1 - tau^2 t^2)),
 
 over a small loop around the origin (s = tau t gives the s-plane form,
-pole s = tau and phase geometry.PhaseFunction).  The loop is deformed to
-a circle through the dominant saddle; when it crosses the simple pole at
-t = 1 the residue is picked up.  Normalized by e^{-n G(1)} inside the
-loop, the returned quantity
+pole s = tau and phase geometry.PhaseFunction), deformed to a circle
+through the dominant saddle; when it crosses the simple pole at t = 1 the
+residue is picked up.  The returned quantity
 
     N = (1 - tau^2)^{d/2} e^{-n G(1)} I,    G(1) = (1 - tau) X - tau Q/2,
 
 is the order-one object of the edge expansions (N -> 1 deep in the bulk,
-1/2 on the edge, 0 outside).  At tau = 0, G(t) = X t; nothing divides by
-tau, so every node, circle and refusal is continuous as tau -> 0, down to
-subnormal tau.
+1/2 on the edge, 0 outside).  Nothing divides by tau, so every node,
+circle and refusal is continuous as tau -> 0, down to subnormal tau.
 
 The saddle is t = 1/(tau a), tau a = w_+ w_- / 2, with w_pm the root of
 larger modulus of zhat_pm +- sqrt(zhat_pm^2 - 2 tau), zhat_pm =
-sqrt(q/2) (sqrt P +- sqrt Q)/2 and P = sum_k (z'_k + conj(w'_k))^2:
-geometry's saddle of the z_pm pair times tau (zhat_pm = sqrt(tau) z_pm),
-and X at tau = 0.  The circle |t| = r lies near 1/|tau a|, capped at
-max(0.93, (1 + tau)/2)/tau (no cap at tau = 0) below the branch points
-t = +-1/tau, and is nudged away from the pole, an uncapped circle at most
-halfway to the branch points.  X, Q and P are summed coordinate by
-coordinate; forming Q or P from X and the square sums loses accuracy on
-near-real pairs.
+sqrt(q/2) (sqrt P +- sqrt Q)/2 and P = sum_k (z'_k + conj(w'_k))^2 (X at
+tau = 0).  The circle |t| = r lies near 1/|tau a|, capped at
+max(0.93, (1 + tau)/2)/tau below the branch points t = +-1/tau, and is
+nudged away from the pole, an uncapped circle at most halfway to the
+branch points.  X, Q and P are summed coordinate by coordinate; forming
+Q or P from X and the square sums loses accuracy on near-real pairs.
 
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
-the pole at relative distance ~ offset/sqrt(n); the default node count
-64 sqrt(n) therefore already resolves it (Trefethen and Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 2014).  The rules
+the pole at relative distance ~ offset/sqrt(n); the start count 64
+sqrt(n) resolves it (Trefethen and Weideman, SIAM Review 2014).  The rules
 are nested: the even-indexed half of the N start nodes is the N/2-node
-rule, so a value certified against that embedded half costs N node
-evaluations.  Only when the check fails does a doubling evaluate the
-midpoints of the current rule, reusing its node sum.
+rule, so a value certified against it costs N node evaluations; only a
+failed check doubles, evaluating the midpoints of the current rule.
 
-Each pass reads a cached, read-only table of cos, sin, 1 -+ cos, sin 2
-theta and 2 sin^2 theta and computes every node's log magnitude in real
-arithmetic, free of cancellation near t = 1 and t = +-1/tau: with rho =
-tau r, |1 -+ tau t|^2 = (1 - rho)^2 + 2 rho (1 -+ cos), t/(1 + tau t) =
+Each pass computes every node's log magnitude in real arithmetic from a
+cached table of cos, sin, 1 -+ cos, sin 2 theta and 2 sin^2 theta, free
+of cancellation near t = 1 and t = +-1/tau: with rho = tau r,
+|1 -+ tau t|^2 = (1 - rho)^2 + 2 rho (1 -+ cos), t/(1 + tau t) =
 r ((1 + cos) - (1 - rho) + i sin)/|1 + tau t|^2 and tau t^2/(1 - tau^2
 t^2) = r rho ((1 - rho)(1 + rho) - 2 sin^2 + i sin 2 theta)/|1 - tau^2
-t^2|^2, a fraction that is 0 at rho = 0 and then not formed.  Only the
-nodes within 60 nats of the largest get a weight and a phase; the rest
-add at most count e^-60 of it, below the sum's rounding, and the
-cancellation guard counts each at that bound.  The turn (n - 1) theta of
-the phase is reduced modulo 2 pi exactly, in integers.
+t^2|^2, not formed at rho = 0.  Only the nodes within 60 nats of the
+largest get a weight and a phase; the rest add at most count e^-60 of it,
+below the sum's rounding.  The turn (n - 1) theta of the phase is reduced
+modulo 2 pi in integers.  The pairs of one call run together in row blocks
+of at most 4,096 nodes, which stay in cache (a cell's 20 rows of 512 nodes
+in one array ran no faster than one row per call); each row gets the
+floats of its one-row call.
 """
 
 from __future__ import annotations
@@ -66,9 +62,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContourError, DegenerateSaddleError, DomainError, QuadratureError, UsageError
+from .errors import ContourError, DegenerateSaddleError, DomainError, EdgeDppError, QuadratureError, UsageError
 from .geometry import SaddleFrame, _outer_root
-from .kernel import ModelParams, as_point, log_weight_omega
+from .kernel import ModelParams, _as_points, as_point, log_weight_omega
 from .special import LogMagnitudePhase
 
 __all__ = [
@@ -76,7 +72,9 @@ __all__ = [
     "DEFAULT_CONTOUR",
     "integral_I_tau",
     "normalized_integral",
+    "normalized_integral_many",
     "kernel_via_contour_log",
+    "kernel_via_contour_log_many",
     "max_principle_check",
 ]
 
@@ -94,6 +92,9 @@ _MIN_POLE_GAP = 1e-3
 # A node this many nats below the largest of its pass gets no weight or phase
 # and joins the sum as zero; the cancellation guard counts it at e^-_KEEP_NATS.
 _KEEP_NATS = 60.0
+# The rows of one call run the rule together in blocks of at most this many
+# start nodes, whose arrays stay in cache.
+_BLOCK_NODES = 4096
 
 @dataclass(frozen=True)
 class ContourConfig:
@@ -139,14 +140,6 @@ def _choose_radius(base: float, pole: float, n: int, offset: float) -> tuple[flo
     return r, r > pole
 
 
-def _converged(a: LogMagnitudePhase, b: LogMagnitudePhase, tol: float) -> bool:
-    if a.log_mag == -math.inf and b.log_mag == -math.inf:
-        return True
-    if a.log_mag == -math.inf or b.log_mag == -math.inf:
-        return False
-    return abs(a.ratio_to(b) - 1.0) <= tol
-
-
 def _reject_hopeless_cancellation(l1_log: float, val: LogMagnitudePhase, r: float, n: int) -> None:
     """Refuse configurations whose node sum cancels beyond double capability.
 
@@ -165,23 +158,16 @@ def _reject_hopeless_cancellation(l1_log: float, val: LogMagnitudePhase, r: floa
         )
 
 
-# (node table, midpoints) -> every node's log magnitude, and the phases at given node indices
-_NodeValues = Callable[[np.ndarray, bool], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
-
-
 @functools.lru_cache(maxsize=32)
 def _trapezoid_nodes(count: int, midpoints: bool = False) -> np.ndarray:
-    """Read-only table of cos, sin, 1 - cos, 1 + cos, sin 2 theta and
-    2 sin^2 theta at the count equispaced angles 2 pi k / count, or at the
-    count midpoints between them.
+    """Shared read-only table of cos, sin, 1 - cos, 1 + cos, sin 2 theta and
+    2 sin^2 theta at the count angles 2 pi k / count, or at their midpoints.
 
-    1 -+ cos theta come from the half angle, as 2 sin^2 and 2 cos^2 of
-    theta/2 = pi m / (2 count) with m = 2k (+ 1 at the midpoints),
-    sin(theta/2) as sin(pi min(m, 2 count - m) / (2 count)) and cos(theta/2)
-    as sin(pi (count - m) / (2 count)), the supplement and complement taken
-    in integers; so 1 -+ cos, sin and 2 sin^2 keep their relative accuracy
-    where the circle passes theta = 0, pi and 2 pi.  The tables are shared
-    by every caller.
+    1 -+ cos come from the half angle theta/2 = pi m / (2 count), m = 2k
+    (+ 1 at the midpoints), as 2 sin^2 and 2 cos^2 of it, with sin(theta/2)
+    = sin(pi min(m, 2 count - m) / (2 count)) and cos(theta/2) = sin(pi
+    (count - m) / (2 count)) taken in integers, so that 1 -+ cos, sin and
+    2 sin^2 keep their relative accuracy at theta = 0, pi and 2 pi.
     """
     m = 2 * np.arange(count) + midpoints
     step = math.pi / (2 * count)
@@ -192,78 +178,102 @@ def _trapezoid_nodes(count: int, midpoints: bool = False) -> np.ndarray:
     return table
 
 
-def _node_pass(node_values: _NodeValues, count: int, midpoints: bool = False) -> tuple[float, float, np.ndarray]:
-    """One pass of the rule over the count nodes (or midpoints) of a node table.
-
-    Returns the largest log magnitude, the L1 norm of the weights
-    e^{log_mag - shift} and the terms weight * phase.  Only the nodes
-    within _KEEP_NATS of the largest get a weight and a phase (numpy's exp
-    is slow on the inputs that underflow); the others' terms are zero, and
-    the L1 norm counts each at its bound e^-_KEEP_NATS.  Together they stay
-    below the sum's own rounding for count < 2^30.
-    """
-    log_mag, phase_of = node_values(_trapezoid_nodes(count, midpoints), midpoints)
-    shift = float(log_mag.max())
-    if not shift < math.inf:  # nan or +inf
-        raise DomainError("log magnitudes must be < +inf and not nan")
-    keep = np.flatnonzero(log_mag >= shift - _KEEP_NATS)
-    weights = np.exp(log_mag[keep] - shift)
-    terms = np.zeros(count, dtype=complex)
-    terms[keep] = weights * phase_of(keep)
-    return shift, float(weights.sum()) + (count - keep.size) * math.exp(-_KEEP_NATS), terms
+def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = False) -> tuple[list, list, np.ndarray]:
+    """One pass over the count nodes (or midpoints) for the given rows of a
+    block: each row's largest log magnitude, the L1 norm of its weights
+    e^{log_mag - shift}, and its terms weight * phase, a row of a (rows,
+    count) array.  Only nodes within _KEEP_NATS of their row's largest get
+    a weight and a phase; the others' terms are zero and the L1 norm counts
+    each at e^-_KEEP_NATS, below the sum's rounding for count < 2^30."""
+    log_mag, phase_of = node_values(rows, _trapezoid_nodes(count, midpoints), midpoints)
+    if log_mag.ndim > 1:
+        shift = log_mag.max(axis=1)
+        floor, shifts = shift - _KEEP_NATS, shift.tolist()
+        floor[~(shift < math.inf)] = math.nan
+        flat = np.flatnonzero(log_mag >= floor[:, None])
+        at_row, at_node = np.divmod(flat, count)
+        bounds = [0, *np.searchsorted(at_row, range(1, len(rows))).tolist(), flat.size]
+        weights = np.exp(log_mag.reshape(-1)[flat] - shift[at_row])
+    else:  # one row: its constants are floats (_columns) and need no row index
+        shifts = [float(log_mag.max())]
+        at_node = flat = np.flatnonzero(log_mag >= (shifts[0] - _KEEP_NATS if shifts[0] < math.inf else math.nan))
+        at_row, bounds, weights = None, (0, flat.size), np.exp(log_mag[flat] - shifts[0])
+    terms = np.zeros((len(rows), count), dtype=complex)
+    terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
+    l1 = [float(weights[a:b].sum()) + (count - (b - a)) * math.exp(-_KEEP_NATS) for a, b in zip(bounds, bounds[1:])]
+    return shifts, l1, terms
 
 
 def _nested_trapezoid(
-    node_values: _NodeValues, count: int, residue: bool, config: ContourConfig, r: float, n: int, where: str
-) -> LogMagnitudePhase:
-    """Adaptive trapezoid rule on the circle, certified by its embedded half.
+    node_values: Callable, count: int, residue: list, config: ContourConfig, radii: list, n: int
+) -> list:
+    """Adaptive trapezoid rule for each row of a block, certified by its
+    embedded half: the row's value, or its error.
 
-    node_values gives the integrand sum's terms without the 1/count
-    weight.  The count (even) start nodes are evaluated once; their
-    even-indexed half is the count/2-node rule, and T_N agreeing with that
-    T_{N/2} to the relative tolerance ends the loop at N evaluations.
-    Otherwise each doubling evaluates only the count midpoints of the
-    current rule, T_2N = (S_N + S_mid) / 2N with S the plain node sums,
-    until two successive estimates agree.  The sums are kept as e^shift
-    times a complex total and an L1 norm.  The residue +1 joins each
-    estimate after the weighting.  Every estimate from T_N on passes the
-    cancellation guard, whose L1 norm covers every evaluated node, the
-    dropped ones at their bound.
-    """
-    shift, l1, terms = _node_pass(node_values, count)
-    even_total = complex(terms[::2].sum())
-    total = even_total + complex(terms[1::2].sum())
+    The count (even) start nodes are evaluated once; their even-indexed
+    half is the count/2-node rule, and T_N agreeing with it to the relative
+    tolerance ends a row.  The other rows double together, a shrinking
+    active set, each doubling evaluating only the midpoints: T_2N = (S_N +
+    S_mid) / 2N with S the plain node sums, kept as e^shift times a complex
+    total and an L1 norm.  The residue +1 joins each estimate after the
+    weighting.  Every estimate from T_N on passes the cancellation guard,
+    whose L1 norm covers every evaluated node; radii are the radii it states.
+    A row whose largest log magnitude is nan or +inf is refused."""
+    out: list = [None] * len(radii)
 
-    def estimate(shift: float, total: complex, nodes: int) -> LogMagnitudePhase:
+    def estimate(i: int, shift: float, total: complex, nodes: int) -> LogMagnitudePhase:
         shift -= math.log(nodes)
-        if residue:
+        if residue[i]:
             top = max(shift, 0.0)
             total = total * math.exp(shift - top) + math.exp(-top)
             shift = top
         return LogMagnitudePhase.from_shifted(shift, total)
 
-    prev = estimate(shift, even_total, count // 2)
+    active = list(range(len(radii)))
+    shift, l1, terms = _node_pass(node_values, active, count)
+    prev, odd = terms[:, ::2].sum(axis=1).tolist(), terms[:, 1::2].sum(axis=1).tolist()
+    total = [half + rest for half, rest in zip(prev, odd)]
     for doubling in range(config.max_doublings + 1):
         if doubling:
-            mid_shift, mid_l1, terms = _node_pass(node_values, count, True)
-            top = max(shift, mid_shift)
-            old, mid = math.exp(shift - top), math.exp(mid_shift - top)
-            total = total * old + complex(terms.sum()) * mid
-            l1 = l1 * old + mid_l1 * mid
-            shift = top
+            size = max(1, _BLOCK_NODES // count)  # the midpoint passes keep the block cap, as memory grows with count
+            for rows in (active[start : start + size] for start in range(0, len(active), size)):
+                mid_shift, mid_l1, terms = _node_pass(node_values, rows, count, True)
+                for i, m_shift, m_l1, m_total in zip(rows, mid_shift, mid_l1, terms.sum(axis=1).tolist()):
+                    top = max(shift[i], m_shift)
+                    old, mid = math.exp(shift[i] - top), math.exp(m_shift - top)
+                    total[i] = total[i] * old + m_total * mid
+                    l1[i] = l1[i] * old + m_l1 * mid
+                    shift[i] = top if m_shift < math.inf else m_shift
             count *= 2
-        val = estimate(shift, total, count)
-        l1_log = shift + math.log(l1) - math.log(count)  # l1 >= 1: the largest node weighs 1
-        if residue:  # log(e^l1_log + 1)
-            l1_log = max(l1_log, 0.0) + math.log1p(math.exp(-abs(l1_log)))
-        _reject_hopeless_cancellation(l1_log, val, r, n)
-        if _converged(val, prev, config.tolerance):
-            return val
-        prev = val
-    raise QuadratureError(
-        f"contour integral did not converge: n={n}, {where}, "
-        f"final node count {count}, tolerance {config.tolerance:g}"
-    )
+        unsettled = []
+        for i in active:
+            if not shift[i] < math.inf:  # nan or +inf
+                out[i] = DomainError("log magnitudes must be < +inf and not nan")
+                continue
+            if not doubling:
+                prev[i] = estimate(i, shift[i], prev[i], count // 2)
+            val = estimate(i, shift[i], total[i], count)
+            l1_log = shift[i] + math.log(l1[i]) - math.log(count)  # l1 >= 1: the largest node weighs 1
+            if residue[i]:  # log(e^l1_log + 1)
+                l1_log = max(l1_log, 0.0) + math.log1p(math.exp(-abs(l1_log)))
+            try:
+                _reject_hopeless_cancellation(l1_log, val, radii[i], n)
+            except ContourError as exc:
+                out[i] = exc
+                continue
+            a, b = val.log_mag, prev[i].log_mag  # converged: two exact zeros, or a relative change within tolerance
+            if a == b == -math.inf or (min(a, b) > -math.inf and abs(val.ratio_to(prev[i]) - 1.0) <= config.tolerance):
+                out[i] = val
+            else:
+                prev[i] = val
+                unsettled.append(i)
+        active = unsettled
+        if not active:
+            return out
+    for i in active:
+        out[i] = QuadratureError(f"contour integral did not converge: n={n}, radius={radii[i]:.6g}, "
+                                 f"final node count {count}, tolerance {config.tolerance:g}")
+    return out
 
 
 def _start_count(config: ContourConfig, n: int) -> int:
@@ -272,36 +282,52 @@ def _start_count(config: ContourConfig, n: int) -> int:
     return count + count % 2
 
 
-def _phase_on_circle(
-    tau: float, x: complex, q_sum: complex, r: float, table: np.ndarray
-) -> tuple[np.ndarray, Callable[..., np.ndarray], np.ndarray | None]:
-    """Re G on |t| = r, Im G at given node indices, and |1 - tau^2 t^2|^2.
+def _columns(consts: list[tuple]):
+    """Rows' constants, floats, as (rows, 1) columns; one row's stay floats, so its node arrays stay 1-D."""
+    return consts[0] if len(consts) == 1 else np.array(consts).T[:, :, None]
 
+
+def _at_rows(columns, at_row: np.ndarray | None):
+    """Columns at the rows of given nodes; one row's (at_row None) are its floats."""
+    return columns if at_row is None else columns[:, :, 0].take(at_row, axis=1)
+
+
+def _phase_on_circle(tau: float, circles: list, table: np.ndarray) -> tuple[np.ndarray, Callable, np.ndarray | None]:
+    """Re G on |t| = r for each (X, Q, r) of circles, a row each (one
+    circle's 1-D), Im G at given kept nodes, and |1 - tau^2 t^2|^2, for
     G(t) = q X t/(1 + tau t) - (q Q/2) tau t^2/(1 - tau^2 t^2).  Each
-    fraction's scale and real part (module docstring) is a row of one array,
-    gathered once at the kept nodes.  At rho = tau r = 0 the second fraction
-    (exactly 0) and |1 - tau^2 t^2|^2 (exactly 1; None) are not formed.
+    fraction's scale and real part is a row of one array, gathered once at
+    the kept nodes; where every rho = tau r is 0 the second fraction (0)
+    and |1 - tau^2 t^2|^2 (1; None) are not formed.
     """
     _, sin, _, one_plus_cos, sin_2, two_sin_sq = table
-    rho = tau * r
-    e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
     q = (1.0 - tau) * (1.0 + tau)
-    qx, qq = q * x, 0.5 * q * q_sum
-    rows = np.empty((4 if rho else 2, sin.size))  # a_scale, a_re[, b_scale, b_re]
-    np.divide(r, e * e + 2.0 * rho * one_plus_cos, out=rows[0])  # over |1 + tau t|^2
+    consts = []
+    for x, q_sum, r in circles:
+        rho = tau * r
+        e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
+        qx, qq = q * x, 0.5 * q * q_sum
+        consts.append((qx.real, qx.imag, qq.real, qq.imag, r, e * e, 2.0 * rho, e, c0 * c0, 2.0 * rho * rho,
+                       r * rho, c0))
+    qx_re, qx_im, qq_re, qq_im, r, e_sq, two_rho, e, c0_sq, two_rho_sq, r_rho, c0 = columns = _columns(consts)
+    tau_terms = any(row[6] for row in consts)  # some rho > 0
+    lead = (len(consts),) if len(consts) > 1 else ()
+    rows = np.empty((4 if tau_terms else 2, *lead, sin.size))  # a_scale, a_re[, b_scale, b_re]
+    np.divide(r, e_sq + two_rho * one_plus_cos, out=rows[0])  # over |1 + tau t|^2
     np.subtract(one_plus_cos, e, out=rows[1])
-    re_g = rows[0] * (qx.real * rows[1] - qx.imag * sin)
-    branch_sq = c0 * c0 + (2.0 * rho * rho) * two_sin_sq if rho else None
-    if rho:
-        np.divide(r * rho, branch_sq, out=rows[2])
+    re_g = rows[0] * (qx_re * rows[1] - qx_im * sin)
+    branch_sq = c0_sq + two_rho_sq * two_sin_sq if tau_terms else None
+    if tau_terms:
+        np.divide(r_rho, branch_sq, out=rows[2])
         np.subtract(c0, two_sin_sq, out=rows[3])
-        re_g -= rows[2] * (qq.real * rows[3] - qq.imag * sin_2)
+        re_g -= rows[2] * (qq_re * rows[3] - qq_im * sin_2)
 
-    def im_g(keep: np.ndarray, sin: np.ndarray, sin_2: np.ndarray) -> np.ndarray:  # sin, sin 2 theta at keep
-        a_scale, a_re, *b = rows.take(keep, axis=1)
-        im = a_scale * (qx.real * sin + qx.imag * a_re)
+    def im_g(at_row: np.ndarray | None, flat: np.ndarray, sin: np.ndarray, sin_2: np.ndarray) -> np.ndarray:
+        a_scale, a_re, *b = rows.reshape(len(rows), -1).take(flat, axis=1)
+        qx_re, qx_im, qq_re, qq_im = _at_rows(columns[:4], at_row)
+        im = a_scale * (qx_re * sin + qx_im * a_re)
         if b:
-            im -= b[0] * (qq.real * sin_2 + qq.imag * b[1])
+            im -= b[0] * (qq_re * sin_2 + qq_im * b[1])
         return im
 
     return re_g, im_g, branch_sq
@@ -319,38 +345,41 @@ def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
     return (1.0 - tau) * x - 0.5 * tau * q_sum
 
 
-def _quadrature(
-    params: ModelParams, x: complex, q_sum: complex, r: float, table: np.ndarray, midpoints: bool
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Per-node log magnitude of the normalized integrand on |t| = r, and its phases.
+def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarray, midpoints: bool) -> tuple:
+    """Per-node log magnitude of the normalized integrand on |t| = r for the
+    (X, Q, r) circles at the given rows, and its phases at given kept nodes.
 
-    Contribution of node t, before the 1/count weight: -e^{n (G(t) - log t
-    - G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with
-    t - 1 = -((1 - r) + r (1 - cos)) + i r sin.  The phases take the
-    principal branch of (1 - tau^2 t^2)^{d/2}, whose real part every node
-    must keep positive; at rho = tau r = 0 it is 1 and adds nothing.
+    Node t contributes, before the 1/count weight, -e^{n (G(t) - log t -
+    G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with t - 1 =
+    -((1 - r) + r (1 - cos)) + i r sin, on the principal branch of (1 -
+    tau^2 t^2)^{d/2}, whose real part stays positive for rho = tau r < 1.
     """
     tau, d, n = params.tau, params.d, params.n
-    rho = tau * r
-    # Re(1 - tau^2 t^2) = (1 - rho^2) + rho^2 2 sin^2 stays positive on the circle iff rho < 1
-    if not rho < 1.0:
-        raise ContourError("contour touches the branch region of (1 - tau^2 t^2)^{d/2}")
-    re_g, im_g, branch_sq = _phase_on_circle(tau, x, q_sum, r, table)
-    f_pole, log_r = _g_at_pole(tau, x, q_sum), math.log(r)
-    to_pole = (1.0 - r) ** 2 + 2.0 * r * table[2]  # |t - 1|^2, with 1 - cos in row 2
-    log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(to_pole)
-    if rho:
+    circles = [circles[i] for i in rows]
+    re_g, im_g, branch_sq = _phase_on_circle(tau, circles, table)
+    shared = 0.5 * d * math.log1p(-tau * tau)
+    consts = []
+    for x, q_sum, r in circles:
+        rho = tau * r
+        f_pole, log_r = _g_at_pole(tau, x, q_sum), math.log(r)
+        consts.append((f_pole.imag, r, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho,
+                       log_r + f_pole.real, (1.0 - r) ** 2, 2.0 * r, log_r + shared))
+    *_, pole_log, gap_sq, two_r, log_rest = columns = _columns(consts)
+    to_pole = gap_sq + two_r * table[2]  # |t - 1|^2, with 1 - cos in row 2
+    log_mag = n * (re_g - pole_log) - 0.5 * np.log(to_pole)
+    if branch_sq is not None:
         log_mag -= (0.25 * d) * np.log(branch_sq)
-    log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
+    log_mag += log_rest
 
-    def phase_of(keep: np.ndarray) -> np.ndarray:
-        _, sin, one_minus_cos, _, sin_2, two_sin_sq = table.take(keep, axis=1)
-        phi = n * (im_g(keep, sin, sin_2) - f_pole.imag)
-        phi -= _turn(n, keep, midpoints, table.shape[1])
-        phi -= np.arctan2(r * sin, (r - 1.0) - r * one_minus_cos)  # arg(t - 1)
-        if rho:
-            branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq
-            phi -= (0.5 * d) * np.arctan2(-rho * rho * sin_2, branch_re)
+    def phase_of(at_row: np.ndarray | None, at_node: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        _, sin, one_minus_cos, _, sin_2, two_sin_sq = table.take(at_node, axis=1)
+        f_im, r, r_less, c0, rho_sq, neg_rho_sq = _at_rows(columns[:6], at_row)
+        phi = n * (im_g(at_row, flat, sin, sin_2) - f_im)
+        phi -= _turn(n, at_node, midpoints, table.shape[1])
+        phi -= np.arctan2(r * sin, r_less - r * one_minus_cos)  # arg(t - 1)
+        if branch_sq is not None:
+            branch_re = c0 + rho_sq * two_sin_sq
+            phi -= (0.5 * d) * np.arctan2(neg_rho_sq * sin_2, branch_re)
         return np.exp(1j * (phi + math.pi))
 
     return log_mag, phase_of
@@ -375,34 +404,16 @@ def _saddle_t(tau: float, x: complex, q_sum: complex, p_sum: complex) -> complex
     return 0.5 * _outer_root(hat_p, 2.0 * tau) * _outer_root(hat_m, 2.0 * tau)
 
 
-def integral_I_tau(
-    params: ModelParams,
-    x: complex,
-    q_sum: complex,
-    p_sum: complex,
-    config: ContourConfig = DEFAULT_CONTOUR,
-    include_residue: bool = True,
-) -> LogMagnitudePhase:
-    """Pole-normalized contour value N = (1-tau^2)^{d/2} e^{-n G(1)} I of the
-    pair invariants X = x, Q = q_sum and P = p_sum, for every 0 <= tau < 1.
-
-    Trapezoid rule on the circle |t| = |tau a|^{-1} (1 +- offset/sqrt(n)),
-    capped below the branch points; the residue term +1 is added whenever
-    the circle encloses the pole t = 1.  Node count doubles until two
-    successive values agree to the relative tolerance.
-    include_residue=False returns the bare circle integral, which deep in
-    the bulk is exactly N - 1 and stays representable in log form long
-    after the difference underflows in doubles.  At tau = 0 and X = 0 the
-    integral is the residue polynomial and equals 1 exactly.
-    """
+def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, config: ContourConfig, residue: bool):
+    """The circle r of X, Q and P, whether its residue joins, and the radius
+    refusals state; None where the residue alone is the value."""
     tau, n = params.tau, params.n
-    x, q_sum, p_sum = complex(x), complex(q_sum), complex(p_sum)
     if not all(cmath.isfinite(c) for c in (x, q_sum, p_sum)):
         raise DomainError("pair invariants must be finite")
     if tau == 0.0 and x == 0:
-        if not include_residue:
+        if not residue:
             raise UsageError("X = 0 at tau = 0 bypasses quadrature; no residue split exists")
-        return LogMagnitudePhase(0.0, 1.0 + 0.0j)
+        return None
     ta = abs(_saddle_t(tau, x, q_sum, p_sum))
     if not ta > 0.0:  # tau = 0 with P and Q underflowing to 0 while X does not
         raise ContourError("the saddle lies at infinity: tau a rounds to 0")
@@ -421,66 +432,119 @@ def integral_I_tau(
         raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
     if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
         raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
-    return _nested_trapezoid(
-        functools.partial(_quadrature, params, x, q_sum, r),
-        _start_count(config, n),
-        pole_inside and include_residue,
-        config,
-        shown,
-        n,
-        f"radius={shown:.6g}",
-    )
+    if not (1.0 - r) * (1.0 - r) < math.inf:  # tau a near 0 at tau > 0: no node arithmetic in t = s/tau
+        raise ContourError(f"circle |t| = {r:.6g} overflows the node arithmetic")
+    return r, pole_inside and residue, shown
+
+
+def _integral_rows(
+    params: ModelParams, x: list, q_sum: list, p_sum: list, config: ContourConfig, include_residue: bool
+) -> list:
+    """N of each row of the invariants, or the error its one-row call
+    raises: each row sets up its circle, then the rows run the nested rule
+    together in blocks of at most _BLOCK_NODES start nodes."""
+    out: list = []
+    todo = []  # (row, (X, Q, r), residue, shown radius)
+    for i, inv in enumerate(zip(x, q_sum, p_sum)):
+        try:
+            circle = _circle(params, *inv, config, include_residue)
+        except EdgeDppError as exc:
+            circle = exc
+        out.append(LogMagnitudePhase(0.0, 1.0 + 0.0j) if circle is None else circle)
+        if isinstance(circle, tuple):
+            todo.append((i, (*inv[:2], circle[0]), *circle[1:]))
+    count = _start_count(config, params.n)
+    size = max(1, _BLOCK_NODES // count)
+    for start in range(0, len(todo), size):
+        rows, circles, residue, radii = zip(*todo[start : start + size])
+        node_values = functools.partial(_quadrature, params, circles)
+        for i, val in zip(rows, _nested_trapezoid(node_values, count, residue, config, radii, params.n)):
+            out[i] = val
+    return out
+
+
+def _checked(values: list) -> list:
+    """The values of a call's rows; raises the error of its first failing row."""
+    for val in values:
+        if isinstance(val, EdgeDppError):
+            raise val
+    return values
+
+
+def integral_I_tau(
+    params: ModelParams, x: complex, q_sum: complex, p_sum: complex,
+    config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True,
+) -> LogMagnitudePhase:
+    """Pole-normalized contour value N = (1-tau^2)^{d/2} e^{-n G(1)} I of the
+    pair invariants X = x, Q = q_sum and P = p_sum, for every 0 <= tau < 1.
+
+    Trapezoid rule on the circle |t| = |tau a|^{-1} (1 +- offset/sqrt(n)),
+    capped below the branch points, plus the residue +1 when the circle
+    encloses the pole t = 1.  include_residue=False returns the bare
+    circle integral, deep in the bulk exactly N - 1, representable in log
+    form long after the difference underflows.  At tau = 0 and X = 0, N is
+    the residue polynomial, exactly 1.
+    """
+    return _checked(_integral_rows(params, *([complex(a)] for a in (x, q_sum, p_sum)), config, include_residue))[0]
 
 
 def _pole_normalized(
     params: ModelParams, zp: np.ndarray, wp: np.ndarray, config: ContourConfig, include_residue: bool
-) -> tuple[LogMagnitudePhase, complex]:
-    """N and G(1) of the validated pair (z', w'), invariants summed coordinate by coordinate."""
+) -> tuple[list, list[complex]]:
+    """N (or the row's error) and G(1) of each validated row pair (z', w'),
+    invariants summed coordinate by coordinate."""
     wc = wp.conj()
-    x = complex((zp * wc).sum())
-    q_sum, p_sum = complex(((zp - wc) ** 2).sum()), complex(((zp + wc) ** 2).sum())
-    return integral_I_tau(params, x, q_sum, p_sum, config, include_residue), _g_at_pole(params.tau, x, q_sum)
+    x = (zp * wc).sum(axis=1).tolist()
+    q_sum, p_sum = ((zp - wc) ** 2).sum(axis=1).tolist(), ((zp + wc) ** 2).sum(axis=1).tolist()
+    values = _integral_rows(params, x, q_sum, p_sum, config, include_residue)
+    return values, [_g_at_pole(params.tau, xb, qb) for xb, qb in zip(x, q_sum)]
+
+
+def normalized_integral_many(
+    params: ModelParams, zs, us, vs, config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True
+) -> list[tuple[LogMagnitudePhase, complex]]:
+    """N and G(1) = (1 - tau) X - tau Q/2, the phase at the pole, at each row
+    of the kernel arguments (sqrt(n) z + u, sqrt(n) z + v) of three (B, d)
+    arrays: the pair z + u/sqrt(n), z + v/sqrt(n).  The rows run in blocks;
+    the first failing row raises the error its one-row call raises.
+    """
+    z, u, v = _as_points(params, zs, us, vs)
+    rn = math.sqrt(params.n)
+    values, f_poles = _pole_normalized(params, z + u / rn, z + v / rn, config, include_residue)
+    return list(zip(_checked(values), f_poles))
 
 
 def normalized_integral(
-    params: ModelParams,
-    z,
-    u,
-    v,
-    config: ContourConfig = DEFAULT_CONTOUR,
-    include_residue: bool = True,
+    params: ModelParams, z, u, v, config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True
 ) -> tuple[LogMagnitudePhase, complex]:
-    """N and G(1) for the kernel arguments (sqrt(n) z + u, sqrt(n) z + v).
-
-    The pair is z' = z + u/sqrt(n), w' = z + v/sqrt(n); its invariants X,
-    Q and P feed the one integral integral_I_tau for every 0 <= tau < 1,
-    and G(1) = (1 - tau) X - tau Q/2 (= X at tau = 0) is the phase at the
-    pole.  Each point is validated once.
-    """
-    z = as_point(params, z)
-    rn = math.sqrt(params.n)
-    zp, wp = z + as_point(params, u) / rn, z + as_point(params, v) / rn
-    return _pole_normalized(params, zp, wp, config, include_residue)
+    """normalized_integral_many for one row (sqrt(n) z + u, sqrt(n) z + v)."""
+    return normalized_integral_many(params, *(as_point(params, a)[None] for a in (z, u, v)), config, include_residue)[0]
 
 
-def kernel_via_contour_log(
-    params: ModelParams, z, w, config: ContourConfig = DEFAULT_CONTOUR
-) -> LogMagnitudePhase:
-    """K_n(sqrt(n) z, sqrt(n) w) through the contour representation.
-
-    pi^{-d} prod_k sqrt(omega(sqrt n z_k) omega(sqrt n w_k)) e^{n G(1)} N,
-    the route independent of the degree recurrence; z and w are the
-    unscaled droplet-coordinate points, validated once.  The same integral
-    serves every 0 <= tau < 1, continuous as tau -> 0.
-    """
+def _kernel_rows(params: ModelParams, z: np.ndarray, w: np.ndarray, config: ContourConfig) -> list[LogMagnitudePhase]:
     d, tau, n = params.d, params.tau, params.n
-    z, w = as_point(params, z), as_point(params, w)
     rn = math.sqrt(n)
-    scaled = zip((rn * z).tolist(), (rn * w).tolist())
-    log_w = 0.5 * sum(log_weight_omega(zk, tau) + log_weight_omega(wk, tau) for zk, wk in scaled)
-    big_n, f_pole = _pole_normalized(params, z, w, config, True)
-    pref = LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole)
-    return big_n * pref
+    values, f_poles = _pole_normalized(params, z, w, config, True)
+    out = []
+    for zb, wb, big_n, f_pole in zip((rn * z).tolist(), (rn * w).tolist(), _checked(values), f_poles):
+        log_w = 0.5 * sum(log_weight_omega(zk, tau) + log_weight_omega(wk, tau) for zk, wk in zip(zb, wb))
+        out.append(big_n * LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole))
+    return out
+
+
+def kernel_via_contour_log_many(params: ModelParams, zs, ws, config: ContourConfig = DEFAULT_CONTOUR) -> list:
+    """K_n(sqrt(n) z_b, sqrt(n) w_b) = pi^{-d} prod_k sqrt(omega(sqrt n z_k)
+    omega(sqrt n w_k)) e^{n G(1)} N for every pair b of two (B, d) arrays
+    of droplet-coordinate points: the route independent of the degree
+    recurrence, mirroring kernel_exact_log_many.  The pairs run in blocks;
+    the first failing pair raises the error its one-pair call raises.
+    """
+    return _kernel_rows(params, *_as_points(params, zs, ws), config)
+
+
+def kernel_via_contour_log(params: ModelParams, z, w, config: ContourConfig = DEFAULT_CONTOUR) -> LogMagnitudePhase:
+    """kernel_via_contour_log_many for one pair: K_n(sqrt(n) z, sqrt(n) w)."""
+    return _kernel_rows(params, as_point(params, z)[None], as_point(params, w)[None], config)[0]
 
 
 def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:
@@ -498,5 +562,5 @@ def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:
     scale = 2.0 * tau / ((1.0 - tau) * (1.0 + tau))
     r = frame.radius / tau
     x, q_sum = scale * frame.z_plus * frame.z_minus, scale * frame.phase.q_sq
-    re_g = _phase_on_circle(tau, x, q_sum, r, _trapezoid_nodes(grid_size))[0]
+    re_g = _phase_on_circle(tau, [(x, q_sum, r)], _trapezoid_nodes(grid_size))[0]
     return float(re_g.max() - math.log(r) - frame.F_at_a_inv.real)

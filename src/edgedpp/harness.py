@@ -22,8 +22,8 @@ kernel evaluations:
 
 Each (d, tau, n) cell evaluates its exact kernels with one
 kernel_exact_log_many call (rho1_density over a (B, d) array of points;
-normalized_kernel_many for the edge kernels), which shares the degree
-recurrence's coefficients across the cell's pairs.
+normalized_kernel_many for the edge kernels), and its contour values
+with one batched call, which runs the cell's pairs in row blocks.
 
 spec.settings holds the inputs a configuration can set (pairs, points,
 frames, grid_frames, grid_size); the fixed inputs are the module
@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import ContourConfig, kernel_via_contour_log, max_principle_check, normalized_integral
+from .contour import ContourConfig, kernel_via_contour_log_many, max_principle_check, normalized_integral_many
 from .errors import DegenerateFitError, DomainError, UsageError
 from .geometry import delta_pm, edge_point_sample, saddle_frame, xi_for_tau, zpm_map
 from .kernel import (
@@ -297,18 +297,11 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
             big_zs = np.array([z for z, _ in draws])
             big_ws = np.array([w for _, w in draws])
             exacts = kernel_exact_log_many(params, big_zs, big_ws)
-
-            def one(big_z, big_w, exact):
-                via = kernel_via_contour_log(params, big_z / rn, big_w / rn, contour)
-                err = abs(via.ratio_to(exact) - 1.0)
-                if tau == 0.0:
-                    closed = kernel_tau0_closed_log(params, big_z, big_w)
-                    return err, abs(closed.ratio_to(exact) - 1.0)
-                return err, 0.0
-
-            outs = [one(*args) for args in zip(big_zs, big_ws, exacts)]
-            worst = max(o[0] for o in outs)
-            closed_worst = max(closed_worst, max(o[1] for o in outs))
+            vias = kernel_via_contour_log_many(params, big_zs / rn, big_ws / rn, contour)
+            worst = max(abs(via.ratio_to(exact) - 1.0) for via, exact in zip(vias, exacts))
+            if tau == 0.0:
+                closed = (kernel_tau0_closed_log(params, z, w) for z, w in zip(big_zs, big_ws))
+                closed_worst = max(closed_worst, *(abs(c.ratio_to(e) - 1.0) for c, e in zip(closed, exacts)))
             samples.append((n, worst))
             passed = passed and worst <= tol
         if tau == 0.0:
@@ -369,33 +362,23 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
         base = edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 17 * d)
         z_half = 0.5 * base.z
         rng = _rng(spec.seed, 4, d, int(tau * 100))
-        uv_pairs = []
-        uv_pairs.append((np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)))
+        us, vs = [np.zeros(d, dtype=complex)], [np.zeros(d, dtype=complex)]
         for _ in range(2):
-            u = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
-            v = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
-            uv_pairs.append((u, v))
+            us.append(rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d))
+            vs.append(rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d))
         samples = []
         for n in spec.n_grid:
             params = ModelParams(d=d, tau=tau, n=n)
             worst_log = -math.inf
-            for u, v in uv_pairs:
-                dev = normalized_integral(params, z_half, u, v, contour, include_residue=False)[0]
+            devs = normalized_integral_many(params, [z_half] * len(us), us, vs, contour, include_residue=False)
+            for u, v, (dev, _) in zip(us, vs, devs):
                 scale = abs(bulk_prediction(d, u, v))
                 worst_log = max(worst_log, dev.log_mag + math.log(scale))
             samples.append((n, worst_log))
         # ratio criterion in log form: err(n_max) <= ratio * err(n_min)
-        log_ratio = samples[-1][1] - samples[0][1]
-        passed = log_ratio <= math.log(spec.tolerances["ratio"])
-        results.append(
-            SeriesResult(
-                d=d,
-                tau=tau,
-                samples=samples,
-                passed=passed,
-                note="samples carry log_e of the bulk deviation",
-            )
-        )
+        passed = samples[-1][1] - samples[0][1] <= math.log(spec.tolerances["ratio"])
+        note = "samples carry log_e of the bulk deviation"
+        results.append(SeriesResult(d=d, tau=tau, samples=samples, passed=passed, note=note))
     # pointwise uniform-density values, d = 2, tau = 0
     params = ModelParams(d=2, tau=0.0, n=1024)
     rng = _rng(spec.seed, 4, 99)
@@ -732,30 +715,3 @@ def emit_report(reports: Sequence[ConvergenceReport] | ConvergenceReport, fmt: s
         ]
         return json.dumps(payload, indent=2)
     raise UsageError(f"unknown report format {fmt!r}")
-
-
-def parse_report_json(text: str) -> list[ConvergenceReport]:
-    """Inverse of emit_report(..., fmt="json")."""
-    payload = json.loads(text)
-    reports = []
-    for rep in payload:
-        series = tuple(
-            SeriesResult(
-                d=s["d"],
-                tau=s["tau"],
-                samples=s["samples"],
-                fitted_exponent=s["fitted_exponent"],
-                passed=s["passed"],
-                note=s.get("note", ""),
-            )
-            for s in rep["series"]
-        )
-        reports.append(
-            ConvergenceReport(
-                kind=rep["kind"],
-                seed=rep["seed"],
-                series=series,
-                passed=rep["passed"],
-            )
-        )
-    return reports

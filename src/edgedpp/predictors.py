@@ -12,7 +12,7 @@ for a boundary point z, with unimodular gauge cofactors c_n that cancel
 in every determinant.  L equals the pole-normalized contour value N
 exactly (not just asymptotically), which gives two independent
 evaluation routes; normalized_kernel computes both and records their
-discrepancy (route B through contour.normalized_integral).  As n grows,
+discrepancy (route B through contour.normalized_integral_many).  As n grows,
 
     L = 1/2 erfc((u.n + n.v)/sqrt 2) + O(1/sqrt n)
 
@@ -45,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import DEFAULT_CONTOUR, ContourConfig, normalized_integral
-from .errors import ConsistencyError, DomainError, UsageError
+from .contour import DEFAULT_CONTOUR, ContourConfig, _pole_normalized
+from .errors import ConsistencyError, DomainError, EdgeDppError, UsageError
 from .geometry import EdgePoint
-from .kernel import ModelParams, as_point, kernel_exact_log, kernel_exact_log_many
+from .kernel import ModelParams, _as_points, as_point, kernel_exact_log_many
 from .special import LogMagnitudePhase, erfc_complex
 
 __all__ = [
@@ -116,12 +116,7 @@ def gaussian_normalizer_log(d: int, u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def normalized_kernel(
-    params: ModelParams,
-    edge: EdgePoint,
-    u,
-    v,
-    config: ContourConfig = DEFAULT_CONTOUR,
-    exact: LogMagnitudePhase | None = None,
+    params: ModelParams, edge: EdgePoint, u, v, config: ContourConfig = DEFAULT_CONTOUR
 ) -> NormalizedKernelSample:
     """The normalized kernel L at a boundary point, by both routes.
 
@@ -129,54 +124,41 @@ def normalized_kernel(
     Gaussian normalizer.  Route B: the pole-normalized contour value.  The
     two agree identically in exact arithmetic; a relative gap beyond
     1e-6 raises ConsistencyError.  The returned L is the route B value.
-    exact, if given, is the exact kernel K_n(sqrt(n) z + u, sqrt(n) z + v)
-    already evaluated (normalized_kernel_many passes it from one batch).
+    normalized_kernel_many for one triple.
     """
-    u = as_point(params, u)
-    v = as_point(params, v)
-    tau, n, d = params.tau, params.n, params.d
-    rn = math.sqrt(n)
-    if exact is None:
-        exact = kernel_exact_log(params, rn * edge.z + u, rn * edge.z + v)
-    cof = cofactor_cn(tau, n, edge.z, u) * np.conj(cofactor_cn(tau, n, edge.z, v))
-    route_a = (
-        exact
-        * LogMagnitudePhase.from_log(gaussian_normalizer_log(d, u, v))
-        * LogMagnitudePhase.from_complex(complex(cof))
-    )
-    route_b = normalized_integral(params, edge.z, u, v, config)[0]
-    gap = abs(route_a.ratio_to(route_b) - 1.0)
-    if gap > _ROUTE_GAP_TOL:
-        raise ConsistencyError(
-            f"normalized kernel routes disagree: relative gap {gap:.3e} (n={n}, d={d}, tau={tau})"
-        )
-    return NormalizedKernelSample(
-        L=route_b.value, z=edge, u=u, v=v, n=n, route_gap=gap
-    )
+    return normalized_kernel_many(params, [edge], as_point(params, u)[None], as_point(params, v)[None], config)[0]
 
 
 def normalized_kernel_many(
-    params: ModelParams,
-    edges,
-    us,
-    vs,
-    config: ContourConfig = DEFAULT_CONTOUR,
+    params: ModelParams, edges, us, vs, config: ContourConfig = DEFAULT_CONTOUR
 ) -> list[NormalizedKernelSample]:
-    """normalized_kernel at every (edge, u, v) triple, in order.
-
-    Route A's exact kernels come from one kernel_exact_log_many call over
-    all triples; route B, the contour integral, runs triple by triple.
+    """normalized_kernel at every (edge, u, v) triple, in order, each point
+    validated once: route A's exact kernels from one kernel_exact_log_many
+    call, route B's contour values from one block of the contour rule.  A
+    triple whose route B refuses, or whose routes disagree, raises in turn.
     """
-    us = [as_point(params, u) for u in us]
-    vs = [as_point(params, v) for v in vs]
-    rn = math.sqrt(params.n)
-    zs = [rn * edge.z + u for edge, u in zip(edges, us)]
-    ws = [rn * edge.z + v for edge, v in zip(edges, vs)]
-    exact = kernel_exact_log_many(params, zs, ws)
-    return [
-        normalized_kernel(params, edge, u, v, config, k)
-        for edge, u, v, k in zip(edges, us, vs, exact)
-    ]
+    z, us, vs = _as_points(params, [edge.z for edge in edges], us, vs)
+    tau, n, d = params.tau, params.n, params.d
+    rn = math.sqrt(n)
+    exact = kernel_exact_log_many(params, rn * z + us, rn * z + vs)
+    route_b = _pole_normalized(params, z + us / rn, z + vs / rn, config, True)[0]
+    out = []
+    for edge, u, v, k, b in zip(edges, us, vs, exact, route_b):
+        if isinstance(b, EdgeDppError):
+            raise b
+        cof = cofactor_cn(tau, n, edge.z, u) * np.conj(cofactor_cn(tau, n, edge.z, v))
+        route_a = (
+            k
+            * LogMagnitudePhase.from_log(gaussian_normalizer_log(d, u, v))
+            * LogMagnitudePhase.from_complex(complex(cof))
+        )
+        gap = abs(route_a.ratio_to(b) - 1.0)
+        if gap > _ROUTE_GAP_TOL:
+            raise ConsistencyError(
+                f"normalized kernel routes disagree: relative gap {gap:.3e} (n={n}, d={d}, tau={tau})"
+            )
+        out.append(NormalizedKernelSample(L=b.value, z=edge, u=u, v=v, n=n, route_gap=gap))
+    return out
 
 
 def edge_kernel_prediction(edge: EdgePoint, u, v) -> complex:

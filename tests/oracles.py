@@ -9,13 +9,16 @@ follow Dekker/Knuth; exp uses ln2 range reduction plus a Taylor tail.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from typing import Sequence
 
 import numpy as np
 
 from edgedpp import contour
+from edgedpp import kernel as kernel_module
 from edgedpp.errors import ConsistencyError, ContourError, DegenerateCoordinatesError, DomainError, UsageError
+from edgedpp.harness import ConvergenceReport, SeriesResult
 from edgedpp.kernel import (
     ModelParams,
     as_point,
@@ -552,12 +555,15 @@ def _phase_on_circle_reference(tau: float, x: complex, q_sum: complex, r: float,
     return re_g, im_g, branch_sq
 
 
-def quadrature_reference(params: ModelParams, x: complex, q_sum: complex, r: float, table: np.ndarray, midpoints: bool):
-    """Reference for contour._quadrature: the same real arithmetic on the
-    same node table, but with every tau term formed at every tau, each node
-    row indexed on its own and the turn (n - 1) m reduced as one product, so
-    that equal floats show that the production pass's skips at tau r = 0,
-    its gathered rows and its integer reduction change no bit."""
+def quadrature_reference(params: ModelParams, circles, rows, table: np.ndarray, midpoints: bool):
+    """Reference for contour._quadrature on a one-row block: the same real
+    arithmetic on the same node table, but with every tau term formed at
+    every tau, each node row indexed on its own and the turn (n - 1) m
+    reduced as one product, so that equal floats show that the production
+    pass's skips at tau r = 0, its gathered rows and its integer reduction
+    change no bit."""
+    assert len(rows) == 1, "the reference evaluates one circle"
+    (x, q_sum, r), = (circles[i] for i in rows)
     tau, d, n = params.tau, params.d, params.n
     _, sin, one_minus_cos, _, sin_2, two_sin_sq = table
     rho = tau * r
@@ -570,7 +576,7 @@ def quadrature_reference(params: ModelParams, x: complex, q_sum: complex, r: flo
     log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
     count = table.shape[1]
 
-    def phase_of(keep: np.ndarray) -> np.ndarray:
+    def phase_of(at_row, keep: np.ndarray, flat) -> np.ndarray:
         r_sin = r * sin[keep]
         arg_pole = np.arctan2(r_sin, (r - 1.0) - r * one_minus_cos[keep])
         branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq[keep]
@@ -583,19 +589,41 @@ def quadrature_reference(params: ModelParams, x: complex, q_sum: complex, r: flo
     return log_mag, phase_of
 
 
-def node_pass_all_nodes(node_values, count: int, midpoints: bool = False):
-    """Reference for contour._node_pass: every node gets its weight
-    e^{log_mag - shift}, and the L1 norm is their plain sum; the nodes
-    within contour._KEEP_NATS of the largest get a phase."""
-    log_mag, phase_of = node_values(contour._trapezoid_nodes(count, midpoints), midpoints)
+def node_pass_all_nodes(node_values, rows, count: int, midpoints: bool = False):
+    """Reference for contour._node_pass on a one-row block: every node gets
+    its weight e^{log_mag - shift}, and the L1 norm is their plain sum; the
+    nodes within contour._KEEP_NATS of the largest get a phase."""
+    assert len(rows) == 1, "the reference passes one row"
+    log_mag, phase_of = node_values(rows, contour._trapezoid_nodes(count, midpoints), midpoints)
     shift = float(np.max(log_mag))
     if not shift < math.inf:
         raise DomainError("log magnitudes must be < +inf and not nan")
     weights = np.exp(log_mag - shift)
     keep = np.flatnonzero(log_mag >= shift - contour._KEEP_NATS)
     terms = np.zeros(count, dtype=complex)
-    terms[keep] = weights[keep] * phase_of(keep)
-    return shift, float(np.sum(weights)), terms
+    terms[keep] = weights[keep] * phase_of(None, keep, keep)
+    return [shift], [float(np.sum(weights))], terms[None]
+
+
+def degree_sum_reference(qx, qts, t2: float, d4: float, n: int):
+    """Reference for kernel._degree_sum: its difference-form loop with every
+    term formed at every tau, as it ran before the loop skipped the +-0
+    terms at tau = 0.  Same arguments and (log scale, total) result."""
+    h0, h1, h2, u0, u1 = (type(qx)(v) for v in (1, 0, 0, 1, 0))
+    terms = [h0]
+    exponent = 0
+    for k in range(1, n):
+        tu = t2 * u1
+        u0, u1 = (d4 * tu + qx * (h0 + t2 * h2) - qts * h1) / k + tu, u0
+        h0, h1, h2 = u0 + t2 * h1, h0, h1
+        if abs(h0) > 1e150:
+            e = math.frexp(abs(h0))[1]
+            f = math.ldexp(1.0, -e)
+            h0, h1, h2, u0, u1 = h0 * f, h1 * f, h2 * f, u0 * f, u1 * f
+            terms = [kernel_module._pairwise_sum(terms) * f]
+            exponent += e
+        terms.append(h0)
+    return exponent * math.log(2.0), kernel_module._pairwise_sum(terms)
 
 
 def weight_omega(zeta: complex, tau: float) -> float:
@@ -645,3 +673,30 @@ def elliptic_coords(zeta: complex, tol: float = 1e-12) -> tuple[float, float]:
     if xi < 0.0:  # principal acosh keeps Re >= 0; guard rounding at xi ~ 0
         xi, eta = -xi, -eta
     return xi, eta
+
+
+def parse_report_json(text: str) -> list[ConvergenceReport]:
+    """Inverse of emit_report(..., fmt="json")."""
+    payload = json.loads(text)
+    reports = []
+    for rep in payload:
+        series = tuple(
+            SeriesResult(
+                d=s["d"],
+                tau=s["tau"],
+                samples=s["samples"],
+                fitted_exponent=s["fitted_exponent"],
+                passed=s["passed"],
+                note=s.get("note", ""),
+            )
+            for s in rep["series"]
+        )
+        reports.append(
+            ConvergenceReport(
+                kind=rep["kind"],
+                seed=rep["seed"],
+                series=series,
+                passed=rep["passed"],
+            )
+        )
+    return reports

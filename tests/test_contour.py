@@ -1,5 +1,6 @@
 """Contour quadrature of the single-integral kernel representations."""
 
+import collections
 import functools
 import math
 import re
@@ -17,8 +18,10 @@ from edgedpp.contour import (
     _trapezoid_nodes,
     integral_I_tau,
     kernel_via_contour_log,
+    kernel_via_contour_log_many,
     max_principle_check,
     normalized_integral,
+    normalized_integral_many,
 )
 from edgedpp.errors import ContourError, DomainError, EdgeDppError, QuadratureError, UsageError
 from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
@@ -138,10 +141,16 @@ def test_radius_offset_robustness():
         assert abs(v.ratio_to(vals[0]) - 1.0) <= 1e-9
 
 
+def _circle_values(params, x, q_sum, r):
+    """The node values of a one-row block on the circle |t| = r."""
+    return functools.partial(_quadrature, params, [(x, q_sum, r)])
+
+
 def _all_nodes(node_values, count, midpoints=False):
-    """Log magnitudes and phases of every node of a count-node table."""
-    lg, phase_of = node_values(_trapezoid_nodes(count, midpoints), midpoints)
-    return lg, phase_of(np.arange(count))
+    """Log magnitudes and phases of every node of a count-node table, one row."""
+    lg, phase_of = node_values([0], _trapezoid_nodes(count, midpoints), midpoints)
+    every = np.arange(count)
+    return lg, phase_of(None, every, every)
 
 
 def test_pole_side_consistency():
@@ -153,9 +162,9 @@ def test_pole_side_consistency():
     r_out = 1.02
     r_in = 0.98
     weight = math.log(count)
-    lg_o, ph_o = _all_nodes(lambda *a: _quadrature(params, x, q_sum, r_out, *a), count)
+    lg_o, ph_o = _all_nodes(_circle_values(params, x, q_sum, r_out), count)
     enclosed = stable_sum_arrays(np.append(lg_o - weight, 0.0), np.append(ph_o, 1.0 + 0.0j))
-    lg_i, ph_i = _all_nodes(lambda *a: _quadrature(params, x, q_sum, r_in, *a), count)
+    lg_i, ph_i = _all_nodes(_circle_values(params, x, q_sum, r_in), count)
     excluded = stable_sum_arrays(lg_i - weight, ph_i)
     assert abs(enclosed.ratio_to(excluded) - 1.0) <= 1e-9
 
@@ -188,7 +197,7 @@ def _node_cases(d, tau, n):
                 scale = n * (abs(zeta) * (r + 1.0) + abs(math.log(r)) + 2 * math.pi)
                 scale = scale + r / np.abs(s - 1.0) + 1.0
                 yield (
-                    _quadrature(params, x, q_sum, r, table, midpoints),
+                    _quadrature(params, [(x, q_sum, r)], [0], table, midpoints),
                     quadrature_zero_complex(zeta, n, r, theta),
                     scale,
                 )
@@ -203,7 +212,7 @@ def _node_cases(d, tau, n):
             scale = scale + abs(phase.q_sq) * r / minus * (1.0 + 1.0 / minus)
             scale = n * (scale + abs(math.log(r)) + size) + d / np.abs(1.0 - s * s)
             yield (
-                _quadrature(params, x, q_sum, r / tau, table, midpoints),
+                _quadrature(params, [(x, q_sum, r / tau)], [0], table, midpoints),
                 quadrature_tau_complex(frame, params, r, theta),
                 scale + r / np.abs(s - tau) + 1.0,
             )
@@ -219,13 +228,14 @@ def test_nodes_match_the_complex_expression(d, tau, n):
     # the reference sum of all of them, within those node errors plus the
     # rounding of the two sums
     count = 1024
+    every = np.arange(count)
     for (log_mag, phase_of), (ref_log, ref_phase), scale in _node_cases(d, tau, n):
         tol = 8 * EPS * scale
         assert np.all(np.abs(log_mag - ref_log) <= tol)
-        assert np.all(np.abs(phase_of(np.arange(count)) - ref_phase) <= tol)
+        assert np.all(np.abs(phase_of(None, every, every) - ref_phase) <= tol)
 
-        shift, _, terms = contour._node_pass(lambda *_: (log_mag, phase_of), count)
-        got = LogMagnitudePhase.from_shifted(shift - math.log(count), complex(np.sum(terms)))
+        (shift,), _, terms = contour._node_pass(lambda *_: (log_mag, phase_of), [0], count)
+        got = LogMagnitudePhase.from_shifted(shift - math.log(count), complex(np.sum(terms[0])))
         want = stable_sum_arrays(ref_log - math.log(count), ref_phase)
         ref_weights = np.exp(ref_log - shift) / count
         bound = float(np.sum(ref_weights * tol)) + 2 * (10 + 16) * EPS * float(np.sum(ref_weights))
@@ -241,7 +251,7 @@ def test_dropped_nodes_move_an_integral_by_less_than_2_eps_of_its_l1_norm(monkey
 
     def recorded(*args):
         shift, l1, terms = original(*args)
-        passes.append((shift, l1, terms))
+        passes.append((shift[0], l1[0], terms[0]))  # one row: the pair's own pass
         return shift, l1, terms
 
     def nonzero_terms():
@@ -299,9 +309,9 @@ def test_trimmed_node_pass_gives_the_reference_floats(monkeypatch, d, tau, n):
     edge = edge_point_sample(params, 5).z
     inside = []
 
-    def recorded(params, x, q_sum, r, *table):
-        inside.append(r > 1.0)
-        return _quadrature(params, x, q_sum, r, *table)
+    def recorded(params, circles, rows, *table):
+        inside.append(circles[rows[0]][2] > 1.0)
+        return _quadrature(params, circles, rows, *table)
 
     monkeypatch.setattr(contour, "_quadrature", recorded)
     values = 0
@@ -332,9 +342,9 @@ def test_cancellation_guard_bounds_every_evaluated_node(monkeypatch, d, tau):
     evaluated, guarded, radii = [], [], []
     original_guard = contour._reject_hopeless_cancellation
 
-    def node_values(params, x, q_sum, r, table, midpoints):
-        radii.append(r)
-        log_mag, phase_of = _quadrature(params, x, q_sum, r, table, midpoints)
+    def node_values(params, circles, rows, table, midpoints):
+        radii.append(circles[rows[0]][2])
+        log_mag, phase_of = _quadrature(params, circles, rows, table, midpoints)
         evaluated.append(log_mag)
         return log_mag, phase_of
 
@@ -403,7 +413,8 @@ def _record_passes(monkeypatch, node_function):
         return _trapezoid_nodes(count, *args, **kwargs)
 
     def recorded(*args):
-        radii.append(args[-3])  # (..., r, table, midpoints)
+        circles, rows = args[-4:-2]  # (..., circles, rows, table, midpoints)
+        radii.append(circles[rows[0]][2])
         return node_function(*args)
 
     monkeypatch.setattr(contour, "_trapezoid_nodes", counted)
@@ -427,14 +438,14 @@ def _route_cases():
     yield (
         params,
         lambda config, residue: integral_I_tau(params, *inv, config, residue),
-        lambda r: lambda *table: _quadrature(params, inv[0], inv[1], r, *table),
+        lambda r: _circle_values(params, inv[0], inv[1], r),
     )
     params0 = ModelParams(d=1, tau=0.0, n=1024)
     for zeta in (0.99 + 0.01j, 1.01 - 0.01j):
         yield (
             params0,
             lambda config, residue, zeta=zeta: integral_zero(params0, zeta, config, residue),
-            lambda r, zeta=zeta: lambda *table: _quadrature(params0, zeta, 0j, r, *table),
+            lambda r, zeta=zeta: _circle_values(params0, zeta, 0j, r),
         )
 
 
@@ -442,11 +453,11 @@ def _grid_values(even, odd, mid_even, mid_odd):
     """Hand-built node values by position: the even and odd points of a
     node table, and the even and odd points of its midpoints."""
 
-    def node_values(table, midpoints):
+    def node_values(rows, table, midpoints):
         odd_index = np.arange(table.shape[1]) % 2 == 1
         values = np.where(odd_index, mid_odd if midpoints else odd, mid_even if midpoints else even)
         values = values.astype(complex)
-        return np.log(np.abs(values)), lambda keep: (values / np.abs(values))[keep]
+        return np.log(np.abs(values)), lambda at_row, keep, flat: (values / np.abs(values))[keep]
 
     return node_values
 
@@ -489,7 +500,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     counts, _ = _record_passes(monkeypatch, _quadrature)
     nodes = _grid_values(1.0, 2.5, 1.75, 1.75)
     loose = ContourConfig(tolerance=0.5, max_doublings=1)
-    val = contour._nested_trapezoid(nodes, 64, False, loose, 0.9, 16, "hand-built")
+    (val,) = contour._nested_trapezoid(nodes, 64, [False], loose, [0.9], 16)
     assert counts == [64, 64]
     assert abs(val.value - 1.75) <= 1e-14
 
@@ -523,8 +534,8 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
     evaluated, guarded = [], []
     hand_built = _grid_values(base + 1.0, base - 1.0, base + mid_spread, base - mid_spread)
 
-    def node_values(table, midpoints):
-        lg, phase_of = hand_built(table, midpoints)
+    def node_values(rows, table, midpoints):
+        lg, phase_of = hand_built(rows, table, midpoints)
         evaluated.append(lg)
         return lg, phase_of
 
@@ -535,11 +546,8 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
     original = contour._reject_hopeless_cancellation
     monkeypatch.setattr(contour, "_reject_hopeless_cancellation", guard)
     loose = ContourConfig(tolerance=0.5, max_doublings=1)
-    try:
-        contour._nested_trapezoid(node_values, 64, residue, loose, 0.9, 16, "hand-built")
-        raised = None
-    except ContourError:
-        raised = len(guarded) - 1
+    (got,) = contour._nested_trapezoid(node_values, 64, [residue], loose, [0.9], 16)
+    raised = len(guarded) - 1 if isinstance(got, ContourError) else None
     assert raised == raises_at
 
     count = 64
@@ -552,6 +560,115 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
         assert abs(l1_log - oracle) <= 1e-12
         assert (oracle - val.log_mag > 34.0) == (i == raised)
         count *= 2
+
+
+# A config under which some rows of a block double, some fail, and some
+# settle at the start count.
+_STRICT = ContourConfig(radius_offset=0.5, tolerance=1e-13, max_doublings=1)
+
+
+def _block_invariants(params):
+    """(X, Q, P) of 16 seeded pairs at 0.5 to 1.5 times edge points, and rows
+    that stop before the rule: a nan X, X = Q = P = 0 (the residue alone at
+    tau = 0) and, at tau >= 1e-3, a focal input: Q = 0 and zhat_+^2 = q P/8
+    = 2 tau, with X = (P - Q)/4 as every pair has."""
+    n, d, tau = params.n, params.d, params.tau
+    rng = np.random.default_rng(3)
+    rows = []
+    for seed in range(16):
+        z = rng.choice([0.5, 0.9, 1.0, 1.1, 1.5]) * edge_point_sample(params, seed).z
+        rows.append(pair_invariants(z, z + rng.uniform(0.0, 1.0) / math.sqrt(n) * np.exp(1j * rng.uniform(0.0, 6.0, d))))
+    rows[3:3] = [(complex(math.nan), 0j, 0j)]
+    rows[9:9] = [(0j, 0j, 0j)]
+    if tau >= 1e-3:
+        p_sum = 16.0 * tau / ((1.0 - tau) * (1.0 + tau))
+        rows[12:12] = [(complex(p_sum / 4.0), 0j, complex(p_sum))]
+    return rows
+
+
+def _record_blocks(monkeypatch):
+    """Record (rows, midpoints) of each node pass, each node-table read, each
+    guarded estimate, and the (X, Q, r) circles of each pass's rows."""
+    log = {"passes": [], "tables": [], "guarded": [], "circles": []}
+    node_pass, nodes, guard, phase = (
+        contour._node_pass, contour._trapezoid_nodes, contour._reject_hopeless_cancellation, contour._phase_on_circle
+    )
+
+    def recorded_pass(node_values, rows, count, midpoints=False):
+        log["passes"].append((len(rows), midpoints))
+        return node_pass(node_values, rows, count, midpoints)
+
+    monkeypatch.setattr(contour, "_node_pass", recorded_pass)
+    monkeypatch.setattr(contour, "_trapezoid_nodes", lambda *a: log["tables"].append(a) or nodes(*a))
+    monkeypatch.setattr(contour, "_reject_hopeless_cancellation", lambda *a: log["guarded"].append(a) or guard(*a))
+    monkeypatch.setattr(contour, "_phase_on_circle", lambda t, c, *a: log["circles"].append(c) or phase(t, c, *a))
+    return log
+
+
+@pytest.mark.parametrize("d, tau, n", [(1, 0.0, 64), (1, 5e-324, 64), (2, 0.5, 64), (3, 0.5, 256), (2, 0.93, 16)])
+def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
+    # equal floats (==), or the same refusal, for each row of one call: rows
+    # that settle at the start count, rows that double (as a shrinking set)
+    # and settle, rows that fail in the rule or before it, X = 0 at tau = 0,
+    # and at tau = 5e-324 rows with tau r = 0 beside rows with tau r > 0.
+    # Each pass reads one node table and each row estimate passes the
+    # cancellation guard once: bench/spans.py counts those calls
+    params = ModelParams(d=d, tau=tau, n=n)
+    rows = _block_invariants(params)
+    kinds, settled_after_doubling = collections.Counter(), 0
+    for residue in (True, False):
+        ones = [_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)) for row in rows]
+        with monkeypatch.context() as patched:
+            log = _record_blocks(patched)
+            got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
+        starts = [size for size, midpoints in log["passes"] if not midpoints]
+        doubled = [size for size, midpoints in log["passes"] if midpoints]
+        assert len(log["tables"]) == len(log["passes"]) and len(log["guarded"]) == sum(starts) + sum(doubled)
+        assert max(starts) > 1 and all(0 < size < max(starts) for size in doubled)
+        for val, one in zip(got, ones):
+            kinds[type(val).__name__] += 1
+            assert (val if isinstance(val, LogMagnitudePhase) else (type(val), str(val))) == one
+        # with one doubling allowed, the rows that doubled and did not fail later settled
+        late = [val for val in got if isinstance(val, QuadratureError) or str(val).startswith("cancellation")]
+        settled_after_doubling += sum(doubled) - len(late)
+        if tau == 5e-324:
+            assert any(min(tau * c[2] for c in block) == 0.0 < max(tau * c[2] for c in block) for block in log["circles"])
+    assert settled_after_doubling > 0 and kinds["DomainError"] == 2
+    assert (kinds["DegenerateSaddleError"] > 0) == (tau >= 1e-3)
+    assert (kinds["UsageError"] > 0) == (tau == 0.0)
+
+
+def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_error():
+    # kernel_via_contour_log_many and normalized_integral_many give each row
+    # its one-row call's value (==), or raise the error of the first row whose
+    # one-row call raises, with its type and message: a QuadratureError or,
+    # read in reverse, the UsageError of X = 0 at tau = 0 without residue
+    params = ModelParams(d=1, tau=0.0, n=64)
+    rng = np.random.default_rng(11)  # rows 8 and 10 fail the rule under _STRICT without the residue
+    zs = [s * edge_point_sample(params, seed).z for seed, s in enumerate(rng.choice([0.5, 1.0, 1.5], 16))] + [[0.0]]
+    us = [rng.uniform(-0.5, 0.5, 1) + 1j * rng.uniform(-0.5, 0.5, 1) for _ in range(16)] + [[0.0]]
+    vs = [rng.uniform(-0.5, 0.5, 1) + 1j * rng.uniform(-0.5, 0.5, 1) for _ in range(16)] + [[0.0]]
+    rows = list(zip(zs, us, vs))
+    pairs = [(z + np.asarray(u) / 8.0, z + np.asarray(v) / 8.0) for z, u, v in rows]
+    assert kernel_via_contour_log_many(params, *zip(*pairs)) == [kernel_via_contour_log(params, *p) for p in pairs]
+    ones = [_value_or_refusal(functools.partial(normalized_integral, params, *row, _STRICT, False)) for row in rows]
+    values = [(row, one) for row, one in zip(rows, ones) if not isinstance(one[0], type)]
+    assert normalized_integral_many(params, *zip(*(row for row, _ in values)), _STRICT, False) == [v for _, v in values]
+    # under an unreachable tolerance every rule fails, each naming its radius
+    never = ContourConfig(tolerance=1e-300, max_doublings=1)
+    kernel_ones = [_value_or_refusal(functools.partial(kernel_via_contour_log, params, *p, never)) for p in pairs]
+    firsts = set()
+    for order in (slice(None), slice(None, None, -1)):
+        first = next(one for one in ones[order] if isinstance(one[0], type))
+        with pytest.raises(EdgeDppError) as caught:
+            normalized_integral_many(params, *zip(*rows[order]), _STRICT, False)
+        assert (type(caught.value), str(caught.value)) == first
+        firsts.add(first[0])
+        first = next(one for one in kernel_ones[order] if isinstance(one, tuple))
+        assert kernel_ones.count(first) == 1
+        with pytest.raises(first[0], match=f"^{re.escape(first[1])}$"):
+            kernel_via_contour_log_many(params, *zip(*pairs[order]), never)
+    assert firsts == {QuadratureError, UsageError}
 
 
 def test_bulk_limit_seed_24_still_refuses_cancellation():

@@ -18,9 +18,9 @@ from edgedpp.harness import (
     default_spec,
     emit_report,
     fit_convergence_rate,
-    parse_report_json,
     run_experiment,
 )
+from oracles import parse_report_json
 
 
 def test_fit_rate_exact_power_laws():

@@ -27,6 +27,7 @@ from edgedpp.kernel import (
 
 from oracles import (
     correlation_k,
+    degree_sum_reference,
     hermite_phi10_oracle,
     kernel_mpmath_log,
     kernel_per_pair,
@@ -314,6 +315,30 @@ def test_degree_sum_on_real_invariants_is_the_complex_loop_in_floats(d, tau):
             assert type(got[1]) is float and ref[1].imag == 0.0
             assert got == (ref[0], ref[1].real), (n, x, s)
     assert got[0] > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 4096])
+@pytest.mark.parametrize("tau", [0.0, 1e-170])
+def test_degree_sum_at_tau_zero_gives_the_difference_form_floats(tau, n):
+    # at tau = 0 (tau^2 and q tau S both 0) the loop runs h_k = q X h_{k-1}/k
+    # alone; the terms it drops are +-0, so it returns the floats (==) of the
+    # difference-form loop in tests/oracles.py, for float and complex X up to
+    # |X| = 2n, past the rescale at 1e150.  At tau = 1e-170, tau^2 underflows
+    # to 0 but q tau S does not, and the full loop runs
+    rng = np.random.default_rng(n)
+    q, t2 = (1.0 - tau) * (1.0 + tau), tau * tau
+    assert t2 == 0.0
+    for size in (0.0, 0.3, 0.5 * n, n, 2.0 * n):
+        for d in (1, 2, 3):
+            s_re, sign, angle, s_im = (float(v) for v in rng.uniform(-1.0, 1.0, 4))
+            s_re, s_im = 2.0 * n * s_re, n * s_im  # Python floats and complexes, as the kernel passes
+            for x, s in ((math.copysign(size, sign), s_re), (size * cmath.exp(1j * math.pi * angle), complex(s_re, s_im))):
+                qts = q * tau * s
+                assert (qts != 0) == (tau > 0.0)
+                got = kernel._degree_sum(q * x, qts, t2, d - 4.0, n)
+                assert got == degree_sum_reference(q * x, qts, t2, d - 4.0, n), (size, d, x, s)
+                assert type(got[1]) is type(x)
+    assert (got[0] > 0.0) == (n == 4096)  # |X| = 2n rescaled at n = 4096
 
 
 def test_diagonal_kernel_values_have_phase_exactly_one():
