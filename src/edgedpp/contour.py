@@ -9,10 +9,10 @@ every 0 <= tau < 1, a weight factor times
     I = -(1/2 pi i) oint e^{n (G(t) - log t)} / ((t - 1) (1 - tau^2 t^2)^{d/2}) dt,
     G(t) = q (X t/(1 + tau t) - (tau Q/2) t^2/(1 - tau^2 t^2)),
 
-over a small loop around the origin (s = tau t gives the s-plane form,
-pole s = tau and phase geometry.PhaseFunction), deformed to a circle
-through the dominant saddle; when it crosses the simple pole at t = 1 the
-residue is picked up.  The returned quantity
+over a small loop around the origin (s = tau t gives the s-plane form
+with pole s = tau), deformed to a circle through the dominant saddle;
+when it crosses the simple pole at t = 1 the residue is picked up.  The
+returned quantity
 
     N = (1 - tau^2)^{d/2} e^{-n G(1)} I,    G(1) = (1 - tau) X - tau Q/2,
 
@@ -28,6 +28,10 @@ max(0.93, (1 + tau)/2)/tau below the branch points t = +-1/tau, and is
 nudged away from the pole, an uncapped circle at most halfway to the
 branch points.  X, Q and P are summed coordinate by coordinate; forming
 Q or P from X and the square sums loses accuracy on near-real pairs.
+The same zhat_pm, saddles and phase F(t) = G(t) - log t with its
+derivatives (_hat_z, _saddles_t, _phase_t) are the only ones the edge
+expansions of saddle and the max_principle experiment use, for every
+0 <= tau < 1.
 
 The trapezoid rule on a circle converges geometrically in the node count
 with rate set by the angular distance to the nearest singularity, here
@@ -63,7 +67,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContourError, DegenerateSaddleError, DomainError, EdgeDppError, QuadratureError, UsageError
-from .geometry import SaddleFrame, _outer_root
 from .kernel import ModelParams, _as_points, as_point, log_weight_omega
 from .special import LogMagnitudePhase
 
@@ -385,23 +388,72 @@ def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarra
     return log_mag, phase_of
 
 
-def _saddle_t(tau: float, x: complex, q_sum: complex, p_sum: complex) -> complex:
-    """tau a = w_+ w_- / 2, the reciprocal of the dominant saddle in t.
+def _phase_t(tau: float, q_sum: complex, p_sum: complex, t: complex) -> tuple[complex, complex, complex, complex]:
+    """F(t) = G(t) - log t and its first three t-derivatives at one point,
+    with G in partial fractions of P and Q, G(t) = (q/4) (P t/(1 + tau t)
+    - Q t/(1 - tau t)) (X t at tau = 0, as X = (P - Q)/4), which leaves
+    the saddle residuals |F'| at rounding.  F(tau t) of the s plane is
+    this F(t), and its k-th derivative tau^-k times this one's."""
+    c = 0.25 * (1.0 - tau) * (1.0 + tau)
+    cp, cq = c * p_sum, c * q_sum
+    up, dn = 1.0 / (1.0 + tau * t), 1.0 / (1.0 - tau * t)
+    return (
+        t * (cp * up - cq * dn) - cmath.log(t),
+        cp * up * up - cq * dn * dn - 1.0 / t,
+        -2.0 * tau * (cp * up**3 + cq * dn**3) + 1.0 / (t * t),
+        6.0 * tau * tau * (cp * up**4 - cq * dn**4) - 2.0 / t**3,
+    )
 
-    The larger of zhat_pm comes from the sum of the roots, the other from
+
+def _outer_root(z: complex, c: float) -> complex:
+    """z + sqrt(z^2 - c) with the branch of modulus >= sqrt(c)."""
+    r = cmath.sqrt(z * z - c)
+    w1 = z + r
+    w2 = z - r
+    return w1 if abs(w1) >= abs(w2) else w2
+
+
+def _hat_z(tau: float, x: complex, q_sum: complex, p_sum: complex) -> tuple[complex, complex]:
+    """zhat_pm = sqrt(q/2) (sqrt P +- sqrt Q)/2, up to a swap and a common
+    sign.  The larger comes from the sum of the roots, the other from
     zhat_+ zhat_- = q X / 2, so neither cancels when |X| is small against
-    |P|.  Refuses focal inputs, zhat_pm^2 within 1e-10 tau of 2 tau, where
-    the saddles have order two and the quadratic theory breaks down.
-    """
+    |P|."""
     q = (1.0 - tau) * (1.0 + tau)
     root_p, root_q = cmath.sqrt(p_sum), cmath.sqrt(q_sum)
     if abs(root_p + root_q) < abs(root_p - root_q):
         root_q = -root_q
     hat_p = 0.5 * math.sqrt(0.5 * q) * (root_p + root_q)
-    hat_m = 0.5 * q * x / hat_p if hat_p else hat_p
+    return hat_p, 0.5 * q * x / hat_p if hat_p else hat_p
+
+
+def _invariants_of_hat(tau: float, hat_p: complex, hat_m: complex) -> tuple[complex, complex, complex]:
+    """(X, Q, P) = (2 zhat_+ zhat_-, 2 (zhat_+ - zhat_-)^2, 2 (zhat_+ + zhat_-)^2)/q, the inverse of _hat_z."""
+    scale = 2.0 / ((1.0 - tau) * (1.0 + tau))
+    return scale * hat_p * hat_m, scale * (hat_p - hat_m) ** 2, scale * (hat_p + hat_m) ** 2
+
+
+def _outer_roots(tau: float, x: complex, q_sum: complex, p_sum: complex) -> tuple[complex, complex]:
+    """w_pm, the roots of larger modulus of zhat_pm +- sqrt(zhat_pm^2 - 2 tau).
+    Refuses focal inputs, zhat_pm^2 within 1e-10 tau of 2 tau, where the
+    saddles have order two and the quadratic theory breaks down."""
+    hat_p, hat_m = _hat_z(tau, x, q_sum, p_sum)
     if min(abs(hat_p * hat_p - 2.0 * tau), abs(hat_m * hat_m - 2.0 * tau)) < 1e-10 * tau:
         raise DegenerateSaddleError("saddle points coincide at a focal input")
-    return 0.5 * _outer_root(hat_p, 2.0 * tau) * _outer_root(hat_m, 2.0 * tau)
+    return _outer_root(hat_p, 2.0 * tau), _outer_root(hat_m, 2.0 * tau)
+
+
+def _saddle_t(tau: float, x: complex, q_sum: complex, p_sum: complex) -> complex:
+    """tau a = w_+ w_- / 2, the reciprocal of the dominant saddle in t."""
+    w_p, w_m = _outer_roots(tau, x, q_sum, p_sum)
+    return 0.5 * w_p * w_m
+
+
+def _saddles_t(tau: float, x: complex, q_sum: complex, p_sum: complex) -> tuple[complex, complex, complex, complex]:
+    """The four saddles of F at 0 < tau < 1: the dominant 1/(tau a), then
+    tau a/tau^2, b/tau and 1/(tau b), with b = w_+/w_-."""
+    w_p, w_m = _outer_roots(tau, x, q_sum, p_sum)
+    ta, b = 0.5 * w_p * w_m, w_p / w_m
+    return 1.0 / ta, ta / (tau * tau), b / tau, 1.0 / (tau * b)
 
 
 def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, config: ContourConfig, residue: bool):
@@ -415,8 +467,10 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
             raise UsageError("X = 0 at tau = 0 bypasses quadrature; no residue split exists")
         return None
     ta = abs(_saddle_t(tau, x, q_sum, p_sum))
-    if not ta > 0.0:  # tau = 0 with P and Q underflowing to 0 while X does not
-        raise ContourError("the saddle lies at infinity: tau a rounds to 0")
+    # tau a rounds to 0 at tau = 0 with P and Q underflowing while X does
+    # not, and to inf (+ nan i) at subnormal tau with P far below X
+    if not 0.0 < ta < math.inf:
+        raise ContourError(f"the saddle is out of reach: |tau a| rounds to {ta:g}")
     cap = max(_RADIUS_CAP_TAU, 0.5 * (1.0 + tau))
     capped = tau >= cap * ta  # 1/|tau a| >= cap/tau, never at tau = 0
     r, pole_inside = _choose_radius(cap / tau if capped else 1.0 / ta, 1.0, n, config.radius_offset)
@@ -488,14 +542,18 @@ def integral_I_tau(
     return _checked(_integral_rows(params, *([complex(a)] for a in (x, q_sum, p_sum)), config, include_residue))[0]
 
 
+def _invariants(zp: np.ndarray, wp: np.ndarray) -> tuple[list, list, list]:
+    """X, Q and P of each validated row pair (z', w'), as lists, each summed
+    coordinate by coordinate."""
+    wc = wp.conj()
+    return (zp * wc).sum(axis=1).tolist(), ((zp - wc) ** 2).sum(axis=1).tolist(), ((zp + wc) ** 2).sum(axis=1).tolist()
+
+
 def _pole_normalized(
     params: ModelParams, zp: np.ndarray, wp: np.ndarray, config: ContourConfig, include_residue: bool
 ) -> tuple[list, list[complex]]:
-    """N (or the row's error) and G(1) of each validated row pair (z', w'),
-    invariants summed coordinate by coordinate."""
-    wc = wp.conj()
-    x = (zp * wc).sum(axis=1).tolist()
-    q_sum, p_sum = ((zp - wc) ** 2).sum(axis=1).tolist(), ((zp + wc) ** 2).sum(axis=1).tolist()
+    """N (or the row's error) and G(1) of each validated row pair (z', w')."""
+    x, q_sum, p_sum = _invariants(zp, wp)
     values = _integral_rows(params, x, q_sum, p_sum, config, include_residue)
     return values, [_g_at_pole(params.tau, xb, qb) for xb, qb in zip(x, q_sum)]
 
@@ -547,20 +605,21 @@ def kernel_via_contour_log(params: ModelParams, z, w, config: ContourConfig = DE
     return _kernel_rows(params, as_point(params, z)[None], as_point(params, w)[None], config)[0]
 
 
-def max_principle_check(frame: SaddleFrame, grid_size: int = 10_000) -> float:
-    """Largest violation of Re F(s) <= Re F(1/a) on the circle |s| = |a|^{-1}.
+def max_principle_check(
+    params: ModelParams, x: complex, q_sum: complex, p_sum: complex, grid_size: int = 10_000
+) -> float:
+    """Largest violation of Re F(t) <= Re F(t*) on the saddle circle
+    |t| = |t*|, t* = 1/(tau a) the dominant saddle of the invariants X, Q
+    and P, over grid_size equally spaced nodes.
 
     Nonpositive (up to rounding) whenever the dominant-saddle inequality
-    holds; the returned value is max over the grid of Re F(s) - Re F(1/a).
-    With s = tau t, Re F = Re G(t) - log |t| comes from the node table, as
-    the node magnitudes do, with X = 2 tau z_+ z_-/q and Q = 2 tau
-    (z_+ - z_-)^2/q of the frame.
+    holds.  Re F = Re G(t) - log |t| on the circle comes from the node
+    table, as the node magnitudes do; F(t*) from _phase_t.
     """
     if grid_size < 8:
         raise DomainError("grid_size must be >= 8")
-    tau = frame.phase.tau
-    scale = 2.0 * tau / ((1.0 - tau) * (1.0 + tau))
-    r = frame.radius / tau
-    x, q_sum = scale * frame.z_plus * frame.z_minus, scale * frame.phase.q_sq
+    tau = params.tau
+    saddle = 1.0 / _saddle_t(tau, x, q_sum, p_sum)
+    r = abs(saddle)
     re_g = _phase_on_circle(tau, [(x, q_sum, r)], _trapezoid_nodes(grid_size))[0]
-    return float(re_g.max() - math.log(r) - frame.F_at_a_inv.real)
+    return float(re_g.max() - math.log(r) - _phase_t(tau, q_sum, p_sum, saddle)[0].real)

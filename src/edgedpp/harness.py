@@ -16,9 +16,10 @@ kernel evaluations:
 * refined_d1: the normalized kernel at normal displacements against its
   two-term expansion saddle.asymptotic_I_tau, residual decay rate.
 * saddle_pole: the pole/Gaussian model integral identity.
-* max_principle: saddle residuals and the dominant-saddle inequality.
+* max_principle: saddle residuals max |F'| and the dominant-saddle
+  inequality, one series each per tau.
 * phi_expansion: conformal-map value at the pole against its printed
-  expansions, residual decay rates.
+  expansions, residual decay rates; one code path for every tau.
 
 Each (d, tau, n) cell evaluates its exact kernels with one
 kernel_exact_log_many call (rho1_density over a (B, d) array of points;
@@ -36,6 +37,7 @@ experiment seed, so a fixed seed reproduces reports byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -45,9 +47,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import ContourConfig, kernel_via_contour_log_many, max_principle_check, normalized_integral_many
+from .contour import (
+    ContourConfig,
+    _invariants,
+    _invariants_of_hat,
+    _phase_t,
+    _saddles_t,
+    kernel_via_contour_log_many,
+    max_principle_check,
+    normalized_integral_many,
+)
 from .errors import DegenerateFitError, DomainError, UsageError
-from .geometry import delta_pm, edge_point_sample, saddle_frame, xi_for_tau, zpm_map
+from .geometry import edge_point_sample
 from .kernel import (
     ModelParams,
     kernel_exact_log_many,
@@ -62,11 +73,11 @@ from .predictors import (
     dot_product,
 )
 from .saddle import (
+    _edge_values,
     asymptotic_I_tau,
+    delta_pm,
     phi_at_pole,
-    phi_at_pole_tau0,
     phi_lemma_two_term,
-    phi_lemma_two_term_tau0,
     pole_gaussian_integral,
     sinh_ratio,
 )
@@ -499,8 +510,7 @@ def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
             samps = normalized_kernel_many(params, edges, us, vs, contour)
 
             def one(samp):
-                dpm = delta_pm(params, zpm_map(params, samp.z.z, samp.u, samp.v), samp.z)
-                return abs(samp.L - asymptotic_I_tau(params, samp.z.eta, dpm.delta_plus, dpm.delta_minus))
+                return abs(samp.L - asymptotic_I_tau(params, samp.z.eta, *delta_pm(params, samp.z, samp.u, samp.v)))
 
             samples.append((n, max(one(samp) for samp in samps)))
         slope, passed = _rate_within(samples, spec.tolerances["exponent"])
@@ -532,14 +542,15 @@ def _run_saddle_pole(spec: ExperimentSpec, contour: ContourConfig) -> list[Serie
     ]
 
 
-def _random_frame(rng: np.random.Generator, tau: float):
+def _random_frame(rng: np.random.Generator, tau: float) -> tuple[complex, complex, complex]:
+    """Invariants (X, Q, P) of a random saddle frame: zhat_pm = sqrt(2 tau)
+    cosh(xi_pm + i eta_pm), with xi_pm and eta_pm drawn at random."""
     xi_p = rng.uniform(0.05, 1.2)
     xi_m = rng.uniform(0.05, 1.2)
     eta_p = rng.uniform(-math.pi, math.pi)
     eta_m = rng.uniform(-math.pi, math.pi)
-    zp = math.sqrt(2.0) * np.cosh(complex(xi_p, eta_p))
-    zm = math.sqrt(2.0) * np.cosh(complex(xi_m, eta_m))
-    return saddle_frame(ModelParams(d=1, tau=tau, n=2), complex(zp), complex(zm))
+    scale = math.sqrt(2.0 * tau)
+    return _invariants_of_hat(tau, scale * cmath.cosh(complex(xi_p, eta_p)), scale * cmath.cosh(complex(xi_m, eta_m)))
 
 
 def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
@@ -550,31 +561,32 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
         raise DomainError(f"grid_frames must be >= 1, got {grid_frames}")
     results = []
     for d, tau in spec.params_grid:
+        params = ModelParams(d=d, tau=tau, n=2)
         rng = _rng(spec.seed, 8, int(tau * 10))
         worst_fprime = 0.0
         for _ in range(frames):
-            fr = _random_frame(rng, tau)
-            worst_fprime = max(
-                worst_fprime, max(abs(complex(fr.phase.dF(s))) for s in fr.saddles)
-            )
-        worst_violation = -math.inf
-        for _ in range(grid_frames):
-            fr = _random_frame(rng, tau)
-            worst_violation = max(worst_violation, max_principle_check(fr, grid_size))
-        passed = (
-            worst_fprime <= spec.tolerances["fprime"]
-            and worst_violation <= spec.tolerances["violation"]
+            inv = _random_frame(rng, tau)
+            worst_fprime = max(worst_fprime, *(abs(_phase_t(tau, *inv[1:], t)[1]) for t in _saddles_t(tau, *inv)))
+        worst_violation = max(
+            max_principle_check(params, *_random_frame(rng, tau), grid_size) for _ in range(grid_frames)
         )
-        results.append(
+        # one series per quantity, each with its own bound; n is the frame count
+        results += [
             SeriesResult(
                 d=d,
                 tau=tau,
-                samples=((frames, worst_fprime), (grid_frames, worst_violation)),
-                passed=passed,
-                note="samples: (frames, max |F'|), "
-                "(frames, max principle violation, negative where it holds)",
-            )
-        )
+                samples=((frames, worst_fprime),),
+                passed=worst_fprime <= spec.tolerances["fprime"],
+                note="saddle residual: max |F'(t)| at the four saddles; n = frames",
+            ),
+            SeriesResult(
+                d=d,
+                tau=tau,
+                samples=((grid_frames, worst_violation),),
+                passed=worst_violation <= spec.tolerances["violation"],
+                note="max principle violation, negative where it holds; n = frames",
+            ),
+        ]
     return results
 
 
@@ -584,49 +596,25 @@ def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
     for d, tau in spec.params_grid:
         rng = _rng(spec.seed, 9, int(tau * 10))
         series_err, spec_err = [], []
-        if tau == 0.0:
-            shape = complex(rng.uniform(0.2, 0.5), rng.uniform(-0.4, 0.4))
-            base = edge_point_sample(ModelParams(d=2, tau=0.0, n=2), spec.seed + 53)
-            for n in spec.n_grid:
-                params = ModelParams(d=2, tau=0.0, n=n)
-                delta = shape * n**-0.5
-                phi_s = phi_at_pole_tau0(params, 1.0 + delta)
-                phi_l = phi_lemma_two_term_tau0(delta)
-                series_err.append((n, abs(phi_s - phi_l)))
-                # u = v = lam * normal specialization
-                uu = lam * base.normal
-                zeta = dot_product(base.z + uu / math.sqrt(n), base.z + uu / math.sqrt(n))
-                phi_sp = phi_at_pole_tau0(params, zeta)
-                target = (
-                    math.sqrt(2.0) * lam / math.sqrt(n) - lam * lam / (3.0 * math.sqrt(2.0) * n)
-                )
-                spec_err.append((n, abs(1j * phi_sp - target)))
-        else:
-            eta = rng.uniform(0.2, 1.3)
-            xi = xi_for_tau(tau)
-            hat_p = math.sqrt(2.0) * np.cosh(complex(xi, eta))
-            hat_m = math.sqrt(2.0) * np.cosh(complex(xi, -eta))
-            dp_shape = complex(rng.uniform(0.2, 0.5), rng.uniform(-0.4, 0.4))
-            dm_shape = complex(rng.uniform(-0.5, -0.2), rng.uniform(-0.4, 0.4))
-            base = edge_point_sample(ModelParams(d=2, tau=tau, n=2), spec.seed + 67)
-            sig = sinh_ratio(tau, base.eta)
-            for n in spec.n_grid:
-                params = ModelParams(d=2, tau=tau, n=n)
-                dp = dp_shape * n**-0.5
-                dm = dm_shape * n**-0.5
-                zp = hat_p + math.sqrt(2.0) * np.sinh(complex(xi, eta)) * dp
-                zm = hat_m + math.sqrt(2.0) * np.sinh(complex(xi, -eta)) * dm
-                fr = saddle_frame(params, complex(zp), complex(zm))
-                phi_s = phi_at_pole(params, fr)
-                phi_l = phi_lemma_two_term(params, eta, dp, dm)
-                series_err.append((n, abs(phi_s - phi_l)))
-                # u = v = lam * normal specialization through the full zpm route
-                uu = lam * base.normal
-                zp2, zm2 = zpm_map(params, base.z, uu, uu)
-                fr2 = saddle_frame(params, zp2, zm2)
-                phi_sp = phi_at_pole(params, fr2)
-                target = math.sqrt(2.0) * lam / math.sqrt(n) - sig**3 * lam * lam / (12.0 * n)
-                spec_err.append((n, abs(1j * phi_sp - target)))
+        eta = rng.uniform(0.2, 1.3)
+        (hat_p, hat_m), (root_p, root_m) = _edge_values(tau, eta)
+        dp_shape = complex(rng.uniform(0.2, 0.5), rng.uniform(-0.4, 0.4))
+        dm_shape = complex(rng.uniform(-0.5, -0.2), rng.uniform(-0.4, 0.4))
+        base = edge_point_sample(ModelParams(d=2, tau=tau, n=2), spec.seed + 67)
+        sig = sinh_ratio(tau, base.eta)
+        for n in spec.n_grid:
+            params = ModelParams(d=2, tau=tau, n=n)
+            dp = dp_shape * n**-0.5
+            dm = dm_shape * n**-0.5
+            phi_s = phi_at_pole(params, *_invariants_of_hat(tau, hat_p + root_p * dp, hat_m + root_m * dm))
+            phi_l = phi_lemma_two_term(params, eta, dp, dm)
+            series_err.append((n, abs(phi_s - phi_l)))
+            # u = v = lam * normal specialization through the pair invariants
+            zp = (base.z + lam * base.normal / math.sqrt(n))[None]
+            (x,), (q_sum,), (p_sum,) = _invariants(zp, zp)
+            phi_sp = phi_at_pole(params, x, q_sum, p_sum)
+            target = math.sqrt(2.0) * lam / math.sqrt(n) - sig**3 * lam * lam / (12.0 * n)
+            spec_err.append((n, abs(1j * phi_sp - target)))
         slope_series, series_ok = _rate_within(series_err, spec.tolerances["exponent"])
         slope_spec, spec_ok = _rate_within(spec_err, spec.tolerances["exponent"])
         results.append(

@@ -258,7 +258,10 @@ def truncated_exp_series(x: complex, nterms: int) -> LogMagnitudePhase:
 
 
 def kernel_tau0_closed_log(params: ModelParams, z, w) -> LogMagnitudePhase:
-    """Closed form at tau = 0: pi^{-d} exp(-(|z|^2+|w|^2)/2) sum_{j<n} (z.w)^j / j!."""
+    """Closed form at tau = 0: pi^{-d} exp(-(|z|^2+|w|^2)/2) sum_{j<n} (z.w)^j / j!.
+
+    A third route, kept on purpose as the closed-form check of
+    representation_equivalence and of bench/workloads.py."""
     if params.tau != 0.0:
         raise UsageError("kernel_tau0_closed_log requires tau = 0")
     z = as_point(params, z)

@@ -1,7 +1,7 @@
 """Edge predictors: the erfc density profile, the higher-dimensional
 Faddeeva plasma kernel and the bulk limit.  The two-term expansion of the
-normalized kernel itself, in every d, is saddle.asymptotic_I_tau (and
-asymptotic_I_zero at tau = 0).
+normalized kernel itself, in every d and every 0 <= tau < 1, is
+saddle.asymptotic_I_tau of the displacements saddle.delta_pm.
 
 The central normalized object is
 

@@ -1,6 +1,6 @@
 """Steepest-descent machinery: the pole/Gaussian integral, the conformal
 map value at the pole, and the asymptotic formulas for the normalized
-contour integrals.
+contour integrals, one of each for every 0 <= tau < 1.
 
 The coalescing saddle/pole mechanism rests on a single model integral,
 
@@ -8,15 +8,20 @@ The coalescing saddle/pole mechanism rests on a single model integral,
         = -pi i e^{-n p^2} erfc(i sqrt(n) p) + O((e^{-n l1^2} + e^{-n l2^2}) / n),
 
 valid when the pole p lies to the right of the integration path.  Near a
-droplet edge the phase F differs from its saddle value by -phi(s)^2 for a
-conformal map phi, and only the single number phi(pole) enters the final
-formulas; it is computed as the branch of sqrt(F(saddle) - F(pole))
-matching the series expansion
+droplet edge the contour route's phase F(t) = G(t) - log t differs from
+its saddle value by -phi(t)^2 for a conformal map phi, and only the
+single number phi(1), at the pole t = 1, enters the final formulas; it is
+computed as the branch of sqrt(F(t*) - F(1)) matching the series expansion
 
-    phi(s) = -i sqrt(F''/2) (s - s*) - i/(6 sqrt 2) F'''/sqrt(F'') (s - s*)^2 + ...
+    phi(t) = -i sqrt(F''/2) (t - t*) - i/(6 sqrt 2) F'''/sqrt(F'') (t - t*)^2 + ...
 
-The asymptotic values implemented here have been cross-checked against
-the exact kernel; see asymptotic_I_tau for the constants.
+Everything is read from the pair invariants X, Q and P through the
+contour module's phase, saddle and zhat_pm, in t = s/tau, so nothing
+divides by tau: the displacements Delta_pm and the scale sigma stay
+finite as tau -> 0 (sigma -> sqrt 2), and tau = 0 is the Ginibre case of
+the same formulas.  The asymptotic values implemented here have been
+cross-checked against the exact kernel; see asymptotic_I_tau for the
+constants.
 """
 
 from __future__ import annotations
@@ -27,19 +32,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, UsageError
-from .geometry import SaddleFrame, xi_for_tau
-from .kernel import ModelParams
+from .contour import _hat_z, _invariants, _phase_t, _saddle_t
+from .errors import DegenerateCoordinatesError, DomainError, QuadratureError
+from .geometry import EdgePoint
+from .kernel import ModelParams, as_point
 from .special import erfc_complex, erfcx_complex, gauss_legendre
 
 __all__ = [
     "pole_gaussian_integral",
     "phi_at_pole",
-    "phi_at_pole_tau0",
+    "delta_pm",
     "phi_lemma_two_term",
-    "phi_lemma_two_term_tau0",
     "asymptotic_I_tau",
-    "asymptotic_I_zero",
     "sinh_ratio",
 ]
 
@@ -119,60 +123,72 @@ def _branch_matched_root(diff: complex, expected: complex) -> complex:
     return w if abs(w - expected) <= abs(-w - expected) else -w
 
 
-def phi_at_pole(params: ModelParams, frame: SaddleFrame) -> complex:
-    """phi(tau) by the branch-consistent square root of F(1/a) - F(tau).
+def phi_at_pole(params: ModelParams, x: complex, q_sum: complex, p_sum: complex) -> complex:
+    """phi(1) by the branch-consistent square root of F(t*) - F(1), for the
+    pair invariants X, Q and P at any 0 <= tau < 1, with F(t) = G(t) - log t
+    and t* = 1/(tau a) the dominant saddle (1/X at tau = 0).
 
     The sign is fixed by the two-term series at the saddle; if even the
     two-term value vanishes the branch is genuinely ambiguous and a
-    DomainError is raised.
+    DomainError is raised.  The value is that of the s = tau t plane.
     """
-    if not (0.0 < params.tau < 1.0):
-        raise UsageError("phi_at_pole is the tau > 0 route")
-    pole = params.tau
-    step = pole - frame.a_inv
-    if abs(step) <= 1e-14 * (1.0 + abs(frame.a_inv)):
+    tau = params.tau
+    saddle = 1.0 / _saddle_t(tau, x, q_sum, p_sum)
+    step = 1.0 - saddle
+    if abs(step) <= 1e-14 * (1.0 + abs(saddle)):
         # exact coalescence: phi(pole) = 0 with no branch to choose
         return 0.0 + 0.0j
-    lead_coeff = -1j * cmath.sqrt(0.5 * frame.F2_at_a_inv)
-    expected = lead_coeff * step - (1j / (6.0 * math.sqrt(2.0))) * complex(
-        frame.phase.d3F(frame.a_inv)
-    ) / cmath.sqrt(frame.F2_at_a_inv) * step * step
+    f, _, f2, f3 = _phase_t(tau, q_sum, p_sum, saddle)
+    expected = -1j * cmath.sqrt(0.5 * f2) * step - (1j / (6.0 * math.sqrt(2.0))) * f3 / cmath.sqrt(f2) * step * step
     if abs(expected) < 1e-14:
         raise DomainError("conformal-map branch ambiguous at this pole/saddle configuration")
-    return _branch_matched_root(frame.F_at_a_inv - complex(frame.phase.F(pole)), expected)
+    return _branch_matched_root(f - _phase_t(tau, q_sum, p_sum, 1.0)[0], expected)
 
 
-def phi_at_pole_tau0(params: ModelParams, zeta: complex) -> complex:
-    """tau = 0 analogue: phi(1) for F(s) = zeta s - log s with saddle 1/zeta."""
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("zeta = 0 has no saddle point")
-    s0 = 1.0 / zeta
-    step = 1.0 - s0
-    if abs(step) <= 1e-14 * (1.0 + abs(s0)):
-        return 0.0 + 0.0j
-    expected = -1j / (math.sqrt(2.0) * s0) * step + (1j / (3.0 * math.sqrt(2.0))) * (step / s0) ** 2
-    if abs(expected) < 1e-14:
-        raise DomainError("conformal-map branch ambiguous at this pole/saddle configuration")
-    f_saddle = 1.0 + cmath.log(zeta)  # F(1/zeta)
-    f_pole = zeta  # F(1)
-    return _branch_matched_root(f_saddle - f_pole, expected)
+def _edge_values(tau: float, eta: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The edge values zhat_pm = (e^{+-i eta} + tau e^{-+i eta})/sqrt 2 of
+    _hat_z at the boundary point of elliptic angle eta, and the roots
+    (e^{+-i eta} - tau e^{-+i eta})/sqrt 2 of zhat_pm^2 - 2 tau there."""
+    e = cmath.exp(1j * eta) / math.sqrt(2.0)
+    return (e + tau * e.conjugate(), e.conjugate() + tau * e), (e - tau * e.conjugate(), e.conjugate() - tau * e)
+
+
+def delta_pm(params: ModelParams, edge: EdgePoint, u, v) -> tuple[complex, complex]:
+    """Displacements Delta_pm = (zhat_pm - e_pm)/root_pm of the kernel
+    arguments (sqrt(n) z + u, sqrt(n) z + v) at the boundary point z = edge.z,
+    with e_pm and root_pm from _edge_values; finite at every 0 <= tau < 1.
+
+    zhat_pm, from the pair's invariants, are defined only up to a swap and
+    a common sign; the representative closest to the edge values is
+    selected before forming the quotient.
+    """
+    z, u, v = (as_point(params, a)[None] for a in (edge.z, u, v))
+    rn = math.sqrt(params.n)
+    (x,), (q_sum,), (p_sum,) = _invariants(z + u / rn, z + v / rn)
+    zp, zm = _hat_z(params.tau, x, q_sum, p_sum)
+    (hat_p, hat_m), (root_p, root_m) = _edge_values(params.tau, edge.eta)
+    candidates = [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)]
+    best = min(candidates, key=lambda c: abs(c[0] - hat_p) + abs(c[1] - hat_m))
+    if min(abs(root_p), abs(root_m)) < 1e-12:
+        raise DegenerateCoordinatesError("edge point sits at a focus")
+    return (best[0] - hat_p) / root_p, (best[1] - hat_m) / root_m
 
 
 def sinh_ratio(tau: float, eta: float) -> float:
-    """sqrt(sinh 2 xi_tau) / |sinh(xi_tau + i eta)|, the edge scale factor."""
-    xi = xi_for_tau(tau)
-    return math.sqrt(math.sinh(2.0 * xi)) / abs(cmath.sinh(complex(xi, eta)))
+    """sigma = sqrt(2 q)/|e^{i eta} - tau e^{-i eta}|, the edge scale factor
+    sqrt(sinh 2 xi_tau)/|sinh(xi_tau + i eta)| with xi_tau = log(1/tau)/2,
+    in a form that tends to sqrt 2 as tau -> 0."""
+    return math.sqrt(2.0 * (1.0 - tau) * (1.0 + tau)) / abs(cmath.exp(1j * eta) - tau * cmath.exp(-1j * eta))
 
 
 def phi_lemma_two_term(
     params: ModelParams, eta: float, delta_plus: complex, delta_minus: complex
 ) -> complex:
-    """Printed two-term expansion of phi(tau) in the displacement measures:
+    """Printed two-term expansion of phi(1) in the displacement measures:
 
-    i phi(tau) = (Delta_+ + Delta_-)/sigma
-                 - sigma (Delta_+^2 - Delta_+ Delta_- + Delta_-^2)/6 + O(n^{-3/2}),
-    sigma = sqrt(sinh 2 xi_tau)/|sinh(xi_tau + i eta)|.
+    i phi(1) = (Delta_+ + Delta_-)/sigma
+               - sigma (Delta_+^2 - Delta_+ Delta_- + Delta_-^2)/6 + O(n^{-3/2}),
+    sigma = sinh_ratio(tau, eta).
     """
     sig = sinh_ratio(params.tau, eta)
     i_phi = (delta_plus + delta_minus) / sig - sig * (
@@ -181,31 +197,10 @@ def phi_lemma_two_term(
     return -1j * i_phi
 
 
-def phi_lemma_two_term_tau0(delta: complex) -> complex:
-    """tau = 0 printed expansion: i phi(1) = Delta/sqrt(2) - Delta^2/(3 sqrt 2)."""
-    i_phi = delta / math.sqrt(2.0) - delta * delta / (3.0 * math.sqrt(2.0))
-    return -1j * i_phi
-
-
-def asymptotic_I_zero(params: ModelParams, delta: complex) -> complex:
-    """Edge asymptotics of N_0 = e^{-n F(1)} I at zeta = 1 + Delta:
-
-    1/2 erfc(sqrt(n) Delta / sqrt 2)
-      + e^{-n Delta^2 / 2} (n Delta^2 - 1) / (3 sqrt(2 pi n)).
-    """
-    n = params.n
-    delta = complex(delta)
-    arg = math.sqrt(n) * delta / math.sqrt(2.0)
-    gauss = cmath.exp(-0.5 * n * delta * delta)
-    return 0.5 * erfc_complex(arg) + gauss * (n * delta * delta - 1.0) / (
-        3.0 * math.sqrt(2.0 * math.pi * n)
-    )
-
-
 def asymptotic_I_tau(
     params: ModelParams, eta: float, delta_plus: complex, delta_minus: complex
 ) -> complex:
-    """Edge asymptotics of N_tau = (1-tau^2)^{d/2} e^{-n F(tau)} I:
+    """Edge asymptotics of N = (1-tau^2)^{d/2} e^{-n G(1)} I, for every 0 <= tau < 1:
 
     1/2 erfc(sqrt(n) (D+ + D-) / sigma)
       + (sigma / (2 sqrt(pi n))) e^{-n (D+ + D-)^2 / sigma^2}
@@ -216,8 +211,6 @@ def asymptotic_I_tau(
     the exact kernel (checked to four digits in the tests).
     """
     d, tau, n = params.d, params.tau, params.n
-    if not (0.0 < tau < 1.0):
-        raise UsageError("asymptotic_I_tau requires 0 < tau < 1")
     sig = sinh_ratio(tau, eta)
     dsum = delta_plus + delta_minus
     arg = math.sqrt(n) * dsum / sig

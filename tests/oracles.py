@@ -4,6 +4,12 @@ arithmetic (unevaluated sums of two doubles, ~31 significant digits).
 Only the handful of operations the oracles need are implemented: add,
 mul, div, sqrt, exp, and their complex pairs.  Error-free transforms
 follow Dekker/Knuth; exp uses ln2 range reduction plus a Taylor tail.
+
+Beside them live the plain-double references the package's own code is
+compared against: the Hermite definition of the kernel, the complex node
+expressions of the contour route, and the s-plane saddle frame
+(PhaseFunction, saddle_frame, asymptotic_I_zero) that the t = s/tau
+phase, saddles and expansions replaced.
 """
 
 from __future__ import annotations
@@ -11,13 +17,21 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from edgedpp import contour
 from edgedpp import kernel as kernel_module
-from edgedpp.errors import ConsistencyError, ContourError, DegenerateCoordinatesError, DomainError, UsageError
+from edgedpp.errors import (
+    ConsistencyError,
+    ContourError,
+    DegenerateCoordinatesError,
+    DegenerateSaddleError,
+    DomainError,
+    UsageError,
+)
 from edgedpp.harness import ConvergenceReport, SeriesResult
 from edgedpp.kernel import (
     ModelParams,
@@ -26,7 +40,7 @@ from edgedpp.kernel import (
     log_weight_omega,
     truncated_exp_series,
 )
-from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
+from edgedpp.special import LogMagnitudePhase, erfc_complex, stable_sum_arrays
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 
@@ -499,7 +513,7 @@ def zpm_invariants(tau: float, z_plus: complex, z_minus: complex) -> tuple[compl
 
 
 def phase_at_pole(phase) -> complex:
-    """F(tau) of a geometry.PhaseFunction; the log terms cancel exactly at the pole."""
+    """F(tau) of a PhaseFunction; the log terms cancel exactly at the pole."""
     t = phase.tau
     return 0.5 * phase.p_sq * t / (1.0 + t) - 0.5 * phase.q_sq * t / (1.0 - t)
 
@@ -700,3 +714,135 @@ def parse_report_json(text: str) -> list[ConvergenceReport]:
             )
         )
     return reports
+
+
+# ----------------------------------------------------------------------
+# The s-plane saddle frame: the reference the t = s/tau objects of
+# contour and saddle are compared against, at 0 < tau < 1.
+# ----------------------------------------------------------------------
+
+
+def xi_for_tau(tau: float) -> float:
+    """Elliptic radius of the droplet boundary, xi_tau = log(1/tau) / 2."""
+    if not (0.0 < tau < 1.0):
+        raise DomainError(f"xi_tau requires 0 < tau < 1, got {tau}")
+    return 0.5 * math.log(1.0 / tau)
+
+
+def zpm_of_invariants(tau: float, x: complex, q_sum: complex, p_sum: complex) -> tuple[complex, complex]:
+    """The s-plane pair z_pm = sqrt(sinh 2 xi_tau)/2 (sqrt P +- sqrt Q), principal
+    roots, the inverse of zpm_invariants; X does not enter."""
+    c = math.sqrt(math.sinh(2.0 * xi_for_tau(tau)))
+    s1, s2 = cmath.sqrt(complex(p_sum)), cmath.sqrt(complex(q_sum))
+    return 0.5 * c * (s1 + s2), 0.5 * c * (s1 - s2)
+
+
+class PhaseFunction:
+    """Phase F(s) = G(s/tau) - log(s/tau) of one z_pm pair, with derivatives:
+
+    F(s) = s/(1+s) (z_+ + z_-)^2 / 2 - s/(1-s) (z_+ - z_-)^2 / 2 - log s + log tau.
+    """
+
+    def __init__(self, tau: float, z_plus: complex, z_minus: complex) -> None:
+        if not (0.0 < tau < 1.0):
+            raise DomainError(f"PhaseFunction requires 0 < tau < 1, got {tau}")
+        self.tau = float(tau)
+        self.z_plus = complex(z_plus)
+        self.z_minus = complex(z_minus)
+        self.p_sq = (self.z_plus + self.z_minus) ** 2
+        self.q_sq = (self.z_plus - self.z_minus) ** 2
+        self.log_tau = math.log(tau)
+
+    def F(self, s):
+        s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
+        return 0.5 * self.p_sq * s / (1.0 + s) - 0.5 * self.q_sq * s / (1.0 - s) - np.log(s) + self.log_tau
+
+    def dF(self, s):
+        s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
+        return 0.5 * self.p_sq / (1.0 + s) ** 2 - 0.5 * self.q_sq / (1.0 - s) ** 2 - 1.0 / s
+
+    def d2F(self, s):
+        s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
+        return -self.p_sq / (1.0 + s) ** 3 - self.q_sq / (1.0 - s) ** 3 + 1.0 / s**2
+
+    def d3F(self, s):
+        s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
+        return 3.0 * self.p_sq / (1.0 + s) ** 4 - 3.0 * self.q_sq / (1.0 - s) ** 4 - 2.0 / s**3
+
+
+@dataclass(frozen=True)
+class SaddleFrame:
+    """Saddle quadruple of the s-plane phase with its values at 1/a."""
+
+    a: complex
+    a_inv: complex
+    b: complex
+    b_inv: complex
+    F_at_a_inv: complex
+    F2_at_a_inv: complex
+    z_plus: complex
+    z_minus: complex
+    radius: float
+    phase: PhaseFunction
+
+    @property
+    def saddles(self) -> tuple[complex, complex, complex, complex]:
+        return (self.a, self.a_inv, self.b, self.b_inv)
+
+
+def saddle_points(z_plus: complex, z_minus: complex) -> tuple[complex, complex, complex, complex]:
+    """The saddle quadruple (a, 1/a, b, 1/b) of F: a = w_+ w_- / 2 and
+    b = w_+ / w_-, w_pm = z_pm + sqrt(z_pm^2 - 2) on the outer branch, so
+    |a| >= 1; focal inputs are reported, not refused."""
+    wp = contour._outer_root(complex(z_plus), 2.0)
+    wm = contour._outer_root(complex(z_minus), 2.0)
+    a = 0.5 * wp * wm
+    b = wp / wm
+    return a, 1.0 / a, b, 1.0 / b
+
+
+def saddle_frame(params: ModelParams, z_plus: complex, z_minus: complex) -> SaddleFrame:
+    """The s-plane saddle frame of a z_pm pair; refuses focal inputs, z_pm^2 within 1e-10 of 2."""
+    z_plus, z_minus = complex(z_plus), complex(z_minus)
+    if min(abs(z_plus * z_plus - 2.0), abs(z_minus * z_minus - 2.0)) < 1e-10:
+        raise DegenerateSaddleError("saddle points coincide at a focal input")
+    phase = PhaseFunction(params.tau, z_plus, z_minus)
+    a, a_inv, b, b_inv = saddle_points(z_plus, z_minus)
+    return SaddleFrame(
+        a=a, a_inv=a_inv, b=b, b_inv=b_inv,
+        F_at_a_inv=complex(phase.F(a_inv)), F2_at_a_inv=complex(phase.d2F(a_inv)),
+        z_plus=z_plus, z_minus=z_minus, radius=abs(a_inv), phase=phase,
+    )
+
+
+def frame_of_invariants(params: ModelParams, x: complex, q_sum: complex, p_sum: complex) -> SaddleFrame:
+    """The s-plane saddle frame of the pair invariants X, Q and P."""
+    return saddle_frame(params, *zpm_of_invariants(params.tau, x, q_sum, p_sum))
+
+
+def phi_at_pole_s(frame: SaddleFrame) -> complex:
+    """phi(tau) of the s plane: the root of F(1/a) - F(tau) whose sign
+    matches the two-term series at the saddle 1/a."""
+    pole = frame.phase.tau
+    step = pole - frame.a_inv
+    if abs(step) <= 1e-14 * (1.0 + abs(frame.a_inv)):
+        return 0j
+    f2 = frame.F2_at_a_inv
+    expected = -1j * cmath.sqrt(0.5 * f2) * step - (1j / (6.0 * _SQRT2)) * complex(
+        frame.phase.d3F(frame.a_inv)
+    ) / cmath.sqrt(f2) * step * step
+    w = cmath.sqrt(frame.F_at_a_inv - complex(frame.phase.F(pole)))
+    return w if abs(w - expected) <= abs(-w - expected) else -w
+
+
+def asymptotic_I_zero(params: ModelParams, delta: complex) -> complex:
+    """The tau = 0 edge expansion of N at X = 1 + Delta, a truncation of its
+    own: 1/2 erfc(sqrt(n) Delta / sqrt 2)
+      + e^{-n Delta^2 / 2} (n Delta^2 - 1) / (3 sqrt(2 pi n)).
+    saddle.asymptotic_I_tau at tau = 0 agrees with it to O(1/n)."""
+    n = params.n
+    delta = complex(delta)
+    gauss = cmath.exp(-0.5 * n * delta * delta)
+    return 0.5 * erfc_complex(math.sqrt(n) * delta / _SQRT2) + gauss * (n * delta * delta - 1.0) / (
+        3.0 * math.sqrt(2.0 * math.pi * n)
+    )

@@ -24,11 +24,12 @@ from edgedpp.contour import (
     normalized_integral_many,
 )
 from edgedpp.errors import ContourError, DomainError, EdgeDppError, QuadratureError, UsageError
-from edgedpp.geometry import edge_point_sample, saddle_frame, zpm_map
+from edgedpp.geometry import edge_point_sample
 from edgedpp.harness import default_spec, run_experiment
 from edgedpp.kernel import ModelParams, kernel_exact_log
 from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
 from oracles import (
+    frame_of_invariants,
     ginibre_invariants,
     integral_I_zero_closed,
     node_pass_all_nodes,
@@ -40,15 +41,6 @@ from oracles import (
 )
 
 EPS = 2.0**-52
-
-
-def edge_frame(params, seed, u=None, v=None):
-    ep = edge_point_sample(params, seed)
-    d = params.d
-    u = np.zeros(d) if u is None else u
-    v = np.zeros(d) if v is None else v
-    zp, zm = zpm_map(params, ep.z, u, v)
-    return ep, saddle_frame(params, zp, zm)
 
 
 def edge_invariants(params, seed):
@@ -202,7 +194,7 @@ def _node_cases(d, tau, n):
                     scale,
                 )
             continue
-        frame = saddle_frame(params, *zpm_map(params, z, u, v))
+        frame = frame_of_invariants(params, *pair_invariants(z + u / rn, z + v / rn))
         phase = frame.phase
         size = abs(math.log(tau)) + abs(phase_at_pole(phase)) + 2 * math.pi
         for r in (0.98 * tau, 0.5 * (tau + 0.999), 0.998):
@@ -701,7 +693,7 @@ def test_routes_agree_for_tau_near_one(tau):
             inv = pair_invariants(z, w)
             big_n = integral_I_tau(params, *inv).value * exact.ratio_to(via)
             bare = integral_I_tau(params, *inv, include_residue=False).value
-            enclosed = saddle_frame(params, *zpm_map(params, z, np.zeros(d), rn * (w - z))).radius > tau
+            enclosed = abs(contour._saddle_t(tau, *inv)) < 1.0  # the saddle circle |t| = 1/|tau a| encloses t = 1
             assert abs(bare + enclosed - big_n) <= 1e-8 * abs(big_n)
 
 
@@ -886,58 +878,69 @@ def test_contour_config_validation():
     assert integral_I_tau(ModelParams(d=2, tau=0.0, n=4), 0.0, 1.0, 1.0).value == 1.0
     with pytest.raises(UsageError):
         integral_I_tau(ModelParams(d=1, tau=0.0, n=4), 0.0, 0.0, 0.0, include_residue=False)
+    # invariants no pair has, at subnormal tau: tau a rounds to inf + nan i,
+    # which would make the radius 0; the refusal is typed
+    with pytest.raises(ContourError, match=r"^the saddle is out of reach: \|tau a\| rounds to inf$"):
+        integral_I_tau(ModelParams(d=1, tau=5e-324, n=4), 1.0, 0.0, 8e-323)
 
 
 def test_max_principle_on_random_edge_frames():
     params = ModelParams(d=1, tau=0.6, n=2)
     for seed in range(10):
-        _, frame = edge_frame(params, seed)
-        assert max_principle_check(frame, 10_000) <= 1e-12
+        assert max_principle_check(params, *edge_invariants(params, seed), 10_000) <= 1e-12
 
 
 def test_max_principle_check_is_the_complex_phase_on_the_grid():
     # Re F on the saddle circle from the node table, against the complex
-    # PhaseFunction.F at the same angles, within the rounding of F's terms
+    # s-plane PhaseFunction.F at the same angles, within the rounding of F's terms
     for tau in (0.3, 0.6, 0.9):
         params = ModelParams(d=1, tau=tau, n=2)
         for seed in range(5):
-            _, frame = edge_frame(params, seed)
+            inv = edge_invariants(params, seed)
+            frame = frame_of_invariants(params, *inv)
             theta = 2 * math.pi * np.arange(1000) / 1000
             s = frame.radius * np.exp(1j * theta)
             ref = float(np.max(frame.phase.F(s).real) - frame.F_at_a_inv.real)
             size = abs(frame.phase.p_sq) + abs(frame.phase.q_sq) / float(np.min(np.abs(1.0 - s))) ** 2
-            assert abs(max_principle_check(frame, 1000) - ref) <= 16 * EPS * (size + 1.0)
+            assert abs(max_principle_check(params, *inv, 1000) - ref) <= 16 * EPS * (size + 1.0)
+
+
+def _phase_on_saddle_circle(tau, inv, grid):
+    """Re F(t) at grid nodes of the saddle circle |t| = |t*|, from _phase_t, and the angles."""
+    theta = 2 * math.pi * np.arange(grid) / grid
+    radius = 1.0 / abs(contour._saddle_t(tau, *inv))
+    re_f = [contour._phase_t(tau, *inv[1:], radius * complex(math.cos(a), math.sin(a)))[0].real for a in theta]
+    return np.array(re_f), theta
 
 
 def test_max_principle_maximizer_location():
-    params = ModelParams(d=2, tau=0.5, n=2)
-    _, frame = edge_frame(params, 31)
+    tau = 0.5
+    inv = edge_invariants(ModelParams(d=2, tau=tau, n=2), 31)
     grid = 20_000
-    theta = 2 * math.pi * np.arange(grid) / grid
-    s = frame.radius * np.exp(1j * theta)
-    re_f = frame.phase.F(s).real
+    re_f, theta = _phase_on_saddle_circle(tau, inv, grid)
     best = theta[np.argmax(re_f)]
-    target = math.atan2(frame.a_inv.imag, frame.a_inv.real) % (2 * math.pi)
+    saddle = 1.0 / contour._saddle_t(tau, *inv)
+    target = math.atan2(saddle.imag, saddle.real) % (2 * math.pi)
     gap = abs(best - target) % (2 * math.pi)
     gap = min(gap, 2 * math.pi - gap)
     assert gap <= 2 * math.pi / grid * 1.5
 
 
 def test_max_principle_two_maxima_degenerate_case():
-    # xi_- = 0: equality at 1/a and 1/b; check two near-equal local maxima
+    # xi_- = 0: equality at the dominant saddle and at the b saddle on the
+    # same circle; check two near-equal local maxima
     import cmath
 
-    params = ModelParams(d=1, tau=0.5, n=2)
-    zp = math.sqrt(2) * cmath.cosh(complex(0.7, 0.6))
-    zm = math.sqrt(2) * math.cos(1.1)  # xi_- = 0
-    frame = saddle_frame(params, zp, zm)
+    tau = 0.5
+    scale = math.sqrt(2 * tau)
+    inv = contour._invariants_of_hat(tau, scale * cmath.cosh(complex(0.7, 0.6)), scale * math.cos(1.1))
     grid = 40_000
-    theta = 2 * math.pi * np.arange(grid) / grid
-    s = frame.radius * np.exp(1j * theta)
-    re_f = frame.phase.F(s).real
-    top = frame.F_at_a_inv.real
+    re_f, _ = _phase_on_saddle_circle(tau, inv, grid)
+    dominant, _, b_t, b_inv_t = contour._saddles_t(tau, *inv)
+    top = contour._phase_t(tau, *inv[1:], dominant)[0].real
     assert np.max(re_f) - top <= 1e-10
-    for point in (frame.a_inv, frame.b_inv):
+    on_circle = min((b_t, b_inv_t), key=lambda t: abs(abs(t) - abs(dominant)))
+    for point in (dominant, on_circle):
         ang = math.atan2(point.imag, point.real)
         node = int(round((ang % (2 * math.pi)) / (2 * math.pi) * grid)) % grid
         assert abs(re_f[node] - top) <= 1e-6 * max(1.0, abs(top))

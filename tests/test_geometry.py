@@ -1,5 +1,6 @@
-"""Droplet geometry, elliptic coordinates, z_pm map, displacement
-measures, and the saddle frame."""
+"""Droplet geometry, elliptic coordinates, the zhat_pm map of the pair
+invariants, displacement measures, and the saddles in t = s/tau (with
+the s-plane frame of tests/oracles.py as their reference)."""
 
 import cmath
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from edgedpp.contour import _hat_z, _invariants_of_hat, _phase_t, _saddle_t, _saddles_t
 from edgedpp.errors import (
     DegenerateCoordinatesError,
     DegenerateSaddleError,
@@ -15,24 +17,26 @@ from edgedpp.errors import (
 from edgedpp.geometry import (
     Classification,
     curvature_kappa,
-    delta_pm,
     droplet_classify,
     edge_point,
     edge_point_sample,
     outward_normal,
-    saddle_frame,
-    saddle_points,
-    xi_for_tau,
-    zpm_map,
 )
 from edgedpp.kernel import ModelParams
+from edgedpp.saddle import _edge_values, delta_pm
 
-from oracles import elliptic_coords
+from oracles import elliptic_coords, pair_invariants, saddle_points, xi_for_tau
 
 
 def sinh_ratio(tau, eta):
     xi = xi_for_tau(tau)
     return math.sqrt(math.sinh(2 * xi)) / abs(cmath.sinh(complex(xi, eta)))
+
+
+def orbit_gap(pair, want, norm=sum):
+    """Distance of (zhat_+, zhat_-) from want, over its swaps and common signs."""
+    zp, zm = pair
+    return min(norm((abs(a - want[0]), abs(b - want[1]))) for a, b in [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)])
 
 
 def test_droplet_classify_cases():
@@ -149,30 +153,24 @@ def test_elliptic_coords_edge_radius_and_focus():
 
 
 def test_zpm_map_at_edge_without_displacement():
-    for d, tau in [(1, 0.5), (2, 0.3), (3, 0.7)]:
+    # the pair (z, z) at a boundary point has zhat_pm = e_pm, for every tau
+    for d, tau in [(1, 0.5), (2, 0.3), (3, 0.7), (2, 0.0)]:
         params = ModelParams(d=d, tau=tau, n=16)
         ep = edge_point_sample(params, 7)
-        zp, zm = zpm_map(params, ep.z, np.zeros(d), np.zeros(d))
-        xi = xi_for_tau(tau)
-        hat_p = math.sqrt(2) * cmath.cosh(complex(xi, ep.eta))
-        hat_m = math.sqrt(2) * cmath.cosh(complex(xi, -ep.eta))
-        orbit = [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)]
-        best = min(abs(a - hat_p) + abs(b - hat_m) for a, b in orbit)
-        assert best <= 1e-10
+        hat = _hat_z(tau, *pair_invariants(ep.z, ep.z))
+        assert orbit_gap(hat, _edge_values(tau, ep.eta)[0]) <= 1e-10
 
 
 def test_zpm_map_d1_formula():
+    # d = 1: zhat_+ = sqrt(q/2) z' and zhat_- = sqrt(q/2) conj(w')
     tau, n = 0.4, 25
-    params = ModelParams(d=1, tau=tau, n=n)
     z = np.array([0.3 + 0.2j])
     u = np.array([0.5 - 0.1j])
     v = np.array([-0.2 + 0.4j])
-    zp, zm = zpm_map(params, z, u, v)
-    c = math.sqrt(math.sinh(2 * xi_for_tau(tau)))
-    want_p = c * (z[0] + u[0] / math.sqrt(n))
-    want_m = c * np.conj(z[0] + v[0] / math.sqrt(n))
-    orbit = [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)]
-    assert min(abs(a - want_p) + abs(b - want_m) for a, b in orbit) <= 1e-12
+    zp, wp = z + u / math.sqrt(n), z + v / math.sqrt(n)
+    c = math.sqrt(0.5 * (1 - tau) * (1 + tau))
+    hat = _hat_z(tau, *pair_invariants(zp, wp))
+    assert orbit_gap(hat, (c * zp[0], c * np.conj(wp[0]))) <= 1e-12
 
 
 def test_zpm_map_displacement_scale_sweep():
@@ -183,63 +181,54 @@ def test_zpm_map_displacement_scale_sweep():
         ep = edge_point_sample(params, 11)
         u = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
         v = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
-        zp, zm = zpm_map(params, ep.z, u, v)
-        xi = xi_for_tau(tau)
-        hat_p = math.sqrt(2) * cmath.cosh(complex(xi, ep.eta))
-        hat_m = math.sqrt(2) * cmath.cosh(complex(xi, -ep.eta))
-        orbit = [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)]
-        gap = min(max(abs(a - hat_p), abs(b - hat_m)) for a, b in orbit)
-        assert gap <= 8.0 / math.sqrt(n)
+        hat = _hat_z(tau, *pair_invariants(ep.z + u / math.sqrt(n), ep.z + v / math.sqrt(n)))
+        assert orbit_gap(hat, _edge_values(tau, ep.eta)[0], norm=max) <= 8.0 / math.sqrt(n)
 
 
 def test_branch_invariance_of_phase_data():
-    # the orbit representatives produce identical phase functions
-    params = ModelParams(d=2, tau=0.45, n=36)
+    # every representative of zhat_pm gives back the invariants, so the
+    # phase is the same function of t
+    tau = 0.45
+    params = ModelParams(d=2, tau=tau, n=36)
     ep = edge_point_sample(params, 9)
     u = np.array([0.2 + 0.1j, -0.3j])
     v = np.array([0.1 - 0.2j, 0.25])
-    zp, zm = zpm_map(params, ep.z, u, v)
-    f1 = saddle_frame(params, zp, zm)
-    f2 = saddle_frame(params, -zm, -zp)
-    s = 0.3 + 0.1j
-    assert abs(complex(f1.phase.F(s)) - complex(f2.phase.F(s))) <= 1e-12
-    assert abs((zp + zm) ** 2 - (f2.z_plus + f2.z_minus) ** 2) <= 1e-12
-    assert abs((zp - zm) ** 2 - (f2.z_plus - f2.z_minus) ** 2) <= 1e-12
+    inv = pair_invariants(ep.z + u / 6.0, ep.z + v / 6.0)
+    zp, zm = _hat_z(tau, *inv)
+    t = 0.6 + 0.2j
+    for rep in [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)]:
+        back = _invariants_of_hat(tau, *rep)
+        assert max(abs(a - b) for a, b in zip(back, inv)) <= 1e-12 * max(map(abs, inv))
+        assert abs(_phase_t(tau, *back[1:], t)[0] - _phase_t(tau, *inv[1:], t)[0]) <= 1e-12
 
 
 def test_delta_pm_zero_and_round_trip():
-    tau = 0.5
-    params = ModelParams(d=2, tau=tau, n=64)
-    ep = edge_point_sample(params, 15)
-    zp, zm = zpm_map(params, ep.z, np.zeros(2), np.zeros(2))
-    dd = delta_pm(params, (zp, zm), ep)
-    assert abs(dd.delta_plus) <= 1e-10 and abs(dd.delta_minus) <= 1e-10
-    u = np.array([0.3 - 0.2j, 0.1j])
-    v = np.array([-0.1 + 0.4j, 0.2])
-    zp, zm = zpm_map(params, ep.z, u, v)
-    dd = delta_pm(params, (zp, zm), ep)
-    xi = xi_for_tau(tau)
-    hat_p = math.sqrt(2) * cmath.cosh(complex(xi, ep.eta))
-    hat_m = math.sqrt(2) * cmath.cosh(complex(xi, -ep.eta))
-    rec_p = hat_p + cmath.sqrt(hat_p**2 - 2) * dd.delta_plus
-    rec_m = hat_m + cmath.sqrt(hat_m**2 - 2) * dd.delta_minus
-    orbit = [(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)]
-    assert min(abs(a - rec_p) + abs(b - rec_m) for a, b in orbit) <= 1e-12
+    for tau in (0.5, 0.0):
+        params = ModelParams(d=2, tau=tau, n=64)
+        ep = edge_point_sample(params, 15)
+        dp, dm = delta_pm(params, ep, np.zeros(2), np.zeros(2))
+        assert abs(dp) <= 1e-10 and abs(dm) <= 1e-10
+        u = np.array([0.3 - 0.2j, 0.1j])
+        v = np.array([-0.1 + 0.4j, 0.2])
+        dp, dm = delta_pm(params, ep, u, v)
+        (hat_p, hat_m), (root_p, root_m) = _edge_values(tau, ep.eta)
+        hat = _hat_z(tau, *pair_invariants(ep.z + u / 8.0, ep.z + v / 8.0))
+        assert orbit_gap(hat, (hat_p + root_p * dp, hat_m + root_m * dm)) <= 1e-12
 
 
 def test_delta_pm_normal_displacement_value():
-    # u = v = lambda * normal gives sqrt(n) Delta_pm = sigma lambda / sqrt(2)
+    # u = v = lambda * normal gives sqrt(n) Delta_pm = sigma lambda / sqrt(2),
+    # with sigma -> sqrt(2) at tau = 0
     lam = 0.7
-    for d, tau in [(1, 0.5), (2, 0.3), (3, 0.6)]:
+    for d, tau in [(1, 0.5), (2, 0.3), (3, 0.6), (2, 0.0)]:
         n = 400
         params = ModelParams(d=d, tau=tau, n=n)
         ep = edge_point_sample(params, 23)
         u = lam * ep.normal
-        zp, zm = zpm_map(params, ep.z, u, u)
-        dd = delta_pm(params, (zp, zm), ep)
-        target = sinh_ratio(tau, ep.eta) * lam / math.sqrt(2) / math.sqrt(n)
-        assert abs(dd.delta_plus - target) <= 1e-12
-        assert abs(dd.delta_minus - target) <= 1e-12
+        sigma = sinh_ratio(tau, ep.eta) if tau else math.sqrt(2)
+        target = sigma * lam / math.sqrt(2) / math.sqrt(n)
+        for delta in delta_pm(params, ep, u, u):
+            assert abs(delta - target) <= 1e-12
 
 
 def test_saddle_points_focal_coincidence():
@@ -248,86 +237,75 @@ def test_saddle_points_focal_coincidence():
         assert abs(s - 1.0) <= 1e-7
 
 
+def _random_invariants(rng, tau, xi_range, eta_range):
+    """(X, Q, P) of zhat_pm = sqrt(2 tau) cosh(xi_pm + i eta_pm) drawn at random, with the (xi, eta) drawn."""
+    coords = [complex(rng.uniform(*xi_range), rng.uniform(*eta_range)) for _ in range(2)]
+    return _invariants_of_hat(tau, *(math.sqrt(2 * tau) * cmath.cosh(c) for c in coords)), coords
+
+
 def test_saddle_frame_basic_identities():
+    # the saddles in t: 1/(tau a) and tau a/tau^2, b/tau and 1/(tau b)
+    # multiply to 1/tau^2, |tau a| >= tau, and F' vanishes at each
     rng = np.random.default_rng(17)
-    params = ModelParams(d=1, tau=0.45, n=2)
+    tau = 0.45
     for _ in range(50):
-        zp = math.sqrt(2) * cmath.cosh(complex(rng.uniform(0.05, 1.2), rng.uniform(-3, 3)))
-        zm = math.sqrt(2) * cmath.cosh(complex(rng.uniform(0.05, 1.2), rng.uniform(-3, 3)))
-        fr = saddle_frame(params, zp, zm)
-        assert abs(fr.a * fr.a_inv - 1.0) <= 1e-12
-        assert abs(fr.b * fr.b_inv - 1.0) <= 1e-12
-        assert abs(fr.a) >= 1.0 - 1e-12
-        f2_scale = abs(fr.F2_at_a_inv)
-        for s in fr.saddles:
-            assert abs(complex(fr.phase.dF(s))) <= 1e-10 * max(f2_scale, 1.0)
+        inv, _ = _random_invariants(rng, tau, (0.05, 1.2), (-3, 3))
+        saddles = _saddles_t(tau, *inv)
+        dominant, far, b_t, b_inv_t = saddles
+        assert abs(dominant * far * tau * tau - 1.0) <= 1e-12
+        assert abs(b_t * b_inv_t * tau * tau - 1.0) <= 1e-12
+        assert abs(_saddle_t(tau, *inv)) >= tau * (1.0 - 1e-12)
+        f2_scale = abs(_phase_t(tau, *inv[1:], dominant)[2])
+        for t in saddles:
+            assert abs(_phase_t(tau, *inv[1:], t)[1]) <= 1e-10 * max(f2_scale, 1.0)
 
 
 def test_saddle_frame_elliptic_formulas():
-    # F(1/a) and F''(1/a) against their closed elliptic-coordinate forms
-    params = ModelParams(d=1, tau=0.37, n=5)
+    # F(t*) and F''(t*) at the dominant saddle against their closed
+    # elliptic-coordinate forms (F'' of t is tau^2 that of s = tau t)
+    tau = 0.37
     rng = np.random.default_rng(19)
     for _ in range(20):
-        xi_p, xi_m = rng.uniform(0.1, 1.0, 2)
-        eta_p, eta_m = rng.uniform(-2.5, 2.5, 2)
-        zp = math.sqrt(2) * cmath.cosh(complex(xi_p, eta_p))
-        zm = math.sqrt(2) * cmath.cosh(complex(xi_m, eta_m))
-        fr = saddle_frame(params, zp, zm)
-        tau = params.tau
-        f_closed = (
-            1.0
-            + math.log(tau)
-            + xi_p
-            + xi_m
-            + 1j * (eta_p + eta_m)
-            + 0.5 * cmath.exp(-2 * complex(xi_p, eta_p))
-            + 0.5 * cmath.exp(-2 * complex(xi_m, eta_m))
-        )
+        inv, (c_p, c_m) = _random_invariants(rng, tau, (0.1, 1.0), (-2.5, 2.5))
+        ta = _saddle_t(tau, *inv)
+        f, _, f2, _ = _phase_t(tau, *inv[1:], 1.0 / ta)
+        f_closed = 1.0 + math.log(tau) + c_p + c_m + 0.5 * cmath.exp(-2 * c_p) + 0.5 * cmath.exp(-2 * c_m)
         # equality modulo 2 pi i from the principal log branch
-        diff = (fr.F_at_a_inv - f_closed) / (2j * math.pi)
+        diff = (f - f_closed) / (2j * math.pi)
         assert abs(diff - round(diff.real)) <= 1e-11
-        f2_closed = (
-            2.0
-            * fr.a**2
-            * cmath.sinh(complex(xi_p, eta_p))
-            * cmath.sinh(complex(xi_m, eta_m))
-            / cmath.sinh(complex(xi_p + xi_m, eta_p + eta_m))
-        )
-        assert abs(fr.F2_at_a_inv - f2_closed) <= 1e-11 * abs(f2_closed)
+        f2_closed = 2.0 * ta**2 * cmath.sinh(c_p) * cmath.sinh(c_m) / cmath.sinh(c_p + c_m)
+        assert abs(f2 - f2_closed) <= 1e-11 * abs(f2_closed)
 
 
 def test_saddle_frame_rejects_focal_input():
-    params = ModelParams(d=1, tau=0.5, n=2)
+    tau = 0.5
+    inv = _invariants_of_hat(tau, math.sqrt(2 * tau), 1.8 * math.sqrt(tau))
     with pytest.raises(DegenerateSaddleError):
-        saddle_frame(params, math.sqrt(2), 1.8)
+        _saddle_t(tau, *inv)
 
 
 def _delta_frames(tau, eta, shape_p, shape_m, n):
-    xi = xi_for_tau(tau)
-    hat_p = math.sqrt(2) * cmath.cosh(complex(xi, eta))
-    hat_m = math.sqrt(2) * cmath.cosh(complex(xi, -eta))
+    """Invariants of zhat_pm = e_pm + root_pm Delta_pm, with Delta_pm = shape_pm/sqrt(n)."""
+    (hat_p, hat_m), (root_p, root_m) = _edge_values(tau, eta)
     dp = shape_p / math.sqrt(n)
     dm = shape_m / math.sqrt(n)
-    zp = hat_p + math.sqrt(2) * cmath.sinh(complex(xi, eta)) * dp
-    zm = hat_m + math.sqrt(2) * cmath.sinh(complex(xi, -eta)) * dm
-    return zp, zm, dp, dm
+    return _invariants_of_hat(tau, hat_p + root_p * dp, hat_m + root_m * dm), dp, dm
 
 
 def test_saddle_expansion_rates():
-    # a^{+-1} = tau^{-+1} (1 +- (D+ + D-)) + O(1/n) and the refined
-    # quadratic expansion of tau a - 1 with O(n^{-3/2}) remainder
+    # tau a = 1 + (D+ + D-) + O(1/n), t* = 1/(tau a) = 1 - (D+ + D-) + O(1/n),
+    # the refined quadratic expansion of tau a - 1 with O(n^{-3/2})
+    # remainder, and b = e^{2 i eta} (1 + D+ - D-) + O(1/n)
     tau, eta = 0.5, 0.8
     shape_p, shape_m = 0.31 + 0.12j, -0.11 + 0.27j
     xi = xi_for_tau(tau)
-    params = ModelParams(d=1, tau=tau, n=2)
     ns = [100, 1000, 10000]
     err_lead, err_quad, err_b = [], [], []
     for n in ns:
-        zp, zm, dp, dm = _delta_frames(tau, eta, shape_p, shape_m, n)
-        fr = saddle_frame(params, zp, zm)
-        err_lead.append(
-            abs(fr.a - (1 + dp + dm) / tau) + abs(fr.a_inv - tau * (1 - dp - dm))
-        )
+        inv, dp, dm = _delta_frames(tau, eta, shape_p, shape_m, n)
+        dominant, _, b_t, b_inv_t = _saddles_t(tau, *inv)
+        ta = _saddle_t(tau, *inv)
+        err_lead.append(abs(ta - (1 + dp + dm)) + abs(dominant - (1 - dp - dm)))
         quad = (
             dp
             + dm
@@ -335,9 +313,9 @@ def test_saddle_expansion_rates():
             - 0.5 / cmath.tanh(complex(xi, eta)) * dp**2
             - 0.5 / cmath.tanh(complex(xi, -eta)) * dm**2
         )
-        err_quad.append(abs(tau * fr.a - 1 - quad))
+        err_quad.append(abs(ta - 1 - quad))
         want_b = cmath.exp(2j * eta) * (1 + dp - dm)
-        err_b.append(min(abs(fr.b - want_b), abs(fr.b_inv - want_b)))
+        err_b.append(min(abs(tau * b_t - want_b), abs(tau * b_inv_t - want_b)))  # b or 1/b
     lead_slope = np.polyfit(np.log(ns), np.log(err_lead), 1)[0]
     quad_slope = np.polyfit(np.log(ns), np.log(err_quad), 1)[0]
     b_slope = np.polyfit(np.log(ns), np.log(err_b), 1)[0]
@@ -347,16 +325,16 @@ def test_saddle_expansion_rates():
 
 
 def test_f2_delta_expansion():
-    # (1/2) a^{-2} F''(1/a) against its first-order displacement expansion
+    # (1/2) t*^2 F''(t*), which is (1/2) a^{-2} F''(1/a) of the s plane,
+    # against its first-order displacement expansion
     tau, eta = 0.4, 1.1
     xi = xi_for_tau(tau)
-    params = ModelParams(d=1, tau=tau, n=2)
     errs = []
     ns = [100, 1000, 10000]
     for n in ns:
-        zp, zm, dp, dm = _delta_frames(tau, eta, 0.4 - 0.1j, 0.2 + 0.3j, n)
-        fr = saddle_frame(params, zp, zm)
-        got = 0.5 * fr.a_inv**2 * fr.F2_at_a_inv
+        inv, dp, dm = _delta_frames(tau, eta, 0.4 - 0.1j, 0.2 + 0.3j, n)
+        dominant = 1.0 / _saddle_t(tau, *inv)
+        got = 0.5 * dominant**2 * _phase_t(tau, *inv[1:], dominant)[2]
         base = abs(cmath.sinh(complex(xi, eta))) ** 2 / math.sinh(2 * xi)
         expand = base * (
             1.0

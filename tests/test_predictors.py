@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from edgedpp.geometry import delta_pm, edge_point_sample, zpm_map
+from edgedpp.geometry import edge_point_sample
 from edgedpp.kernel import ModelParams, rho1_density, truncated_exp_series
 from edgedpp.predictors import (
     bulk_prediction,
@@ -18,7 +18,7 @@ from edgedpp.predictors import (
     normalized_kernel,
     normalized_kernel_many,
 )
-from edgedpp.saddle import asymptotic_I_tau
+from edgedpp.saddle import asymptotic_I_tau, delta_pm
 
 
 def test_cofactor_unimodular_and_trivial_cases():
@@ -155,8 +155,7 @@ def test_bulk_prediction_values():
 
 def _two_term_at_normal(params, ep, u, v):
     """asymptotic_I_tau at the displacements u nu, v nu of the boundary point ep."""
-    dpm = delta_pm(params, zpm_map(params, ep.z, u * ep.normal, v * ep.normal), ep)
-    return asymptotic_I_tau(params, ep.eta, dpm.delta_plus, dpm.delta_minus)
+    return asymptotic_I_tau(params, ep.eta, *delta_pm(params, ep, u * ep.normal, v * ep.normal))
 
 
 def test_d1_refined_symmetry():

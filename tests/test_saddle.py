@@ -1,5 +1,6 @@
 """Pole/Gaussian model integral, conformal-map values, and the
-asymptotic formulas for the normalized contour integrals."""
+asymptotic formulas for the normalized contour integrals, for every
+0 <= tau < 1 (against the s-plane reference of tests/oracles.py too)."""
 
 import cmath
 import math
@@ -7,21 +8,28 @@ import math
 import numpy as np
 import pytest
 
-from edgedpp.contour import integral_I_tau
+from edgedpp.contour import _invariants_of_hat, _phase_t, _saddle_t, _saddles_t, integral_I_tau
 from edgedpp.errors import DomainError
-from edgedpp.geometry import edge_point_sample, saddle_frame, xi_for_tau, zpm_map
+from edgedpp.geometry import edge_point_sample
 from edgedpp.kernel import ModelParams
+from edgedpp.predictors import normalized_kernel_many
 from edgedpp.saddle import (
+    _edge_values,
     asymptotic_I_tau,
-    asymptotic_I_zero,
+    delta_pm,
     phi_at_pole,
-    phi_at_pole_tau0,
     phi_lemma_two_term,
-    phi_lemma_two_term_tau0,
     pole_gaussian_integral,
     sinh_ratio,
 )
-from oracles import ginibre_invariants, zpm_invariants
+from oracles import (
+    asymptotic_I_zero,
+    frame_of_invariants,
+    ginibre_invariants,
+    pair_invariants,
+    phi_at_pole_s,
+    xi_for_tau,
+)
 
 
 def test_pole_gaussian_low_pole():
@@ -65,23 +73,19 @@ def test_pole_gaussian_rejects_endpoint_pole():
 
 
 def _edge_delta_frame(tau, eta, shape_p, shape_m, n):
-    xi = xi_for_tau(tau)
-    hat_p = math.sqrt(2) * cmath.cosh(complex(xi, eta))
-    hat_m = math.sqrt(2) * cmath.cosh(complex(xi, -eta))
+    """Invariants of zhat_pm = e_pm + root_pm Delta_pm, Delta_pm = shape_pm/sqrt(n)."""
+    (hat_p, hat_m), (root_p, root_m) = _edge_values(tau, eta)
     dp = shape_p / math.sqrt(n)
     dm = shape_m / math.sqrt(n)
-    zp = hat_p + math.sqrt(2) * cmath.sinh(complex(xi, eta)) * dp
-    zm = hat_m + math.sqrt(2) * cmath.sinh(complex(xi, -eta)) * dm
-    return zp, zm, dp, dm
+    return _invariants_of_hat(tau, hat_p + root_p * dp, hat_m + root_m * dm), dp, dm
 
 
 def test_phi_branch_invariant():
     tau, eta = 0.45, 0.9
     params = ModelParams(d=2, tau=tau, n=900)
-    zp, zm, _, _ = _edge_delta_frame(tau, eta, 0.3 + 0.2j, -0.1 + 0.15j, 900)
-    fr = saddle_frame(params, zp, zm)
-    lhs = -phi_at_pole(params, fr) ** 2
-    rhs = complex(fr.phase.F(tau)) - fr.F_at_a_inv
+    inv, _, _ = _edge_delta_frame(tau, eta, 0.3 + 0.2j, -0.1 + 0.15j, 900)
+    lhs = -phi_at_pole(params, *inv) ** 2
+    rhs = _phase_t(tau, *inv[1:], 1.0)[0] - _phase_t(tau, *inv[1:], 1.0 / _saddle_t(tau, *inv))[0]
     assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-10)
 
 
@@ -89,38 +93,25 @@ def test_phi_exact_coalescence_is_zero():
     tau = 0.5
     params = ModelParams(d=1, tau=tau, n=64)
     ep = edge_point_sample(params, 5)
-    zp, zm = zpm_map(params, ep.z, np.zeros(1), np.zeros(1))
-    fr = saddle_frame(params, zp, zm)
-    assert phi_at_pole(params, fr) == 0.0
-    assert phi_at_pole_tau0(ModelParams(d=1, tau=0.0, n=64), 1.0) == 0.0
+    assert phi_at_pole(params, *pair_invariants(ep.z, ep.z)) == 0.0
+    assert phi_at_pole(ModelParams(d=1, tau=0.0, n=64), *ginibre_invariants(1.0)) == 0.0
 
 
 def test_phi_lemma_agreement_rates():
-    # series phi(pole) against the printed two-term expansions
-    for tau in (0.35, 0.6):
+    # series phi(pole) against the printed two-term expansion, the same
+    # code at tau = 0 (sigma = sqrt 2) as at tau > 0
+    for tau in (0.35, 0.6, 0.0):
         eta = 0.7
         ns = [100, 1000, 10000]
         errs = []
         for n in ns:
             params = ModelParams(d=1, tau=tau, n=n)
-            zp, zm, dp, dm = _edge_delta_frame(tau, eta, 0.4 - 0.15j, 0.22 + 0.3j, n)
-            fr = saddle_frame(params, zp, zm)
-            a = phi_at_pole(params, fr)
+            inv, dp, dm = _edge_delta_frame(tau, eta, 0.4 - 0.15j, 0.22 + 0.3j, n)
+            a = phi_at_pole(params, *inv)
             b = phi_lemma_two_term(params, eta, dp, dm)
             errs.append(abs(a - b))
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope <= -1.2
-    # tau = 0 analogue
-    errs = []
-    ns = [100, 1000, 10000]
-    for n in ns:
-        params = ModelParams(d=1, tau=0.0, n=n)
-        delta = (0.35 + 0.2j) / math.sqrt(n)
-        a = phi_at_pole_tau0(params, 1.0 + delta)
-        b = phi_lemma_two_term_tau0(delta)
-        errs.append(abs(a - b))
-    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-    assert slope <= -1.2
 
 
 def test_asymptotic_zero_at_coalescence():
@@ -152,8 +143,8 @@ def test_asymptotic_matches_contour_with_rate():
         errs = []
         for n in (256, 1024):
             params = ModelParams(d=d, tau=tau, n=n)
-            zp, zm, dp, dm = _edge_delta_frame(tau, eta, shape_p, shape_m, n)
-            exact = integral_I_tau(params, *zpm_invariants(tau, zp, zm)).value
+            inv, dp, dm = _edge_delta_frame(tau, eta, shape_p, shape_m, n)
+            exact = integral_I_tau(params, *inv).value
             asym = asymptotic_I_tau(params, eta, dp, dm)
             errs.append(abs(exact - asym))
         ratio = errs[1] / errs[0]
@@ -183,11 +174,91 @@ def test_normal_displacement_specialization():
         params = ModelParams(d=2, tau=tau, n=n)
         ep = edge_point_sample(params, 29)
         sig = sinh_ratio(tau, ep.eta)
-        u = lam * ep.normal
-        zp, zm = zpm_map(params, ep.z, u, u)
-        fr = saddle_frame(params, zp, zm)
-        phi = phi_at_pole(params, fr)
+        zp = ep.z + lam * ep.normal / math.sqrt(n)
+        phi = phi_at_pole(params, *pair_invariants(zp, zp))
         target = math.sqrt(2) * lam / math.sqrt(n) - sig**3 * lam**2 / (12.0 * n)
         errs.append(abs(1j * phi - target))
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope <= -1.2
+
+
+def _s_plane_edge_deltas(tau, eta, z_pm):
+    """Delta_pm of an s-plane z_pm pair: (z_pm - sqrt 2 cosh(xi +- i eta)) /
+    (sqrt 2 sinh(xi +- i eta)), at the representative nearest the edge values."""
+    xi = xi_for_tau(tau)
+    hat = [math.sqrt(2) * cmath.cosh(complex(xi, e)) for e in (eta, -eta)]
+    root = [math.sqrt(2) * cmath.sinh(complex(xi, e)) for e in (eta, -eta)]
+    zp, zm = z_pm
+    best = min([(zp, zm), (zm, zp), (-zp, -zm), (-zm, -zp)], key=lambda c: abs(c[0] - hat[0]) + abs(c[1] - hat[1]))
+    return (best[0] - hat[0]) / root[0], (best[1] - hat[1]) / root[1]
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.5, 0.7, 0.95])
+def test_t_plane_phase_saddles_and_phi_are_the_s_plane_ones(tau):
+    # on random near-edge pairs: F(t) and its derivatives are tau^k those
+    # of the s-plane phase at s = tau t, the four saddles are the s-plane
+    # ones over tau, and phi(1) is the s-plane phi(tau)
+    rng = np.random.default_rng(int(tau * 100))
+    for _ in range(40):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(16, 4096))
+        params = ModelParams(d=d, tau=tau, n=n)
+        ep = edge_point_sample(params, int(rng.integers(2**31)))
+        u, v = (rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d) for _ in range(2))
+        inv = pair_invariants(ep.z + u / math.sqrt(n), ep.z + v / math.sqrt(n))
+        frame = frame_of_invariants(params, *inv)
+        scale = 1.0 + sum(map(abs, inv))
+        t = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.5, 0.5)) / tau
+        s_plane = [frame.phase.F(tau * t), frame.phase.dF(tau * t), frame.phase.d2F(tau * t), frame.phase.d3F(tau * t)]
+        for k, (got, want) in enumerate(zip(_phase_t(tau, *inv[1:], t), s_plane)):
+            assert abs(got - tau**k * want) <= 1e-15 * scale * (1.0 + abs(tau**k * want))
+        dominant, far, b_t, b_inv_t = _saddles_t(tau, *inv)
+        assert abs(tau * dominant - frame.a_inv) <= 1e-13 * abs(frame.a_inv)
+        assert abs(tau * far - frame.a) <= 1e-13 * abs(frame.a)
+        assert min(abs(tau * b_t - frame.b) + abs(tau * b_inv_t - frame.b_inv),
+                   abs(tau * b_t - frame.b_inv) + abs(tau * b_inv_t - frame.b)) <= 1e-13
+        # phi^2 is a difference of O(scale) phase values, so phi carries
+        # an absolute error of about eps scale / |phi|
+        want = phi_at_pole_s(frame)
+        assert abs(phi_at_pole(params, *inv) - want) * abs(want) <= 5e-16 * scale
+        # displacements and sigma: the t-plane forms against the s-plane ones
+        xi = xi_for_tau(tau)
+        sig = math.sqrt(math.sinh(2 * xi)) / abs(cmath.sinh(complex(xi, ep.eta)))
+        assert abs(sinh_ratio(tau, ep.eta) - sig) <= 1e-14 * sig
+        got = delta_pm(params, ep, u, v)
+        want = _s_plane_edge_deltas(tau, ep.eta, (frame.z_plus, frame.z_minus))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
+
+
+# u = (0.3 + 0.2i) nu and v = -0.4i nu at ten seeded edge points per d
+_EXPANSION_U, _EXPANSION_V = 0.3 + 0.2j, -0.4j
+
+
+def _two_term(params, ep):
+    return asymptotic_I_tau(params, ep.eta, *delta_pm(params, ep, _EXPANSION_U * ep.normal, _EXPANSION_V * ep.normal))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_asymptotic_I_tau_is_continuous_as_tau_goes_to_zero(d):
+    # one expansion for 0 <= tau < 1: at tau = 0 it stays within 0.1/n of
+    # the separate tau = 0 truncation asymptotic_I_zero (0.047/n measured), its error
+    # against the exact N falls as 1/n, and tau > 0 moves it by at most
+    # 0.1 tau (0.032 tau measured)
+    errs = []
+    for n in (256, 1024, 4096):
+        params = ModelParams(d=d, tau=0.0, n=n)
+        rn = math.sqrt(n)
+        edges = [edge_point_sample(params, seed) for seed in range(10)]
+        us, vs = ([c * ep.normal for ep in edges] for c in (_EXPANSION_U, _EXPANSION_V))
+        exact = normalized_kernel_many(params, edges, us, vs)
+        worst = 0.0
+        for seed, (ep, u, v, samp) in enumerate(zip(edges, us, vs, exact)):
+            got = _two_term(params, ep)
+            x = pair_invariants(ep.z + u / rn, ep.z + v / rn)[0]
+            assert abs(got - asymptotic_I_zero(params, x - 1.0)) <= 0.1 / n
+            worst = max(worst, abs(samp.L - got))
+            for tau in (1e-3, 1e-6, 1e-12):
+                tilted = ModelParams(d=d, tau=tau, n=n)
+                assert abs(_two_term(tilted, edge_point_sample(tilted, seed)) - got) <= 0.1 * tau
+        errs.append(worst)
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 0.15 <= fine / coarse <= 0.45
