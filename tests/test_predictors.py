@@ -6,7 +6,11 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
+from edgedpp import predictors
+from edgedpp.contour import ContourConfig
+from edgedpp.errors import ConsistencyError, QuadratureError
 from edgedpp.geometry import edge_point_sample
 from edgedpp.kernel import ModelParams, rho1_density, truncated_exp_series
 from edgedpp.predictors import (
@@ -242,3 +246,16 @@ def test_normalized_kernel_near_tau_zero_is_not_refused():
                 sample = normalized_kernel(params, edge_point_sample(params, seed), u, v)
                 worst = max(worst, sample.route_gap)
     assert worst <= 1e-8
+
+
+def test_normalized_kernel_many_raises_route_b_errors(monkeypatch):
+    # route B's refusals and a route gap past _ROUTE_GAP_TOL both raise
+    params = ModelParams(d=2, tau=0.5, n=256)
+    edges = [edge_point_sample(params, seed) for seed in (1, 2)]
+    us = [np.array([0.3 + 0.2j, -0.1j]), np.zeros(2)]
+    vs = [np.array([-0.2j, 0.1 + 0.1j]), np.array([0.4, 0.2j])]
+    with pytest.raises(QuadratureError, match="did not converge"):
+        normalized_kernel_many(params, edges, us, vs, ContourConfig(tolerance=1e-300, max_doublings=1))
+    monkeypatch.setattr(predictors, "_ROUTE_GAP_TOL", 0.0)
+    with pytest.raises(ConsistencyError, match="routes disagree"):
+        normalized_kernel_many(params, edges, us, vs)
