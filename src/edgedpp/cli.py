@@ -1,12 +1,13 @@
 """Command line interface.
 
 Subcommands:
-  verify all | <kind>   run verification experiments, print one line per
-                        experiment, exit 0/1 on pass/fail (2 on errors)
+  verify all | KIND [KIND ...]
+                        run verification experiments, print one line per
+                        experiment, exit 0/1 on pass/fail (2 on errors);
+                        --report OUT also writes a csv/json report
   kernel eval           evaluate the exact kernel at one point pair
   density scan          tabulate the edge density profile against the
                         two-term prediction along the outward normal
-  report                run experiments and write a csv/json report
 
 Configuration is a plain INI-style key=value file with one section per
 experiment kind plus [global] and [contour]; every key has a built-in
@@ -29,13 +30,12 @@ from .geometry import edge_point_sample
 from .harness import (
     DEFAULT_SEED,
     EXPERIMENT_KINDS,
-    ConvergenceReport,
     default_spec,
     emit_report,
     run_experiment,
 )
 from .kernel import ModelParams, kernel_exact, rho1_density
-from .predictors import edge_density_prediction
+from .predictors import edge_density_terms
 
 __all__ = ["main", "config_defaults", "load_config"]
 
@@ -109,23 +109,6 @@ def _contour_from_config(cfg: dict) -> ContourConfig:
     return ContourConfig(**cfg["contour"])
 
 
-def _run_kinds(kinds, cfg) -> list[ConvergenceReport]:
-    contour = _contour_from_config(cfg)
-    reports = []
-    for kind in kinds:
-        spec = _spec_from_config(kind, cfg)
-        rep = run_experiment(spec, contour)
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"[{status}] {kind}")
-        for s in rep.series:
-            worst = max((e for _, e in s.samples), default=float("nan"))
-            rate = "" if s.fitted_exponent is None else f"fitted_exponent={s.fitted_exponent:+.3f} "
-            extra = f" {s.note}" if s.note else ""
-            print(f"    d={s.d} tau={s.tau}: worst={worst:.3e} {rate}{'ok' if s.passed else 'FAIL'}{extra}")
-        reports.append(rep)
-    return reports
-
-
 def _parse_point(text: str, d: int) -> np.ndarray:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != d:
@@ -133,11 +116,21 @@ def _parse_point(text: str, d: int) -> np.ndarray:
     return np.array([complex(p) for p in parts])
 
 
-def _cmd_run(args) -> int:
-    """verify and report: run the selected kinds, optionally write a report."""
+def _cmd_verify(args) -> int:
+    """Run the selected kinds (all of them if one is "all"), print one line
+    per kind and per series, and optionally write a report."""
     cfg = load_config(args.config)
-    kinds = list(EXPERIMENT_KINDS) if args.kind in (None, ["all"]) else args.kind
-    reports = _run_kinds(kinds, cfg)
+    contour = _contour_from_config(cfg)
+    reports = []
+    for kind in EXPERIMENT_KINDS if "all" in args.kind else args.kind:
+        rep = run_experiment(_spec_from_config(kind, cfg), contour)
+        print(f"[{'PASS' if rep.passed else 'FAIL'}] {kind}")
+        for s in rep.series:
+            worst = max(e for _, e in s.samples)
+            rate = "" if s.fitted_exponent is None else f"fitted_exponent={s.fitted_exponent:+.3f} "
+            extra = f" {s.note}" if s.note else ""
+            print(f"    d={s.d} tau={s.tau}: worst={worst:.3e} {rate}{'ok' if s.passed else 'FAIL'}{extra}")
+        reports.append(rep)
     if args.report:
         text = emit_report(reports, args.format)
         with open(args.report, "w") as fh:
@@ -164,7 +157,8 @@ def _cmd_density_scan(args) -> int:
     print("lambda,scaled_density,prediction,abs_error")
     for lam, rho in zip(lams, rhos):
         val = args.n**args.d * rho
-        pred = edge_density_prediction(params, edge, float(lam))
+        lead, second = edge_density_terms(params, edge, float(lam))
+        pred = lead + second
         print(f"{lam!r},{val!r},{pred!r},{abs(val - pred)!r}")
     return 0
 
@@ -174,12 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification experiments")
-    # nargs=1 makes the kind a list, as report's repeatable --kind is
-    p_verify.add_argument("kind", nargs=1, choices=("all",) + EXPERIMENT_KINDS)
+    p_verify.add_argument("kind", nargs="+", choices=("all",) + EXPERIMENT_KINDS)
     p_verify.add_argument("--config", default=None)
-    p_verify.add_argument("--report", default=None, help="also write a report file")
+    p_verify.add_argument("--report", default=None, metavar="OUT", help="also write a report file")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_verify.set_defaults(func=_cmd_run)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_kernel = sub.add_parser("kernel", help="kernel evaluations")
     kernel_sub = p_kernel.add_subparsers(dest="subcommand", required=True)
@@ -202,13 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lambda-max", type=float, default=1.0, dest="lambda_max")
     p_scan.add_argument("--steps", type=int, default=9)
     p_scan.set_defaults(func=_cmd_density_scan)
-
-    p_report = sub.add_parser("report", help="run experiments and write a report")
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_report.add_argument("--out", required=True, dest="report", metavar="OUT")
-    p_report.add_argument("--kind", action="append", choices=EXPERIMENT_KINDS)
-    p_report.add_argument("--config", default=None)
-    p_report.set_defaults(func=_cmd_run)
     return parser
 
 
@@ -217,10 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EdgeDppError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (EdgeDppError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,8 +26,11 @@ sqrt(q/2) (sqrt P +- sqrt Q)/2 and P = sum_k (z'_k + conj(w'_k))^2 (X at
 tau = 0).  The circle |t| = r lies near 1/|tau a|, capped at
 max(0.93, (1 + tau)/2)/tau below the branch points t = +-1/tau, and is
 nudged away from the pole, an uncapped circle at most halfway to the
-branch points.  X, Q and P are summed coordinate by coordinate; forming
-Q or P from X and the square sums loses accuracy on near-real pairs.
+branch points.  A saddle past |t| ~ 1e154, for pairs near the origin at
+tau < 7.5e-155, gives way to the circle |t| = 1e150, which encloses the
+pole: by Cauchy's theorem N is the same.  X, Q and P are summed
+coordinate by coordinate; forming Q or P from X and the square sums
+loses accuracy on near-real pairs.
 The same zhat_pm, saddles and phase F(t) = G(t) - log t with its
 derivatives (_hat_z, _saddles_t, _phase_t) are the only ones the edge
 expansions of saddle and the max_principle experiment use, for every
@@ -53,7 +56,12 @@ below the sum's rounding.  The turn (n - 1) theta of the phase is reduced
 modulo 2 pi in integers.  The pairs of one call run together in row blocks
 of at most 4,096 nodes, which stay in cache (a cell's 20 rows of 512 nodes
 in one array ran no faster than one row per call); each row gets the
-floats of its one-row call.
+floats of its one-row call.  A one-row block keeps its constants as floats
+and its node arrays 1-D (_columns, _node_pass): as a (1, N) block it gave
+the same floats at about 30 us more per pair (173 -> 207 us, +17%, over
+192 near-edge pairs on a 2-core machine).  N comes from integral_I_tau
+(invariants) or normalized_integral_many (edge-scaled pairs), the kernel
+from kernel_via_contour_log_many (kernel_via_contour_log for one pair).
 """
 
 from __future__ import annotations
@@ -74,7 +82,6 @@ __all__ = [
     "ContourConfig",
     "DEFAULT_CONTOUR",
     "integral_I_tau",
-    "normalized_integral",
     "normalized_integral_many",
     "kernel_via_contour_log",
     "kernel_via_contour_log_many",
@@ -92,6 +99,10 @@ _RADIUS_CAP_TAU = 0.93
 # Refuse when the pole ends up closer than this many r/sqrt(n) units; the
 # radius nudge is relative, so the guard is too.
 _MIN_POLE_GAP = 1e-3
+# The circle for a saddle past the node arithmetic (r^2 overflows, r > 1.3e154,
+# which needs tau < 7.5e-155): it encloses the pole far inside the branch
+# points, so by Cauchy's theorem N is unchanged, and G(t) is O(1) on it.
+_FAR_RADIUS = 1e150
 # A node this many nats below the largest of its pass gets no weight or phase
 # and joins the sum as zero; the cancellation guard counts it at e^-_KEEP_NATS.
 _KEEP_NATS = 60.0
@@ -480,14 +491,14 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
         r = min(r, max(0.5 * (cap + 1.0) - 0.03, cap) / tau)
     elif tau > 0.0:  # in s, at most halfway from the saddle or pole circle to 1
         r = min(r, 0.5 * (max(tau / ta, tau) + 1.0) / tau)
+    if not (1.0 - r) * (1.0 - r) < math.inf:  # a pair near the origin: the saddle lies past the node arithmetic
+        r = _FAR_RADIUS
     # refusals state the radius in s = tau t, where the rules above are set
     shown = tau * r if tau > 0.0 else r
     if tau * r >= _MAX_RADIUS_TAU:
         raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
     if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
         raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
-    if not (1.0 - r) * (1.0 - r) < math.inf:  # tau a near 0 at tau > 0: no node arithmetic in t = s/tau
-        raise ContourError(f"circle |t| = {r:.6g} overflows the node arithmetic")
     return r, pole_inside and residue, shown
 
 
@@ -549,43 +560,28 @@ def _invariants(zp: np.ndarray, wp: np.ndarray) -> tuple[list, list, list]:
     return (zp * wc).sum(axis=1).tolist(), ((zp - wc) ** 2).sum(axis=1).tolist(), ((zp + wc) ** 2).sum(axis=1).tolist()
 
 
-def _pole_normalized(
-    params: ModelParams, zp: np.ndarray, wp: np.ndarray, config: ContourConfig, include_residue: bool
-) -> tuple[list, list[complex]]:
-    """N (or the row's error) and G(1) of each validated row pair (z', w')."""
-    x, q_sum, p_sum = _invariants(zp, wp)
-    values = _integral_rows(params, x, q_sum, p_sum, config, include_residue)
-    return values, [_g_at_pole(params.tau, xb, qb) for xb, qb in zip(x, q_sum)]
-
-
 def normalized_integral_many(
     params: ModelParams, zs, us, vs, config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True
-) -> list[tuple[LogMagnitudePhase, complex]]:
-    """N and G(1) = (1 - tau) X - tau Q/2, the phase at the pole, at each row
-    of the kernel arguments (sqrt(n) z + u, sqrt(n) z + v) of three (B, d)
-    arrays: the pair z + u/sqrt(n), z + v/sqrt(n).  The rows run in blocks;
-    the first failing row raises the error its one-row call raises.
+) -> list[LogMagnitudePhase]:
+    """N at each row of the kernel arguments (sqrt(n) z + u, sqrt(n) z + v)
+    of three (B, d) arrays: the pair z + u/sqrt(n), z + v/sqrt(n).  The rows
+    run in blocks; the first failing row raises the error its one-row call
+    raises.
     """
     z, u, v = _as_points(params, zs, us, vs)
     rn = math.sqrt(params.n)
-    values, f_poles = _pole_normalized(params, z + u / rn, z + v / rn, config, include_residue)
-    return list(zip(_checked(values), f_poles))
-
-
-def normalized_integral(
-    params: ModelParams, z, u, v, config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True
-) -> tuple[LogMagnitudePhase, complex]:
-    """normalized_integral_many for one row (sqrt(n) z + u, sqrt(n) z + v)."""
-    return normalized_integral_many(params, *(as_point(params, a)[None] for a in (z, u, v)), config, include_residue)[0]
+    return _checked(_integral_rows(params, *_invariants(z + u / rn, z + v / rn), config, include_residue))
 
 
 def _kernel_rows(params: ModelParams, z: np.ndarray, w: np.ndarray, config: ContourConfig) -> list[LogMagnitudePhase]:
     d, tau, n = params.d, params.tau, params.n
     rn = math.sqrt(n)
-    values, f_poles = _pole_normalized(params, z, w, config, True)
+    x, q_sum, p_sum = _invariants(z, w)
+    values = _checked(_integral_rows(params, x, q_sum, p_sum, config, True))
     out = []
-    for zb, wb, big_n, f_pole in zip((rn * z).tolist(), (rn * w).tolist(), _checked(values), f_poles):
+    for zb, wb, xb, qb, big_n in zip((rn * z).tolist(), (rn * w).tolist(), x, q_sum, values):
         log_w = 0.5 * sum(log_weight_omega(zk, tau) + log_weight_omega(wk, tau) for zk, wk in zip(zb, wb))
+        f_pole = _g_at_pole(tau, xb, qb)
         out.append(big_n * LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole))
     return out
 

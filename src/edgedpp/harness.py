@@ -29,7 +29,8 @@ with one batched call, which runs the cell's pairs in row blocks.
 spec.settings holds the inputs a configuration can set (pairs, points,
 frames, grid_frames, grid_size); the fixed inputs are the module
 constants below _DEFAULTS.  A series that fits no rate carries
-fitted_exponent None.
+fitted_exponent None; one whose n grid leaves it no sample raises
+UsageError rather than pass having checked nothing.
 
 All randomness flows from counter-based generators keyed off the
 experiment seed, so a fixed seed reproduces reports byte for byte.
@@ -145,6 +146,8 @@ class SeriesResult:
     note: str = ""
 
     def __post_init__(self) -> None:
+        if not self.samples:  # a series that checked nothing must not pass
+            raise UsageError(f"the d={self.d}, tau={self.tau} series has no samples on its n grid")
         # runners compute with numpy; reports carry plain Python numbers
         object.__setattr__(self, "samples", tuple((int(n), float(err)) for n, err in self.samples))
         if self.fitted_exponent is not None:
@@ -382,7 +385,7 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
             params = ModelParams(d=d, tau=tau, n=n)
             worst_log = -math.inf
             devs = normalized_integral_many(params, [z_half] * len(us), us, vs, contour, include_residue=False)
-            for u, v, (dev, _) in zip(us, vs, devs):
+            for u, v, dev in zip(us, vs, devs):
                 scale = abs(bulk_prediction(d, u, v))
                 worst_log = max(worst_log, dev.log_mag + math.log(scale))
             samples.append((n, worst_log))
@@ -423,7 +426,7 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
         ]
         n_grid = [n for n in spec.n_grid if d == 1 or n <= 1024]
         samples = []
-        lead_ok = True
+        lead_ok, note = False, "leading-order check needs n=1024, which the n grid lacks"
         for n in n_grid:
             params = ModelParams(d=d, tau=tau, n=n)
             rn = math.sqrt(n)
@@ -440,6 +443,7 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
             samples.append((n, worst))
             if n == 1024:
                 lead_ok = lead_err <= spec.tolerances["leading_factor"] * second_scale
+                note = "" if lead_ok else "leading-order check failed at n=1024"
         slope, rate_ok = _rate_within(samples, spec.tolerances["exponent"])
         results.append(
             SeriesResult(
@@ -448,7 +452,7 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
                 samples=samples,
                 fitted_exponent=slope,
                 passed=rate_ok and lead_ok,
-                note="" if lead_ok else "leading-order check failed at n=1024",
+                note=note,
             )
         )
     return results

@@ -180,8 +180,9 @@ def kernel_exact_log_many(params: ModelParams, zs, ws) -> list[LogMagnitudePhase
     t2 = tau * tau
     q = (1.0 - tau) * (1.0 + tau)  # 1 - tau^2 without cancellation near tau = 1
     log_pref = d * (0.5 * math.log(q) - math.log(math.pi))
-    # X, S and the 2d weight logs in the real operations of scalar complex arithmetic
-    # and log_weight_omega, no fused multiply-add: X and S stay real on the diagonal
+    # X and S in the real operations of scalar complex arithmetic, no fused multiply-add:
+    # they stay real on the diagonal.  The 2d weight logs are log_weight_omega's formula,
+    # not its bits: numpy squares |z| where it calls pow (**), a last-bit gap in ~0.1%
     zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
     x = np.sum(zr * wr + zi * wi, axis=1) + 1j * np.sum(zi * wr - zr * wi, axis=1)
     s = np.sum(zr * zr - zi * zi + (wr * wr - wi * wi), axis=1)

@@ -1,7 +1,7 @@
-"""Edge predictors: the erfc density profile, the higher-dimensional
-Faddeeva plasma kernel and the bulk limit.  The two-term expansion of the
-normalized kernel itself, in every d and every 0 <= tau < 1, is
-saddle.asymptotic_I_tau of the displacements saddle.delta_pm.
+"""Edge predictors: the erfc density profile (edge_density_terms), the
+higher-dimensional Faddeeva plasma kernel and the bulk limit.  The
+two-term expansion of the normalized kernel itself, in every d and every
+0 <= tau < 1, is saddle.asymptotic_I_tau of the displacements saddle.delta_pm.
 
 The central normalized object is
 
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import DEFAULT_CONTOUR, ContourConfig, _pole_normalized
-from .errors import ConsistencyError, DomainError, EdgeDppError, UsageError
+from .contour import DEFAULT_CONTOUR, ContourConfig, normalized_integral_many
+from .errors import ConsistencyError, DomainError, UsageError
 from .geometry import EdgePoint
 from .kernel import ModelParams, _as_points, as_point, kernel_exact_log_many
 from .special import LogMagnitudePhase, erfc_complex
@@ -59,7 +59,6 @@ __all__ = [
     "normalized_kernel",
     "normalized_kernel_many",
     "edge_kernel_prediction",
-    "edge_density_prediction",
     "edge_density_terms",
     "bulk_prediction",
 ]
@@ -132,20 +131,19 @@ def normalized_kernel(
 def normalized_kernel_many(
     params: ModelParams, edges, us, vs, config: ContourConfig = DEFAULT_CONTOUR
 ) -> list[NormalizedKernelSample]:
-    """normalized_kernel at every (edge, u, v) triple, in order, each point
-    validated once: route A's exact kernels from one kernel_exact_log_many
-    call, route B's contour values from one block of the contour rule.  A
-    triple whose route B refuses, or whose routes disagree, raises in turn.
+    """normalized_kernel at every (edge, u, v) triple, in order: route A's
+    exact kernels from one kernel_exact_log_many call, route B's contour
+    values from one normalized_integral_many call, which raises the error
+    of its first refusing triple.  Then the first triple whose routes
+    disagree raises ConsistencyError.
     """
     z, us, vs = _as_points(params, [edge.z for edge in edges], us, vs)
     tau, n, d = params.tau, params.n, params.d
     rn = math.sqrt(n)
     exact = kernel_exact_log_many(params, rn * z + us, rn * z + vs)
-    route_b = _pole_normalized(params, z + us / rn, z + vs / rn, config, True)[0]
+    route_b = normalized_integral_many(params, z, us, vs, config)
     out = []
     for edge, u, v, k, b in zip(edges, us, vs, exact, route_b):
-        if isinstance(b, EdgeDppError):
-            raise b
         cof = cofactor_cn(tau, n, edge.z, u) * np.conj(cofactor_cn(tau, n, edge.z, v))
         route_a = (
             k
@@ -170,34 +168,17 @@ def edge_kernel_prediction(edge: EdgePoint, u, v) -> complex:
 
 
 def edge_density_terms(params: ModelParams, edge: EdgePoint, lam: float) -> tuple[float, float]:
-    """The leading term and the 1/sqrt(n) term of edge_density_prediction."""
+    """The two terms of the edge density profile for n^d rho_1(sqrt(n) z +
+    lambda n), whose sum is the two-term prediction: d!/(2 pi^d) erfc(sqrt 2
+    lambda) and (kappa/sqrt n) d!/(3 pi^d sqrt(2 pi)) (lambda^2 - 1 - 3 tau^2
+    (d-1)/((1-tau^2) kappa^{2/3})) e^{-2 lambda^2}."""
     d, tau, n = params.d, params.tau, params.n
     kappa = edge.kappa
     fact = math.factorial(d)
     lead = fact / (2.0 * math.pi**d) * erfc_complex(math.sqrt(2.0) * lam).real
-    bracket = lam * lam - 1.0
-    if tau != 0.0:
-        bracket -= 3.0 * tau * tau * (d - 1) / ((1.0 - tau * tau) * kappa ** (2.0 / 3.0))
-    second = (
-        (kappa / math.sqrt(n))
-        * fact
-        / (3.0 * math.pi**d * math.sqrt(2.0 * math.pi))
-        * bracket
-        * math.exp(-2.0 * lam * lam)
-    )
-    return lead, second
-
-
-def edge_density_prediction(params: ModelParams, edge: EdgePoint, lam: float) -> float:
-    """Two-term edge density profile for n^d rho_1(sqrt(n) z + lambda n).
-
-    d!/(2 pi^d) erfc(sqrt 2 lambda)
-      + (kappa/sqrt n) d!/(3 pi^d sqrt(2 pi))
-        (lambda^2 - 1 - 1_{tau != 0} 3 tau^2 (d-1)/((1-tau^2) kappa^{2/3}))
-        e^{-2 lambda^2}.
-    """
-    lead, second = edge_density_terms(params, edge, lam)
-    return lead + second
+    bracket = lam * lam - 1.0 - 3.0 * tau * tau * (d - 1) / ((1.0 - tau * tau) * kappa ** (2.0 / 3.0))
+    scale = (kappa / math.sqrt(n)) * fact / (3.0 * math.pi**d * math.sqrt(2.0 * math.pi))
+    return lead, scale * bracket * math.exp(-2.0 * lam * lam)
 
 
 def bulk_prediction(d: int, u, v) -> complex:

@@ -20,7 +20,6 @@ from edgedpp.contour import (
     kernel_via_contour_log,
     kernel_via_contour_log_many,
     max_principle_check,
-    normalized_integral,
     normalized_integral_many,
 )
 from edgedpp.errors import ContourError, DomainError, EdgeDppError, QuadratureError, UsageError
@@ -256,12 +255,12 @@ def test_dropped_nodes_move_an_integral_by_less_than_2_eps_of_its_l1_norm(monkey
         u, v = np.zeros(d), 0.4 * np.exp(1j * np.arange(d))
         for residue in (True, False):
             passes.clear()
-            got, _ = normalized_integral(params, z, u, v, include_residue=residue)
+            (got,) = normalized_integral_many(params, [z], [u], [v], include_residue=residue)
             kept = nonzero_terms()
             assert kept < sum(terms.size for _, _, terms in passes)
             monkeypatch.setattr(contour, "_KEEP_NATS", math.inf)
             passes.clear()
-            full, _ = normalized_integral(params, z, u, v, include_residue=residue)
+            (full,) = normalized_integral_many(params, [z], [u], [v], include_residue=residue)
             monkeypatch.setattr(contour, "_KEEP_NATS", 60.0)
             # the full run sums nodes the default run drops, and with no node
             # dropped its L1 norm is the plain sum of all the weights
@@ -350,7 +349,7 @@ def test_cancellation_guard_bounds_every_evaluated_node(monkeypatch, d, tau):
         evaluated.clear()
         guarded.clear()
         radii.clear()
-        normalized_integral(params, z, u, v, include_residue=residue)
+        normalized_integral_many(params, [z], [u], [v], include_residue=residue)
         count = evaluated[0].size
         for i, l1_log in enumerate(guarded):
             weighted = np.concatenate(evaluated[: i + 1]) - math.log(count)
@@ -643,15 +642,18 @@ def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_err
     rows = list(zip(zs, us, vs))
     pairs = [(z + np.asarray(u) / 8.0, z + np.asarray(v) / 8.0) for z, u, v in rows]
     assert kernel_via_contour_log_many(params, *zip(*pairs)) == [kernel_via_contour_log(params, *p) for p in pairs]
-    ones = [_value_or_refusal(functools.partial(normalized_integral, params, *row, _STRICT, False)) for row in rows]
-    values = [(row, one) for row, one in zip(rows, ones) if not isinstance(one[0], type)]
+    def one_row(row):
+        return normalized_integral_many(params, *([a] for a in row), _STRICT, False)[0]
+
+    ones = [_value_or_refusal(functools.partial(one_row, row)) for row in rows]
+    values = [(row, one) for row, one in zip(rows, ones) if isinstance(one, LogMagnitudePhase)]
     assert normalized_integral_many(params, *zip(*(row for row, _ in values)), _STRICT, False) == [v for _, v in values]
     # under an unreachable tolerance every rule fails, each naming its radius
     never = ContourConfig(tolerance=1e-300, max_doublings=1)
     kernel_ones = [_value_or_refusal(functools.partial(kernel_via_contour_log, params, *p, never)) for p in pairs]
     firsts = set()
     for order in (slice(None), slice(None, None, -1)):
-        first = next(one for one in ones[order] if isinstance(one[0], type))
+        first = next(one for one in ones[order] if isinstance(one, tuple))
         with pytest.raises(EdgeDppError) as caught:
             normalized_integral_many(params, *zip(*rows[order]), _STRICT, False)
         assert (type(caught.value), str(caught.value)) == first
@@ -853,7 +855,8 @@ def test_bulk_deviation_log_form_matches_double_difference():
 def test_normalized_integral_is_the_tau_route_of_its_arguments():
     # (sqrt(n) z + u, sqrt(n) z + v): the one integral of the invariants of
     # the shifted points, summed coordinate by coordinate, for every tau;
-    # same bits, in both residue modes, with G(1) alongside (X at tau = 0)
+    # same bits, in both residue modes, with the G(1) of the kernel route
+    # (X at tau = 0)
     rng = np.random.default_rng(41)
     for d, tau in [(1, 0.0), (2, 0.0), (1, 0.5), (3, 0.3)]:
         params = ModelParams(d=d, tau=tau, n=64)
@@ -861,9 +864,10 @@ def test_normalized_integral_is_the_tau_route_of_its_arguments():
         u = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
         v = rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d)
         for residue in (True, False):
-            got, f_pole = normalized_integral(params, ep.z, u, v, include_residue=residue)
+            (got,) = normalized_integral_many(params, [ep.z], [u], [v], include_residue=residue)
             x, q_sum, p_sum = pair_invariants(ep.z + u / 8.0, ep.z + v / 8.0)
             want = integral_I_tau(params, x, q_sum, p_sum, include_residue=residue)
+            f_pole = contour._g_at_pole(tau, x, q_sum)
             assert (got, f_pole) == (want, (1.0 - tau) * x - 0.5 * tau * q_sum)
             if tau == 0.0:
                 assert f_pole == x
@@ -944,3 +948,19 @@ def test_max_principle_two_maxima_degenerate_case():
         ang = math.atan2(point.imag, point.real)
         node = int(round((ang % (2 * math.pi)) / (2 * math.pi) * grid)) % grid
         assert abs(re_f[node] - top) <= 1e-6 * max(1.0, abs(top))
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-160, 1e-200, 5e-324])
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("d", [1, 2])
+def test_routes_agree_on_pairs_near_the_origin(d, tau, n):
+    # pairs scaled toward the origin put the saddle past |t| = 1e154, where
+    # the node arithmetic overflows; the contour route then runs on a finite
+    # circle that encloses the pole and must match the exact route
+    params = ModelParams(d=d, tau=tau, n=n)
+    z, w = np.array([1 + 0.5j, 0.2 - 0.1j][:d]), np.array([0.3 - 1j, -0.4j][:d])
+    pairs = [(s * z, s * w) for s in (1e-100, 1e-150, 1e-160, 0.0)]
+    values = kernel_via_contour_log_many(params, *zip(*pairs))
+    for (zp, wp), value in zip(pairs, values):
+        exact = kernel_exact_log(params, math.sqrt(n) * zp, math.sqrt(n) * wp)
+        assert abs(value.ratio_to(exact) - 1.0) <= 1e-8

@@ -263,12 +263,18 @@ def test_cli_verify_and_report(tmp_path, capsys):
     # saddle_pole fits no rate, so its line names none
     assert "fitted_exponent=" not in out
     target = tmp_path / "rep.csv"
-    rc = main(["report", "--kind", "saddle_pole", "--format", "csv", "--out", str(target)])
+    rc = main(["verify", "saddle_pole", "--format", "csv", "--report", str(target)])
     capsys.readouterr()
     assert rc == 0
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "kind,d,tau,n,error,fitted_exponent,pass"
     assert len(lines) >= 2
+    # several kinds in one command, one report
+    rc = main(["verify", "saddle_pole", "phi_expansion", "--format", "csv", "--report", str(target)])
+    out = capsys.readouterr().out
+    assert rc == 0 and "[PASS] saddle_pole" in out and "[PASS] phi_expansion" in out
+    kinds = {line.split(",")[0] for line in target.read_text().strip().split("\n")[1:]}
+    assert kinds == {"saddle_pole", "phi_expansion"}
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -287,3 +293,27 @@ def test_cli_acceptance_failure_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL] saddle_pole" in out
+
+
+def test_cli_refuses_a_series_with_no_samples(tmp_path, capsys):
+    # trace_identity runs d >= 2 only at n <= 8, so this grid leaves every
+    # d = 2 series empty: a usage error (exit 2), not "worst=nan ok"
+    conf = tmp_path / "empty.ini"
+    conf.write_text("[trace_identity]\nn_grid = 16,32\n")
+    rc = main(["verify", "trace_identity", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: the d=2, tau=0.0 series has no samples on its n grid" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_cli_edge_density_fails_without_its_leading_order_n(tmp_path, capsys):
+    # the leading-order check runs at n = 1024; a grid without it fails and
+    # names the missing n, even under a factor no grid could meet
+    conf = tmp_path / "no1024.ini"
+    conf.write_text("[edge_density]\nn_grid = 256,512,2048\nleading_factor = 0.0001\n")
+    rc = main(["verify", "edge_density", "--config", str(conf)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] edge_density" in out
+    assert out.count("leading-order check needs n=1024, which the n grid lacks") == 4

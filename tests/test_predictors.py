@@ -16,13 +16,18 @@ from edgedpp.kernel import ModelParams, rho1_density, truncated_exp_series
 from edgedpp.predictors import (
     bulk_prediction,
     cofactor_cn,
-    edge_density_prediction,
     edge_density_terms,
     edge_kernel_prediction,
     normalized_kernel,
     normalized_kernel_many,
 )
 from edgedpp.saddle import asymptotic_I_tau, delta_pm
+
+
+def _density_prediction(params, ep, lam):
+    """The two-term edge density profile, the sum of edge_density_terms."""
+    lead, second = edge_density_terms(params, ep, lam)
+    return lead + second
 
 
 def test_cofactor_unimodular_and_trivial_cases():
@@ -129,8 +134,8 @@ def test_edge_density_prediction_origin_and_tails():
     want = 2.0 / (2.0 * math.pi**2) - 1.0 * 2.0 / (
         3.0 * math.pi**2 * math.sqrt(2.0 * math.pi) * math.sqrt(1024)
     )
-    assert abs(edge_density_prediction(params, ep, 0.0) - want) <= 1e-14
-    assert edge_density_prediction(params, ep, 8.0) <= 1e-20
+    assert abs(_density_prediction(params, ep, 0.0) - want) <= 1e-14
+    assert _density_prediction(params, ep, 8.0) <= 1e-20
 
 
 def test_edge_density_prediction_matches_exact_kernel():
@@ -141,7 +146,7 @@ def test_edge_density_prediction_matches_exact_kernel():
         rn = math.sqrt(n)
         for lam in (-0.5, 0.0, 0.75):
             val = n**d * rho1_density(params, rn * ep.z + lam * ep.normal)
-            pred = edge_density_prediction(params, ep, lam)
+            pred = _density_prediction(params, ep, lam)
             second = edge_density_terms(params, ep, lam)[1]
             assert abs(val - pred) <= 0.35 * max(abs(second), 1e-4)
 
@@ -181,7 +186,7 @@ def test_d1_refined_diagonal_matches_density_profile():
     rng = np.random.default_rng(48)
     for lam in [0.0, *rng.uniform(-1.2, 1.2, 10)]:
         kernel_pred = _two_term_at_normal(params, ep, lam, lam).real / math.pi
-        dens_pred = edge_density_prediction(params, ep, float(lam))
+        dens_pred = _density_prediction(params, ep, float(lam))
         assert abs(kernel_pred - dens_pred) <= 1e-13
 
 
