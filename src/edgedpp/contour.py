@@ -56,12 +56,13 @@ below the sum's rounding.  The turn (n - 1) theta of the phase is reduced
 modulo 2 pi in integers.  The pairs of one call run together in row blocks
 of at most 4,096 nodes, which stay in cache (a cell's 20 rows of 512 nodes
 in one array ran no faster than one row per call); each row gets the
-floats of its one-row call.  A one-row block keeps its constants as floats
-and its node arrays 1-D (_columns, _node_pass): as a (1, N) block it gave
-the same floats at about 30 us more per pair (173 -> 207 us, +17%, over
-192 near-edge pairs on a 2-core machine).  N comes from integral_I_tau
-(invariants) or normalized_integral_many (edge-scaled pairs), the kernel
-from kernel_via_contour_log_many (kernel_via_contour_log for one pair).
+floats of its one-row call.  A block pass that keeps at least half of its
+nodes (_DENSE_SHARE) forms every node's weight and phase in place on its
+(rows, count) grid, the dropped nodes' terms +0; a sparser pass gathers
+its kept nodes.  A lone row keeps its numbers as floats and its arrays
+1-D.  N comes from integral_I_tau (invariants, one row) or
+normalized_integral_many (edge-scaled pairs), the kernel from
+kernel_via_contour_log_many (kernel_via_contour_log for one pair).
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ _KEEP_NATS = 60.0
 # The rows of one call run the rule together in blocks of at most this many
 # start nodes, whose arrays stay in cache.
 _BLOCK_NODES = 4096
+# A block pass that keeps at least this share of its nodes forms every node's
+# weight and phase in place; a sparser one gathers its kept nodes.
+_DENSE_SHARE = 0.5
 
 @dataclass(frozen=True)
 class ContourConfig:
@@ -197,25 +201,36 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     block: each row's largest log magnitude, the L1 norm of its weights
     e^{log_mag - shift}, and its terms weight * phase, a row of a (rows,
     count) array.  Only nodes within _KEEP_NATS of their row's largest get
-    a weight and a phase; the others' terms are zero and the L1 norm counts
-    each at e^-_KEEP_NATS, below the sum's rounding for count < 2^30."""
+    a weight and a phase; the others' terms are +0 and the L1 norm counts
+    each at e^-_KEEP_NATS, below the sum's rounding for count < 2^30.  A
+    block keeping at least _DENSE_SHARE of its nodes forms every weight and
+    phase on its grid, a sparser one gathers its kept nodes; the L1 norm
+    sums a row's kept weights alone, so each shape gives the same floats."""
     log_mag, phase_of = node_values(rows, _trapezoid_nodes(count, midpoints), midpoints)
-    if log_mag.ndim > 1:
-        shift = log_mag.max(axis=1)
-        floor, shifts = shift - _KEEP_NATS, shift.tolist()
-        floor[~(shift < math.inf)] = math.nan
-        flat = np.flatnonzero(log_mag >= floor[:, None])
+    if log_mag.ndim == 1:  # one row: its numbers are floats and need no row index
+        shift = float(np.maximum.reduce(log_mag))
+        keep = (log_mag >= (shift - _KEEP_NATS if shift < math.inf else math.nan)).nonzero()[0]
+        weights = np.exp(log_mag[keep] - shift)
+        terms = np.zeros(count, dtype=complex)
+        terms[keep] = weights * phase_of(None, keep, keep)
+        return [shift], [float(np.add.reduce(weights)) + (count - keep.size) * math.exp(-_KEEP_NATS)], terms[None]
+    shift = log_mag.max(axis=1)
+    floor = shift - _KEEP_NATS
+    floor[~(shift < math.inf)] = math.nan
+    kept = log_mag >= floor[:, None]
+    bounds = [0, *np.cumsum(np.count_nonzero(kept, axis=1)).tolist()]
+    if bounds[-1] >= _DENSE_SHARE * kept.size:  # every node's weight and phase, on the whole grid
+        weights = np.exp(log_mag - shift[:, None])
+        terms = np.where(kept, weights * phase_of(None, None, None), 0.0)
+        weights = weights[kept]
+    else:  # the kept nodes' rows, nodes and flat indices
+        flat = kept.reshape(-1).nonzero()[0]
         at_row, at_node = np.divmod(flat, count)
-        bounds = [0, *np.searchsorted(at_row, range(1, len(rows))).tolist(), flat.size]
         weights = np.exp(log_mag.reshape(-1)[flat] - shift[at_row])
-    else:  # one row: its constants are floats (_columns) and need no row index
-        shifts = [float(log_mag.max())]
-        at_node = flat = np.flatnonzero(log_mag >= (shifts[0] - _KEEP_NATS if shifts[0] < math.inf else math.nan))
-        at_row, bounds, weights = None, (0, flat.size), np.exp(log_mag[flat] - shifts[0])
-    terms = np.zeros((len(rows), count), dtype=complex)
-    terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
+        terms = np.zeros(kept.shape, dtype=complex)
+        terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
     l1 = [float(weights[a:b].sum()) + (count - (b - a)) * math.exp(-_KEEP_NATS) for a, b in zip(bounds, bounds[1:])]
-    return shifts, l1, terms
+    return shift.tolist(), l1, terms
 
 
 def _nested_trapezoid(
@@ -245,7 +260,7 @@ def _nested_trapezoid(
 
     active = list(range(len(radii)))
     shift, l1, terms = _node_pass(node_values, active, count)
-    prev, odd = terms[:, ::2].sum(axis=1).tolist(), terms[:, 1::2].sum(axis=1).tolist()
+    prev, odd = np.add.reduce(terms[:, ::2], axis=1).tolist(), np.add.reduce(terms[:, 1::2], axis=1).tolist()
     total = [half + rest for half, rest in zip(prev, odd)]
     for doubling in range(config.max_doublings + 1):
         if doubling:
@@ -296,62 +311,27 @@ def _start_count(config: ContourConfig, n: int) -> int:
     return count + count % 2
 
 
-def _columns(consts: list[tuple]):
-    """Rows' constants, floats, as (rows, 1) columns; one row's stay floats, so its node arrays stay 1-D."""
-    return consts[0] if len(consts) == 1 else np.array(consts).T[:, :, None]
-
-
-def _at_rows(columns, at_row: np.ndarray | None):
-    """Columns at the rows of given nodes; one row's (at_row None) are its floats."""
-    return columns if at_row is None else columns[:, :, 0].take(at_row, axis=1)
-
-
-def _phase_on_circle(tau: float, circles: list, table: np.ndarray) -> tuple[np.ndarray, Callable, np.ndarray | None]:
-    """Re G on |t| = r for each (X, Q, r) of circles, a row each (one
-    circle's 1-D), Im G at given kept nodes, and |1 - tau^2 t^2|^2, for
-    G(t) = q X t/(1 + tau t) - (q Q/2) tau t^2/(1 - tau^2 t^2).  Each
-    fraction's scale and real part is a row of one array, gathered once at
-    the kept nodes; where every rho = tau r is 0 the second fraction (0)
-    and |1 - tau^2 t^2|^2 (1; None) are not formed.
+def _phase_on_circle(tau: float, x, q_sum, r, table: np.ndarray, tau_terms: bool) -> tuple:
+    """Re G on |t| = r for X = x and Q = q_sum, for G(t) = q X t/(1 + tau t)
+    - (q Q/2) tau t^2/(1 - tau^2 t^2); the coefficients and grid rows of
+    Im G (_quadrature forms it at the kept nodes); and |1 - tau^2 t^2|^2.
+    x, q_sum and r are one circle's numbers, whose arrays are 1-D, or
+    (rows, 1) columns of a block.  Without tau_terms (every rho = tau r is
+    0) the second fraction (0) and |1 - tau^2 t^2|^2 (1; None) are not formed.
     """
     _, sin, _, one_plus_cos, sin_2, two_sin_sq = table
-    q = (1.0 - tau) * (1.0 + tau)
-    consts = []
-    for x, q_sum, r in circles:
-        rho = tau * r
-        e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
-        qx, qq = q * x, 0.5 * q * q_sum
-        consts.append((qx.real, qx.imag, qq.real, qq.imag, r, e * e, 2.0 * rho, e, c0 * c0, 2.0 * rho * rho,
-                       r * rho, c0))
-    qx_re, qx_im, qq_re, qq_im, r, e_sq, two_rho, e, c0_sq, two_rho_sq, r_rho, c0 = columns = _columns(consts)
-    tau_terms = any(row[6] for row in consts)  # some rho > 0
-    lead = (len(consts),) if len(consts) > 1 else ()
-    rows = np.empty((4 if tau_terms else 2, *lead, sin.size))  # a_scale, a_re[, b_scale, b_re]
-    np.divide(r, e_sq + two_rho * one_plus_cos, out=rows[0])  # over |1 + tau t|^2
-    np.subtract(one_plus_cos, e, out=rows[1])
-    re_g = rows[0] * (qx_re * rows[1] - qx_im * sin)
-    branch_sq = c0_sq + two_rho_sq * two_sin_sq if tau_terms else None
+    q, rho = (1.0 - tau) * (1.0 + tau), tau * r
+    e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
+    qx, qq = q * x, 0.5 * q * q_sum
+    grid = [one_plus_cos - e]  # a_re; a_scale = r/|1 + tau t|^2 is r where rho = 0
+    branch_sq = None
     if tau_terms:
-        np.divide(r_rho, branch_sq, out=rows[2])
-        np.subtract(c0, two_sin_sq, out=rows[3])
-        re_g -= rows[2] * (qq_re * rows[3] - qq_im * sin_2)
-
-    def im_g(at_row: np.ndarray | None, flat: np.ndarray, sin: np.ndarray, sin_2: np.ndarray) -> np.ndarray:
-        a_scale, a_re, *b = rows.reshape(len(rows), -1).take(flat, axis=1)
-        qx_re, qx_im, qq_re, qq_im = _at_rows(columns[:4], at_row)
-        im = a_scale * (qx_re * sin + qx_im * a_re)
-        if b:
-            im -= b[0] * (qq_re * sin_2 + qq_im * b[1])
-        return im
-
-    return re_g, im_g, branch_sq
-
-
-def _turn(n: int, keep: np.ndarray, midpoints: bool, count: int) -> np.ndarray:
-    """(n - 1) theta modulo 2 pi at the nodes keep, reduced in integers:
-    theta = 2 pi m / (2 count) with m = 2k, or 2k + 1 at the midpoints."""
-    step = (n - 1) % (2 * count)  # (n - 1) m = 2 (n - 1) k (+ n - 1), modulo 2 count
-    return ((2 * step * keep + step * midpoints) % (2 * count)) * (math.pi / count)
+        branch_sq = c0 * c0 + 2.0 * rho * rho * two_sin_sq
+        grid += [r / (e * e + 2.0 * rho * one_plus_cos), r * rho / branch_sq, c0 - two_sin_sq]  # a_scale, b_scale, b_re
+    re_g = (grid[1] if tau_terms else r) * (qx.real * grid[0] - qx.imag * sin)
+    if tau_terms:
+        re_g -= grid[2] * (qq.real * grid[3] - qq.imag * sin_2)
+    return re_g, (qx.real, qx.imag, qq.real, qq.imag), grid, branch_sq
 
 
 def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
@@ -361,7 +341,10 @@ def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
 
 def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarray, midpoints: bool) -> tuple:
     """Per-node log magnitude of the normalized integrand on |t| = r for the
-    (X, Q, r) circles at the given rows, and its phases at given kept nodes.
+    (X, Q, r) circles at the given rows, and its phases at kept nodes: flat
+    (row, node) indices of a block, nodes of a lone row (at_row None), or
+    every node (all None).  A lone row's numbers are floats, a block's (rows,
+    1) columns, which round as floats do (log r and (1 - r)^2 are per row).
 
     Node t contributes, before the 1/count weight, -e^{n (G(t) - log t -
     G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with t - 1 =
@@ -369,31 +352,41 @@ def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarra
     tau^2 t^2)^{d/2}, whose real part stays positive for rho = tau r < 1.
     """
     tau, d, n = params.tau, params.d, params.n
-    circles = [circles[i] for i in rows]
-    re_g, im_g, branch_sq = _phase_on_circle(tau, circles, table)
-    shared = 0.5 * d * math.log1p(-tau * tau)
-    consts = []
-    for x, q_sum, r in circles:
-        rho = tau * r
-        f_pole, log_r = _g_at_pole(tau, x, q_sum), math.log(r)
-        consts.append((f_pole.imag, r, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho,
-                       log_r + f_pole.real, (1.0 - r) ** 2, 2.0 * r, log_r + shared))
-    *_, pole_log, gap_sq, two_r, log_rest = columns = _columns(consts)
-    to_pole = gap_sq + two_r * table[2]  # |t - 1|^2, with 1 - cos in row 2
-    log_mag = n * (re_g - pole_log) - 0.5 * np.log(to_pole)
-    if branch_sq is not None:
+    if len(rows) == 1:
+        x, q_sum, r = circles[rows[0]]
+        log_r, gap_sq, tau_terms = math.log(r), (1.0 - r) ** 2, tau * r > 0.0
+    else:
+        x, q_sum, r = (np.array(col)[:, None] for col in zip(*map(circles.__getitem__, rows)))
+        log_r, gap_sq = np.array([(math.log(v), (1.0 - v) ** 2) for v in r[:, 0].tolist()]).T[:, :, None]
+        tau_terms = tau * r.max() > 0.0
+    re_g, g_parts, grid, branch_sq = _phase_on_circle(tau, x, q_sum, r, table, tau_terms)
+    f_pole, rho = _g_at_pole(tau, x, q_sum), tau * r
+    log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(gap_sq + 2.0 * r * table[2])  # |t - 1|^2
+    if tau_terms:
         log_mag -= (0.25 * d) * np.log(branch_sq)
-    log_mag += log_rest
+    log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
+    parts = (*g_parts, f_pole.imag, r, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho)
+    count = table.shape[1]
+    step = (n - 1) % (2 * count)  # (n - 1) m modulo 2 count
+    node_rows = (table[1], table[2], table[4], table[5]) if tau_terms else (table[1], table[2])
 
-    def phase_of(at_row: np.ndarray | None, at_node: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        _, sin, one_minus_cos, _, sin_2, two_sin_sq = table.take(at_node, axis=1)
-        f_im, r, r_less, c0, rho_sq, neg_rho_sq = _at_rows(columns[:6], at_row)
-        phi = n * (im_g(at_row, flat, sin, sin_2) - f_im)
-        phi -= _turn(n, at_node, midpoints, table.shape[1])
+    def phase_of(at_row: np.ndarray | None, at_node: np.ndarray | None, flat: np.ndarray | None) -> np.ndarray:
+        qx_re, qx_im, qq_re, qq_im, f_im, r, r_less, c0, rho_sq, neg_rho_sq = (
+            parts if at_row is None else [c.take(at_row) for c in parts])
+        sin, one_minus_cos, *b_nodes = (row if at_node is None else row[at_node] for row in node_rows)
+        a_re, a_scale, *b = (grid if flat is None else [g.take(flat) for g in grid]) + [r]  # a_scale is r at rho = 0
+        im_g = a_scale * (qx_re * sin + qx_im * a_re)
+        if tau_terms:
+            sin_2, two_sin_sq = b_nodes
+            im_g -= b[0] * (qq_re * sin_2 + qq_im * b[1])
+        # the turn (n - 1) theta modulo 2 pi, in integers: theta = pi m / count, m = 2k (+ 1 at midpoints)
+        m = (2 * step) * (np.arange(count) if at_node is None else at_node)
+        if midpoints:
+            m += step
+        phi = n * (im_g - f_im) - (m % (2 * count)) * (math.pi / count)
         phi -= np.arctan2(r * sin, r_less - r * one_minus_cos)  # arg(t - 1)
-        if branch_sq is not None:
-            branch_re = c0 + rho_sq * two_sin_sq
-            phi -= (0.5 * d) * np.arctan2(neg_rho_sq * sin_2, branch_re)
+        if tau_terms:
+            phi -= (0.5 * d) * np.arctan2(neg_rho_sq * sin_2, c0 + rho_sq * two_sin_sq)  # arg(1 - tau^2 t^2)
         return np.exp(1j * (phi + math.pi))
 
     return log_mag, phase_of
@@ -548,16 +541,22 @@ def integral_I_tau(
     encloses the pole t = 1.  include_residue=False returns the bare
     circle integral, deep in the bulk exactly N - 1, representable in log
     form long after the difference underflows.  At tau = 0 and X = 0, N is
-    the residue polynomial, exactly 1.
+    the residue polynomial, exactly 1.  The row runs as a one-row block.
     """
-    return _checked(_integral_rows(params, *([complex(a)] for a in (x, q_sum, p_sum)), config, include_residue))[0]
+    x, q_sum = complex(x), complex(q_sum)
+    circle = _circle(params, x, q_sum, complex(p_sum), config, include_residue)
+    if circle is None:
+        return LogMagnitudePhase(0.0, 1.0 + 0.0j)
+    node_values = functools.partial(_quadrature, params, [(x, q_sum, circle[0])])
+    count = _start_count(config, params.n)
+    return _checked(_nested_trapezoid(node_values, count, [circle[1]], config, [circle[2]], params.n))[0]
 
 
-def _invariants(zp: np.ndarray, wp: np.ndarray) -> tuple[list, list, list]:
-    """X, Q and P of each validated row pair (z', w'), as lists, each summed
-    coordinate by coordinate."""
+def _invariants(zp: np.ndarray, wp: np.ndarray) -> list:
+    """X, Q and P of each validated row pair (z', w'), each summed
+    coordinate by coordinate: three lists, or three complexes for one pair."""
     wc = wp.conj()
-    return (zp * wc).sum(axis=1).tolist(), ((zp - wc) ** 2).sum(axis=1).tolist(), ((zp + wc) ** 2).sum(axis=1).tolist()
+    return np.add.reduce([zp * wc, (zp - wc) ** 2, (zp + wc) ** 2], axis=-1).tolist()
 
 
 def normalized_integral_many(
@@ -573,17 +572,11 @@ def normalized_integral_many(
     return _checked(_integral_rows(params, *_invariants(z + u / rn, z + v / rn), config, include_residue))
 
 
-def _kernel_rows(params: ModelParams, z: np.ndarray, w: np.ndarray, config: ContourConfig) -> list[LogMagnitudePhase]:
-    d, tau, n = params.d, params.tau, params.n
-    rn = math.sqrt(n)
-    x, q_sum, p_sum = _invariants(z, w)
-    values = _checked(_integral_rows(params, x, q_sum, p_sum, config, True))
-    out = []
-    for zb, wb, xb, qb, big_n in zip((rn * z).tolist(), (rn * w).tolist(), x, q_sum, values):
-        log_w = 0.5 * sum(log_weight_omega(zk, tau) + log_weight_omega(wk, tau) for zk, wk in zip(zb, wb))
-        f_pole = _g_at_pole(tau, xb, qb)
-        out.append(big_n * LogMagnitudePhase.from_log(complex(log_w - d * math.log(math.pi)) + n * f_pole))
-    return out
+def _kernel_value(params: ModelParams, zb: list, wb: list, x: complex, q_sum: complex, big_n) -> LogMagnitudePhase:
+    """pi^{-d} prod_k sqrt(omega(z_k) omega(w_k)) e^{n G(1)} N at the kernel arguments zb and wb."""
+    log_w = 0.5 * sum(log_weight_omega(zk, params.tau) + log_weight_omega(wk, params.tau) for zk, wk in zip(zb, wb))
+    log_pole = complex(log_w - params.d * math.log(math.pi)) + params.n * _g_at_pole(params.tau, x, q_sum)
+    return big_n * LogMagnitudePhase.from_log(log_pole)
 
 
 def kernel_via_contour_log_many(params: ModelParams, zs, ws, config: ContourConfig = DEFAULT_CONTOUR) -> list:
@@ -593,12 +586,21 @@ def kernel_via_contour_log_many(params: ModelParams, zs, ws, config: ContourConf
     recurrence, mirroring kernel_exact_log_many.  The pairs run in blocks;
     the first failing pair raises the error its one-pair call raises.
     """
-    return _kernel_rows(params, *_as_points(params, zs, ws), config)
+    z, w = _as_points(params, zs, ws)
+    rn = math.sqrt(params.n)
+    x, q_sum, p_sum = _invariants(z, w)
+    values = _checked(_integral_rows(params, x, q_sum, p_sum, config, True))
+    return [_kernel_value(params, *row) for row in zip((rn * z).tolist(), (rn * w).tolist(), x, q_sum, values)]
 
 
 def kernel_via_contour_log(params: ModelParams, z, w, config: ContourConfig = DEFAULT_CONTOUR) -> LogMagnitudePhase:
-    """kernel_via_contour_log_many for one pair: K_n(sqrt(n) z, sqrt(n) w)."""
-    return _kernel_rows(params, as_point(params, z)[None], as_point(params, w)[None], config)[0]
+    """kernel_via_contour_log_many for one pair: K_n(sqrt(n) z, sqrt(n) w),
+    with N from integral_I_tau."""
+    z, w = as_point(params, z), as_point(params, w)
+    rn = math.sqrt(params.n)
+    x, q_sum, p_sum = _invariants(z, w)
+    big_n = integral_I_tau(params, x, q_sum, p_sum, config)
+    return _kernel_value(params, (rn * z).tolist(), (rn * w).tolist(), x, q_sum, big_n)
 
 
 def max_principle_check(
@@ -617,5 +619,5 @@ def max_principle_check(
     tau = params.tau
     saddle = 1.0 / _saddle_t(tau, x, q_sum, p_sum)
     r = abs(saddle)
-    re_g = _phase_on_circle(tau, [(x, q_sum, r)], _trapezoid_nodes(grid_size))[0]
+    re_g = _phase_on_circle(tau, x, q_sum, r, _trapezoid_nodes(grid_size), tau * r > 0.0)[0]
     return float(re_g.max() - math.log(r) - _phase_t(tau, q_sum, p_sum, saddle)[0].real)

@@ -286,15 +286,13 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
     tol = spec.tolerances["max_error"]
     tol_closed = spec.tolerances["closed_form"]
 
-    def sample_points(rng: np.random.Generator, d: int) -> np.ndarray:
-        out = np.empty(d, dtype=complex)
-        for k in range(d):
-            while True:
-                c = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-                if abs(c) <= radius:
-                    out[k] = c
-                    break
-        return out
+    def disc_points(rng: np.random.Generator, count: int) -> np.ndarray:
+        """count points uniform in |c| <= radius: the accepted (re, im) draws of a scalar rejection loop, in order."""
+        points = np.empty(0, dtype=complex)
+        while points.size < count:
+            draws = rng.uniform(-radius, radius, (count, 2))
+            points = np.append(points, draws.view(complex)[np.hypot(draws[:, 0], draws[:, 1]) <= radius, 0])
+        return points[:count]
 
     results = []
     for d, tau in spec.params_grid:
@@ -307,9 +305,7 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
             rn = math.sqrt(n)
             # Draws are the kernel arguments; the contour identity sees them
             # as sqrt(n) times the droplet coordinates Z/sqrt(n).
-            draws = [(sample_points(rng, d), sample_points(rng, d)) for _ in range(pairs)]
-            big_zs = np.array([z for z, _ in draws])
-            big_ws = np.array([w for _, w in draws])
+            big_zs, big_ws = disc_points(rng, 2 * pairs * d).reshape(pairs, 2, d).transpose(1, 0, 2)
             exacts = kernel_exact_log_many(params, big_zs, big_ws)
             vias = kernel_via_contour_log_many(params, big_zs / rn, big_ws / rn, contour)
             worst = max(abs(via.ratio_to(exact) - 1.0) for via, exact in zip(vias, exacts))

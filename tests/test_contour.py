@@ -288,7 +288,7 @@ def _value_or_refusal(integral):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("n", [2, 64, 4096])
+@pytest.mark.parametrize("n", [2, 64, 256, 1024, 4096])
 @pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-3, 0.5, 0.95])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_trimmed_node_pass_gives_the_reference_floats(monkeypatch, d, tau, n):
@@ -581,18 +581,22 @@ def _record_blocks(monkeypatch):
     """Record (rows, midpoints) of each node pass, each node-table read, each
     guarded estimate, and the (X, Q, r) circles of each pass's rows."""
     log = {"passes": [], "tables": [], "guarded": [], "circles": []}
-    node_pass, nodes, guard, phase = (
-        contour._node_pass, contour._trapezoid_nodes, contour._reject_hopeless_cancellation, contour._phase_on_circle
+    node_pass, nodes, guard, quadrature = (
+        contour._node_pass, contour._trapezoid_nodes, contour._reject_hopeless_cancellation, contour._quadrature
     )
 
     def recorded_pass(node_values, rows, count, midpoints=False):
         log["passes"].append((len(rows), midpoints))
         return node_pass(node_values, rows, count, midpoints)
 
+    def recorded_nodes(params, circles, rows, *args):
+        log["circles"].append([circles[i] for i in rows])
+        return quadrature(params, circles, rows, *args)
+
     monkeypatch.setattr(contour, "_node_pass", recorded_pass)
     monkeypatch.setattr(contour, "_trapezoid_nodes", lambda *a: log["tables"].append(a) or nodes(*a))
     monkeypatch.setattr(contour, "_reject_hopeless_cancellation", lambda *a: log["guarded"].append(a) or guard(*a))
-    monkeypatch.setattr(contour, "_phase_on_circle", lambda t, c, *a: log["circles"].append(c) or phase(t, c, *a))
+    monkeypatch.setattr(contour, "_quadrature", recorded_nodes)
     return log
 
 
@@ -603,30 +607,41 @@ def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
     # and settle, rows that fail in the rule or before it, X = 0 at tau = 0,
     # and at tau = 5e-324 rows with tau r = 0 beside rows with tau r > 0.
     # Each pass reads one node table and each row estimate passes the
-    # cancellation guard once: bench/spans.py counts those calls
+    # cancellation guard once: bench/spans.py counts those calls.  Both
+    # block passes give these floats: every node in place (kept share 0)
+    # and every kept node gathered (kept share inf)
     params = ModelParams(d=d, tau=tau, n=n)
     rows = _block_invariants(params)
-    kinds, settled_after_doubling = collections.Counter(), 0
-    for residue in (True, False):
-        ones = [_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)) for row in rows]
-        with monkeypatch.context() as patched:
-            log = _record_blocks(patched)
-            got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
-        starts = [size for size, midpoints in log["passes"] if not midpoints]
-        doubled = [size for size, midpoints in log["passes"] if midpoints]
-        assert len(log["tables"]) == len(log["passes"]) and len(log["guarded"]) == sum(starts) + sum(doubled)
-        assert max(starts) > 1 and all(0 < size < max(starts) for size in doubled)
-        for val, one in zip(got, ones):
-            kinds[type(val).__name__] += 1
-            assert (val if isinstance(val, LogMagnitudePhase) else (type(val), str(val))) == one
-        # with one doubling allowed, the rows that doubled and did not fail later settled
-        late = [val for val in got if isinstance(val, QuadratureError) or str(val).startswith("cancellation")]
-        settled_after_doubling += sum(doubled) - len(late)
-        if tau == 5e-324:
-            assert any(min(tau * c[2] for c in block) == 0.0 < max(tau * c[2] for c in block) for block in log["circles"])
-    assert settled_after_doubling > 0 and kinds["DomainError"] == 2
-    assert (kinds["DegenerateSaddleError"] > 0) == (tau >= 1e-3)
-    assert (kinds["UsageError"] > 0) == (tau == 0.0)
+    ones = {
+        residue: [_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)) for row in rows]
+        for residue in (True, False)
+    }
+    sides = []
+    for share in (0.0, math.inf):
+        kinds, settled_after_doubling, outcomes = collections.Counter(), 0, []
+        for residue in (True, False):
+            with monkeypatch.context() as patched:
+                patched.setattr(contour, "_DENSE_SHARE", share)
+                log = _record_blocks(patched)
+                got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
+            starts = [size for size, midpoints in log["passes"] if not midpoints]
+            doubled = [size for size, midpoints in log["passes"] if midpoints]
+            assert len(log["tables"]) == len(log["passes"]) and len(log["guarded"]) == sum(starts) + sum(doubled)
+            assert max(starts) > 1 and all(0 < size < max(starts) for size in doubled)
+            for val, one in zip(got, ones[residue]):
+                kinds[type(val).__name__] += 1
+                outcomes.append(val if isinstance(val, LogMagnitudePhase) else (type(val), str(val)))
+                assert outcomes[-1] == one
+            # with one doubling allowed, the rows that doubled and did not fail later settled
+            late = [val for val in got if isinstance(val, QuadratureError) or str(val).startswith("cancellation")]
+            settled_after_doubling += sum(doubled) - len(late)
+            if tau == 5e-324:
+                assert any(min(tau * c[2] for c in block) == 0.0 < max(tau * c[2] for c in block) for block in log["circles"])
+        assert settled_after_doubling > 0 and kinds["DomainError"] == 2
+        assert (kinds["DegenerateSaddleError"] > 0) == (tau >= 1e-3)
+        assert (kinds["UsageError"] > 0) == (tau == 0.0)
+        sides.append(outcomes)
+    assert sides[0] == sides[1]
 
 
 def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_error():
