@@ -373,7 +373,7 @@ def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarra
     def phase_of(at_row: np.ndarray | None, at_node: np.ndarray | None, flat: np.ndarray | None) -> np.ndarray:
         qx_re, qx_im, qq_re, qq_im, f_im, r, r_less, c0, rho_sq, neg_rho_sq = (
             parts if at_row is None else [c.take(at_row) for c in parts])
-        sin, one_minus_cos, *b_nodes = (row if at_node is None else row[at_node] for row in node_rows)
+        sin, one_minus_cos, *b_nodes = node_rows if at_node is None else [row[at_node] for row in node_rows]
         a_re, a_scale, *b = (grid if flat is None else [g.take(flat) for g in grid]) + [r]  # a_scale is r at rho = 0
         im_g = a_scale * (qx_re * sin + qx_im * a_re)
         if tau_terms:
@@ -464,7 +464,7 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
     """The circle r of X, Q and P, whether its residue joins, and the radius
     refusals state; None where the residue alone is the value."""
     tau, n = params.tau, params.n
-    if not all(cmath.isfinite(c) for c in (x, q_sum, p_sum)):
+    if not (cmath.isfinite(x) and cmath.isfinite(q_sum) and cmath.isfinite(p_sum)):
         raise DomainError("pair invariants must be finite")
     if tau == 0.0 and x == 0:
         if not residue:
@@ -600,7 +600,7 @@ def kernel_via_contour_log(params: ModelParams, z, w, config: ContourConfig = DE
     rn = math.sqrt(params.n)
     x, q_sum, p_sum = _invariants(z, w)
     big_n = integral_I_tau(params, x, q_sum, p_sum, config)
-    return _kernel_value(params, (rn * z).tolist(), (rn * w).tolist(), x, q_sum, big_n)
+    return _kernel_value(params, [rn * c for c in z.tolist()], [rn * c for c in w.tolist()], x, q_sum, big_n)
 
 
 def max_principle_check(
