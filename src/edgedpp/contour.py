@@ -56,13 +56,12 @@ below the sum's rounding.  The turn (n - 1) theta of the phase is reduced
 modulo 2 pi in integers.  The pairs of one call run together in row blocks
 of at most 4,096 nodes, which stay in cache (a cell's 20 rows of 512 nodes
 in one array ran no faster than one row per call); each row gets the
-floats of its one-row call.  A block pass that keeps at least half of its
-nodes (_DENSE_SHARE) forms every node's weight and phase in place on its
-(rows, count) grid, the dropped nodes' terms +0; a sparser pass gathers
-its kept nodes.  A lone row keeps its numbers as floats and its arrays
-1-D.  N comes from integral_I_tau (invariants, one row) or
+floats of its one-row call.  A lone row keeps its numbers as floats and
+its arrays 1-D.  N comes from integral_I_tau (one row of invariants) or
 normalized_integral_many (edge-scaled pairs), the kernel from
-kernel_via_contour_log_many (kernel_via_contour_log for one pair).
+kernel_via_contour_log (one pair) or kernel_via_contour_log_many.  The
+one-pair calls set up their row directly, without the batch path's row
+lists, block loop and array round trips, about a tenth of their time.
 """
 
 from __future__ import annotations
@@ -110,9 +109,6 @@ _KEEP_NATS = 60.0
 # The rows of one call run the rule together in blocks of at most this many
 # start nodes, whose arrays stay in cache.
 _BLOCK_NODES = 4096
-# A block pass that keeps at least this share of its nodes forms every node's
-# weight and phase in place; a sparser one gathers its kept nodes.
-_DENSE_SHARE = 0.5
 
 @dataclass(frozen=True)
 class ContourConfig:
@@ -201,11 +197,8 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     block: each row's largest log magnitude, the L1 norm of its weights
     e^{log_mag - shift}, and its terms weight * phase, a row of a (rows,
     count) array.  Only nodes within _KEEP_NATS of their row's largest get
-    a weight and a phase; the others' terms are +0 and the L1 norm counts
-    each at e^-_KEEP_NATS, below the sum's rounding for count < 2^30.  A
-    block keeping at least _DENSE_SHARE of its nodes forms every weight and
-    phase on its grid, a sparser one gathers its kept nodes; the L1 norm
-    sums a row's kept weights alone, so each shape gives the same floats."""
+    a weight and a phase; the others' terms are zero and the L1 norm counts
+    each at e^-_KEEP_NATS, below the sum's rounding for count < 2^30."""
     log_mag, phase_of = node_values(rows, _trapezoid_nodes(count, midpoints), midpoints)
     if log_mag.ndim == 1:  # one row: its numbers are floats and need no row index
         shift = float(np.maximum.reduce(log_mag))
@@ -213,22 +206,17 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
         weights = np.exp(log_mag[keep] - shift)
         terms = np.zeros(count, dtype=complex)
         terms[keep] = weights * phase_of(None, keep, keep)
-        return [shift], [float(np.add.reduce(weights)) + (count - keep.size) * math.exp(-_KEEP_NATS)], terms[None]
+        l1 = float(np.add.reduce(weights)) + (count - keep.size) * math.exp(-_KEEP_NATS)
+        return [shift], [l1], terms[None]
     shift = log_mag.max(axis=1)
     floor = shift - _KEEP_NATS
     floor[~(shift < math.inf)] = math.nan
-    kept = log_mag >= floor[:, None]
-    bounds = [0, *np.cumsum(np.count_nonzero(kept, axis=1)).tolist()]
-    if bounds[-1] >= _DENSE_SHARE * kept.size:  # every node's weight and phase, on the whole grid
-        weights = np.exp(log_mag - shift[:, None])
-        terms = np.where(kept, weights * phase_of(None, None, None), 0.0)
-        weights = weights[kept]
-    else:  # the kept nodes' rows, nodes and flat indices
-        flat = kept.reshape(-1).nonzero()[0]
-        at_row, at_node = np.divmod(flat, count)
-        weights = np.exp(log_mag.reshape(-1)[flat] - shift[at_row])
-        terms = np.zeros(kept.shape, dtype=complex)
-        terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
+    flat = np.flatnonzero(log_mag >= floor[:, None])  # the kept nodes' flat indices, rows and nodes
+    at_row, at_node = np.divmod(flat, count)
+    bounds = [0, *np.searchsorted(at_row, range(1, len(rows))).tolist(), flat.size]
+    weights = np.exp(log_mag.reshape(-1)[flat] - shift[at_row])
+    terms = np.zeros(log_mag.shape, dtype=complex)
+    terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
     l1 = [float(weights[a:b].sum()) + (count - (b - a)) * math.exp(-_KEEP_NATS) for a, b in zip(bounds, bounds[1:])]
     return shift.tolist(), l1, terms
 
@@ -312,26 +300,39 @@ def _start_count(config: ContourConfig, n: int) -> int:
 
 
 def _phase_on_circle(tau: float, x, q_sum, r, table: np.ndarray, tau_terms: bool) -> tuple:
-    """Re G on |t| = r for X = x and Q = q_sum, for G(t) = q X t/(1 + tau t)
-    - (q Q/2) tau t^2/(1 - tau^2 t^2); the coefficients and grid rows of
-    Im G (_quadrature forms it at the kept nodes); and |1 - tau^2 t^2|^2.
-    x, q_sum and r are one circle's numbers, whose arrays are 1-D, or
-    (rows, 1) columns of a block.  Without tau_terms (every rho = tau r is
-    0) the second fraction (0) and |1 - tau^2 t^2|^2 (1; None) are not formed.
+    """Re G on |t| = r for X = x and Q = q_sum, Im G at given kept nodes,
+    and |1 - tau^2 t^2|^2, for G(t) = q X t/(1 + tau t) - (q Q/2) tau
+    t^2/(1 - tau^2 t^2), each fraction a scale times a real part over the
+    grid.  x, q_sum and r are one circle's numbers, whose arrays are 1-D,
+    or (rows, 1) columns of a block.  Without tau_terms (every rho = tau r
+    is 0) the second fraction (0), the first's scale r/|1 + tau t|^2 (r)
+    and |1 - tau^2 t^2|^2 (1; None) are not formed.
     """
     _, sin, _, one_plus_cos, sin_2, two_sin_sq = table
     q, rho = (1.0 - tau) * (1.0 + tau), tau * r
     e, c0 = 1.0 - rho, (1.0 - rho) * (1.0 + rho)
     qx, qq = q * x, 0.5 * q * q_sum
-    grid = [one_plus_cos - e]  # a_re; a_scale = r/|1 + tau t|^2 is r where rho = 0
+    a_scale, a_re = r, one_plus_cos - e
     branch_sq = None
     if tau_terms:
+        a_scale = r / (e * e + 2.0 * rho * one_plus_cos)
         branch_sq = c0 * c0 + 2.0 * rho * rho * two_sin_sq
-        grid += [r / (e * e + 2.0 * rho * one_plus_cos), r * rho / branch_sq, c0 - two_sin_sq]  # a_scale, b_scale, b_re
-    re_g = (grid[1] if tau_terms else r) * (qx.real * grid[0] - qx.imag * sin)
+        b_scale, b_re = r * rho / branch_sq, c0 - two_sin_sq
+    re_g = a_scale * (qx.real * a_re - qx.imag * sin)
     if tau_terms:
-        re_g -= grid[2] * (qq.real * grid[3] - qq.imag * sin_2)
-    return re_g, (qx.real, qx.imag, qq.real, qq.imag), grid, branch_sq
+        re_g -= b_scale * (qq.real * b_re - qq.imag * sin_2)
+    coefs = (qx.real, qx.imag, qq.real, qq.imag, r)
+
+    def im_g(at_row: np.ndarray | None, flat: np.ndarray, sin: np.ndarray, sin_2: np.ndarray | None) -> np.ndarray:
+        """Im G at kept nodes: flat indices into the grid, the rows at_row
+        of a block (None: one circle), and the nodes' sin and sin 2 theta."""
+        qx_re, qx_im, qq_re, qq_im, r = coefs if at_row is None else [c.take(at_row) for c in coefs]
+        im = (a_scale.take(flat) if tau_terms else r) * (qx_re * sin + qx_im * a_re.take(flat))
+        if tau_terms:
+            im -= b_scale.take(flat) * (qq_re * sin_2 + qq_im * b_re.take(flat))
+        return im
+
+    return re_g, im_g, branch_sq
 
 
 def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
@@ -341,10 +342,11 @@ def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
 
 def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarray, midpoints: bool) -> tuple:
     """Per-node log magnitude of the normalized integrand on |t| = r for the
-    (X, Q, r) circles at the given rows, and its phases at kept nodes: flat
-    (row, node) indices of a block, nodes of a lone row (at_row None), or
-    every node (all None).  A lone row's numbers are floats, a block's (rows,
-    1) columns, which round as floats do (log r and (1 - r)^2 are per row).
+    (X, Q, r) circles at the given rows, and its phases at kept nodes: the
+    rows, nodes and flat (row, node) indices of a block's, or a lone row's
+    nodes (at_row None, flat the nodes).  A lone row's numbers are floats,
+    a block's (rows, 1) columns, which round as floats do (log r and
+    (1 - r)^2 are per row).
 
     Node t contributes, before the 1/count weight, -e^{n (G(t) - log t -
     G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with t - 1 =
@@ -356,37 +358,34 @@ def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarra
         x, q_sum, r = circles[rows[0]]
         log_r, gap_sq, tau_terms = math.log(r), (1.0 - r) ** 2, tau * r > 0.0
     else:
-        x, q_sum, r = (np.array(col)[:, None] for col in zip(*map(circles.__getitem__, rows)))
-        log_r, gap_sq = np.array([(math.log(v), (1.0 - v) ** 2) for v in r[:, 0].tolist()]).T[:, :, None]
+        x, q_sum, r = (np.array(col)[:, None] for col in zip(*[circles[i] for i in rows]))
+        radii = r[:, 0].tolist()
+        log_r = np.array([math.log(v) for v in radii])[:, None]
+        gap_sq = np.array([(1.0 - v) ** 2 for v in radii])[:, None]
         tau_terms = tau * r.max() > 0.0
-    re_g, g_parts, grid, branch_sq = _phase_on_circle(tau, x, q_sum, r, table, tau_terms)
+    re_g, im_g, branch_sq = _phase_on_circle(tau, x, q_sum, r, table, tau_terms)
     f_pole, rho = _g_at_pole(tau, x, q_sum), tau * r
     log_mag = n * (re_g - (log_r + f_pole.real)) - 0.5 * np.log(gap_sq + 2.0 * r * table[2])  # |t - 1|^2
     if tau_terms:
         log_mag -= (0.25 * d) * np.log(branch_sq)
     log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
-    parts = (*g_parts, f_pole.imag, r, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho)
+    parts = (f_pole.imag, r, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho)
     count = table.shape[1]
     step = (n - 1) % (2 * count)  # (n - 1) m modulo 2 count
-    node_rows = (table[1], table[2], table[4], table[5]) if tau_terms else (table[1], table[2])
+    nodes = table[1], table[2], table[4], table[5]  # sin, 1 - cos, sin 2 theta, 2 sin^2 theta
 
-    def phase_of(at_row: np.ndarray | None, at_node: np.ndarray | None, flat: np.ndarray | None) -> np.ndarray:
-        qx_re, qx_im, qq_re, qq_im, f_im, r, r_less, c0, rho_sq, neg_rho_sq = (
-            parts if at_row is None else [c.take(at_row) for c in parts])
-        sin, one_minus_cos, *b_nodes = node_rows if at_node is None else [row[at_node] for row in node_rows]
-        a_re, a_scale, *b = (grid if flat is None else [g.take(flat) for g in grid]) + [r]  # a_scale is r at rho = 0
-        im_g = a_scale * (qx_re * sin + qx_im * a_re)
-        if tau_terms:
-            sin_2, two_sin_sq = b_nodes
-            im_g -= b[0] * (qq_re * sin_2 + qq_im * b[1])
+    def phase_of(at_row: np.ndarray | None, at_node: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        f_im, r, r_less, c0, rho_sq, neg_rho_sq = parts if at_row is None else [c.take(at_row) for c in parts]
+        sin, one_minus_cos = nodes[0][at_node], nodes[1][at_node]
+        sin_2 = nodes[2][at_node] if tau_terms else None
         # the turn (n - 1) theta modulo 2 pi, in integers: theta = pi m / count, m = 2k (+ 1 at midpoints)
-        m = (2 * step) * (np.arange(count) if at_node is None else at_node)
+        m = (2 * step) * at_node
         if midpoints:
             m += step
-        phi = n * (im_g - f_im) - (m % (2 * count)) * (math.pi / count)
+        phi = n * (im_g(at_row, flat, sin, sin_2) - f_im) - (m % (2 * count)) * (math.pi / count)
         phi -= np.arctan2(r * sin, r_less - r * one_minus_cos)  # arg(t - 1)
         if tau_terms:
-            phi -= (0.5 * d) * np.arctan2(neg_rho_sq * sin_2, c0 + rho_sq * two_sin_sq)  # arg(1 - tau^2 t^2)
+            phi -= (0.5 * d) * np.arctan2(neg_rho_sq * sin_2, c0 + rho_sq * nodes[3][at_node])  # arg(1 - tau^2 t^2)
         return np.exp(1j * (phi + math.pi))
 
     return log_mag, phase_of

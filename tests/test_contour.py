@@ -607,41 +607,30 @@ def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
     # and settle, rows that fail in the rule or before it, X = 0 at tau = 0,
     # and at tau = 5e-324 rows with tau r = 0 beside rows with tau r > 0.
     # Each pass reads one node table and each row estimate passes the
-    # cancellation guard once: bench/spans.py counts those calls.  Both
-    # block passes give these floats: every node in place (kept share 0)
-    # and every kept node gathered (kept share inf)
+    # cancellation guard once: bench/spans.py counts those calls
     params = ModelParams(d=d, tau=tau, n=n)
     rows = _block_invariants(params)
-    ones = {
-        residue: [_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)) for row in rows]
-        for residue in (True, False)
-    }
-    sides = []
-    for share in (0.0, math.inf):
-        kinds, settled_after_doubling, outcomes = collections.Counter(), 0, []
-        for residue in (True, False):
-            with monkeypatch.context() as patched:
-                patched.setattr(contour, "_DENSE_SHARE", share)
-                log = _record_blocks(patched)
-                got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
-            starts = [size for size, midpoints in log["passes"] if not midpoints]
-            doubled = [size for size, midpoints in log["passes"] if midpoints]
-            assert len(log["tables"]) == len(log["passes"]) and len(log["guarded"]) == sum(starts) + sum(doubled)
-            assert max(starts) > 1 and all(0 < size < max(starts) for size in doubled)
-            for val, one in zip(got, ones[residue]):
-                kinds[type(val).__name__] += 1
-                outcomes.append(val if isinstance(val, LogMagnitudePhase) else (type(val), str(val)))
-                assert outcomes[-1] == one
-            # with one doubling allowed, the rows that doubled and did not fail later settled
-            late = [val for val in got if isinstance(val, QuadratureError) or str(val).startswith("cancellation")]
-            settled_after_doubling += sum(doubled) - len(late)
-            if tau == 5e-324:
-                assert any(min(tau * c[2] for c in block) == 0.0 < max(tau * c[2] for c in block) for block in log["circles"])
-        assert settled_after_doubling > 0 and kinds["DomainError"] == 2
-        assert (kinds["DegenerateSaddleError"] > 0) == (tau >= 1e-3)
-        assert (kinds["UsageError"] > 0) == (tau == 0.0)
-        sides.append(outcomes)
-    assert sides[0] == sides[1]
+    kinds, settled_after_doubling = collections.Counter(), 0
+    for residue in (True, False):
+        ones = [_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)) for row in rows]
+        with monkeypatch.context() as patched:
+            log = _record_blocks(patched)
+            got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
+        starts = [size for size, midpoints in log["passes"] if not midpoints]
+        doubled = [size for size, midpoints in log["passes"] if midpoints]
+        assert len(log["tables"]) == len(log["passes"]) and len(log["guarded"]) == sum(starts) + sum(doubled)
+        assert max(starts) > 1 and all(0 < size < max(starts) for size in doubled)
+        for val, one in zip(got, ones):
+            kinds[type(val).__name__] += 1
+            assert (val if isinstance(val, LogMagnitudePhase) else (type(val), str(val))) == one
+        # with one doubling allowed, the rows that doubled and did not fail later settled
+        late = [val for val in got if isinstance(val, QuadratureError) or str(val).startswith("cancellation")]
+        settled_after_doubling += sum(doubled) - len(late)
+        if tau == 5e-324:
+            assert any(min(tau * c[2] for c in block) == 0.0 < max(tau * c[2] for c in block) for block in log["circles"])
+    assert settled_after_doubling > 0 and kinds["DomainError"] == 2
+    assert (kinds["DegenerateSaddleError"] > 0) == (tau >= 1e-3)
+    assert (kinds["UsageError"] > 0) == (tau == 0.0)
 
 
 def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_error():
