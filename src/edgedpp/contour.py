@@ -104,7 +104,10 @@ _MIN_POLE_GAP = 1e-3
 # points, so by Cauchy's theorem N is unchanged, and G(t) is O(1) on it.
 _FAR_RADIUS = 1e150
 # A node this many nats below the largest of its pass gets no weight or phase
-# and joins the sum as zero; the cancellation guard counts it at e^-_KEEP_NATS.
+# and joins the sum as zero.  The cancellation guard's L1 norm leaves it out:
+# the largest kept node weighs 1, so each L1 norm is at least 1, and the
+# dropped nodes' at most count e^-_KEEP_NATS stays below its rounding for
+# count < 2^30.
 _KEEP_NATS = 60.0
 # The rows of one call run the rule together in blocks of at most this many
 # start nodes, whose arrays stay in cache.
@@ -197,8 +200,8 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     block: each row's largest log magnitude, the L1 norm of its weights
     e^{log_mag - shift}, and its terms weight * phase, a row of a (rows,
     count) array.  Only nodes within _KEEP_NATS of their row's largest get
-    a weight and a phase; the others' terms are zero and the L1 norm counts
-    each at e^-_KEEP_NATS, below the sum's rounding for count < 2^30."""
+    a weight and a phase; the others' terms are zero and the L1 norm leaves
+    them out."""
     log_mag, phase_of = node_values(rows, _trapezoid_nodes(count, midpoints), midpoints)
     if log_mag.ndim == 1:  # one row: its numbers are floats and need no row index
         shift = float(np.maximum.reduce(log_mag))
@@ -206,8 +209,7 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
         weights = np.exp(log_mag[keep] - shift)
         terms = np.zeros(count, dtype=complex)
         terms[keep] = weights * phase_of(None, keep, keep)
-        l1 = float(np.add.reduce(weights)) + (count - keep.size) * math.exp(-_KEEP_NATS)
-        return [shift], [l1], terms[None]
+        return [shift], [float(np.add.reduce(weights))], terms[None]
     shift = log_mag.max(axis=1)
     floor = shift - _KEEP_NATS
     floor[~(shift < math.inf)] = math.nan
@@ -217,8 +219,7 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     weights = np.exp(log_mag.reshape(-1)[flat] - shift[at_row])
     terms = np.zeros(log_mag.shape, dtype=complex)
     terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
-    l1 = [float(weights[a:b].sum()) + (count - (b - a)) * math.exp(-_KEEP_NATS) for a, b in zip(bounds, bounds[1:])]
-    return shift.tolist(), l1, terms
+    return shift.tolist(), [float(weights[a:b].sum()) for a, b in zip(bounds, bounds[1:])], terms
 
 
 def _nested_trapezoid(

@@ -21,6 +21,10 @@ kernel evaluations:
 * phi_expansion: conformal-map value at the pole against its printed
   expansions, residual decay rates; one code path for every tau.
 
+Every runner with an n grid takes its (d, tau) cells from _cells: the
+ModelParams per n (less the n that a d >= 2 cap skips, which the series
+note names) and the cell's seeded edge points.
+
 Each (d, tau, n) cell evaluates its exact kernels with one
 kernel_exact_log_many call (rho1_density over a (B, d) array of points;
 normalized_kernel_many for the edge kernels), and its contour values
@@ -236,6 +240,9 @@ _POLE_PATH = (-1.0, 1.0)
 # displacements scale as n^(-1/2), which keeps the full margin of the
 # residual rate -3/2 against the -1.2 pass line.
 _PHI_LAMBDA = 0.6
+# The largest n these kinds run at d >= 2; _cells skips the larger n of the
+# grid there, and the series note names them (skipped_n=...).
+_N_CAP_AT_D2 = {"edge_density": 1024, "trace_identity": 8}
 
 
 def default_spec(kind: str, seed: int = DEFAULT_SEED, **overrides) -> ExperimentSpec:
@@ -275,6 +282,19 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=list(stream) + [0] * (4 - len(stream))))
 
 
+def _cells(spec: ExperimentSpec, stride: int = 0, points: int = 0):
+    """Each (d, tau) cell of spec.params_grid: d, tau, the ModelParams of
+    each n the cell runs, points edge points (point i drawn from seed
+    spec.seed + stride d + i), and a note naming the n that the kind's
+    d >= 2 cap skips, or ""."""
+    cap = _N_CAP_AT_D2.get(spec.kind, math.inf)
+    for d, tau in spec.params_grid:
+        skipped = [n for n in spec.n_grid if d > 1 and n > cap]
+        grid = [ModelParams(d=d, tau=tau, n=n) for n in spec.n_grid if n not in skipped]
+        edges = [edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + stride * d + i) for i in range(points)]
+        yield d, tau, grid, edges, f"skipped_n={','.join(map(str, skipped))}" if skipped else ""
+
+
 # ----------------------------------------------------------------------
 # Experiment bodies
 # ----------------------------------------------------------------------
@@ -295,14 +315,13 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
         return points[:count]
 
     results = []
-    for d, tau in spec.params_grid:
+    for d, tau, grid, _, _ in _cells(spec):
         samples = []
         closed_worst = 0.0
         passed = True
-        for n in spec.n_grid:
-            params = ModelParams(d=d, tau=tau, n=n)
-            rng = _rng(spec.seed, d, int(tau * 10), n)
-            rn = math.sqrt(n)
+        for params in grid:
+            rng = _rng(spec.seed, d, int(tau * 10), params.n)
+            rn = math.sqrt(params.n)
             # Draws are the kernel arguments; the contour identity sees them
             # as sqrt(n) times the droplet coordinates Z/sqrt(n).
             big_zs, big_ws = disc_points(rng, 2 * pairs * d).reshape(pairs, 2, d).transpose(1, 0, 2)
@@ -312,7 +331,7 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
             if tau == 0.0:
                 closed = (kernel_tau0_closed_log(params, z, w) for z, w in zip(big_zs, big_ws))
                 closed_worst = max(closed_worst, *(abs(c.ratio_to(e) - 1.0) for c, e in zip(closed, exacts)))
-            samples.append((n, worst))
+            samples.append((params.n, worst))
             passed = passed and worst <= tol
         if tau == 0.0:
             passed = passed and closed_worst <= tol_closed
@@ -323,19 +342,16 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
 
 def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     results = []
-    for d, tau in spec.params_grid:
+    for d, tau, grid, _, skipped in _cells(spec):
         samples = []
         passed = True
         tol = spec.tolerances["d1_rel"] if d == 1 else spec.tolerances["d2_rel"]
-        for n in spec.n_grid:
-            if d > 1 and n > 8:
-                continue
-            params = ModelParams(d=d, tau=tau, n=n)
+        for params in grid:
             target = float(params.point_count)
             err = abs(_trace_gauss_hermite(params) - target) / target
-            samples.append((n, err))
+            samples.append((params.n, err))
             passed = passed and err <= tol
-        results.append(SeriesResult(d=d, tau=tau, samples=samples, passed=passed))
+        results.append(SeriesResult(d=d, tau=tau, samples=samples, passed=passed, note=skipped))
     return results
 
 
@@ -368,8 +384,7 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
 
 def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     results = []
-    for d, tau in spec.params_grid:
-        base = edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 17 * d)
+    for d, tau, grid, (base,), _ in _cells(spec, 17, 1):
         z_half = 0.5 * base.z
         rng = _rng(spec.seed, 4, d, int(tau * 100))
         us, vs = [np.zeros(d, dtype=complex)], [np.zeros(d, dtype=complex)]
@@ -377,14 +392,13 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
             us.append(rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d))
             vs.append(rng.uniform(-0.5, 0.5, d) + 1j * rng.uniform(-0.5, 0.5, d))
         samples = []
-        for n in spec.n_grid:
-            params = ModelParams(d=d, tau=tau, n=n)
+        for params in grid:
             worst_log = -math.inf
             devs = normalized_integral_many(params, [z_half] * len(us), us, vs, contour, include_residue=False)
             for u, v, dev in zip(us, vs, devs):
                 scale = abs(bulk_prediction(d, u, v))
                 worst_log = max(worst_log, dev.log_mag + math.log(scale))
-            samples.append((n, worst_log))
+            samples.append((params.n, worst_log))
         # ratio criterion in log form: err(n_max) <= ratio * err(n_min)
         passed = samples[-1][1] - samples[0][1] <= math.log(spec.tolerances["ratio"])
         note = "samples carry log_e of the bulk deviation"
@@ -415,21 +429,16 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
 
 def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     results = []
-    for d, tau in spec.params_grid:
-        edges = [
-            edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 101 * d + i)
-            for i in range(_DENSITY_POINTS)
-        ]
-        n_grid = [n for n in spec.n_grid if d == 1 or n <= 1024]
+    for d, tau, grid, edges, skipped in _cells(spec, 101, _DENSITY_POINTS):
         samples = []
         lead_ok, note = False, "leading-order check needs n=1024, which the n grid lacks"
-        for n in n_grid:
-            params = ModelParams(d=d, tau=tau, n=n)
+        offsets = list(itertools.product(edges, _DENSITY_LAMBDAS))
+        for params in grid:
+            n = params.n
             rn = math.sqrt(n)
-            grid = list(itertools.product(edges, _DENSITY_LAMBDAS))
-            rhos = rho1_density(params, np.array([rn * ep.z + lam * ep.normal for ep, lam in grid]))
+            rhos = rho1_density(params, np.array([rn * ep.z + lam * ep.normal for ep, lam in offsets]))
             worst = lead_err = second_scale = 0.0
-            for (ep, lam), rho in zip(grid, rhos):
+            for (ep, lam), rho in zip(offsets, rhos):
                 val = n**d * rho
                 lead, second = edge_density_terms(params, ep, lam)
                 pred = lead + second
@@ -448,7 +457,7 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
                 samples=samples,
                 fitted_exponent=slope,
                 passed=rate_ok and lead_ok,
-                note=note,
+                note="; ".join(filter(None, (note, skipped))),
             )
         )
     return results
@@ -457,30 +466,21 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
 def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     n_points = int(spec.settings["points"])
     results = []
-    for d, tau in spec.params_grid:
+    for d, tau, grid, edges, _ in _cells(spec, 211, n_points):
         rng = _rng(spec.seed, 6, d, int(tau * 10))
         u = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
         u *= 0.8 / math.sqrt(float(np.sum(np.abs(u) ** 2)))
         v = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
         v *= 0.6 / math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        edges = [
-            edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 211 * d + i)
-            for i in range(n_points)
-        ]
         envelope = 1.0 + float(np.sum(np.abs(u) ** 2) + np.sum(np.abs(v) ** 2))
+        preds = [edge_kernel_prediction(ep, u, v) for ep in edges]
+        shifts = [dot_product(u, ep.normal) + dot_product(ep.normal, v) for ep in edges]
+        scales = [envelope * abs(np.exp(-0.5 * s * s)) for s in shifts]
         qs = []
-        for n in spec.n_grid:
-            params = ModelParams(d=d, tau=tau, n=n)
+        for params in grid:
             samps = normalized_kernel_many(params, edges, [u] * len(edges), [v] * len(edges), contour)
-
-            def one(ep, samp):
-                pred = edge_kernel_prediction(ep, u, v)
-                s = dot_product(u, ep.normal) + dot_product(ep.normal, v)
-                damp = abs(np.exp(-0.5 * s * s))
-                return abs(samp.L - pred) * math.sqrt(n) / (envelope * damp)
-
-            vals = [one(ep, samp) for ep, samp in zip(edges, samps)]
-            qs.append((n, max(vals)))
+            vals = (abs(samp.L - pred) * math.sqrt(params.n) / scale for samp, pred, scale in zip(samps, preds, scales))
+            qs.append((params.n, max(vals)))
         band = max(q for _, q in qs) / min(q for _, q in qs)
         passed = band <= spec.tolerances["band"]
         results.append(
@@ -497,22 +497,14 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[Serie
 
 def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     results = []
-    for d, tau in spec.params_grid:
-        edges = [
-            edge_point_sample(ModelParams(d=d, tau=tau, n=2), spec.seed + 307 + i)
-            for i in range(_REFINED_POINTS)
-        ]
+    for d, tau, grid, edges, _ in _cells(spec, 307, _REFINED_POINTS):
+        us = [_REFINED_U * ep.normal for ep in edges]
+        vs = [_REFINED_V * ep.normal for ep in edges]
         samples = []
-        for n in spec.n_grid:
-            params = ModelParams(d=d, tau=tau, n=n)
-            us = [_REFINED_U * ep.normal for ep in edges]
-            vs = [_REFINED_V * ep.normal for ep in edges]
+        for params in grid:
             samps = normalized_kernel_many(params, edges, us, vs, contour)
-
-            def one(samp):
-                return abs(samp.L - asymptotic_I_tau(params, samp.z.eta, *delta_pm(params, samp.z, samp.u, samp.v)))
-
-            samples.append((n, max(one(samp) for samp in samps)))
+            errs = (abs(s.L - asymptotic_I_tau(params, s.z.eta, *delta_pm(params, s.z, s.u, s.v))) for s in samps)
+            samples.append((params.n, max(errs)))
         slope, passed = _rate_within(samples, spec.tolerances["exponent"])
         results.append(SeriesResult(d=d, tau=tau, samples=samples, fitted_exponent=slope, passed=passed))
     return results
@@ -593,7 +585,7 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
 def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
     lam = _PHI_LAMBDA
     results = []
-    for d, tau in spec.params_grid:
+    for d, tau, grid, _, _ in _cells(spec):
         rng = _rng(spec.seed, 9, int(tau * 10))
         series_err, spec_err = [], []
         eta = rng.uniform(0.2, 1.3)
@@ -602,8 +594,8 @@ def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
         dm_shape = complex(rng.uniform(-0.5, -0.2), rng.uniform(-0.4, 0.4))
         base = edge_point_sample(ModelParams(d=2, tau=tau, n=2), spec.seed + 67)
         sig = sinh_ratio(tau, base.eta)
-        for n in spec.n_grid:
-            params = ModelParams(d=2, tau=tau, n=n)
+        for params in grid:  # phi_at_pole and phi_lemma_two_term read only tau from it
+            n = params.n
             dp = dp_shape * n**-0.5
             dm = dm_shape * n**-0.5
             phi_s = phi_at_pole(params, *_invariants_of_hat(tau, hat_p + root_p * dp, hat_m + root_m * dm))

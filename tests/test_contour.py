@@ -322,11 +322,10 @@ def test_trimmed_node_pass_gives_the_reference_floats(monkeypatch, d, tau, n):
 
 @pytest.mark.parametrize("d, tau", [(1, 0.0), (2, 0.5), (3, 0.93)])
 def test_cancellation_guard_bounds_every_evaluated_node(monkeypatch, d, tau):
-    # the guard's log L1 norm counts each dropped node at its bound e^-60 of
-    # the largest: it is at least the log-sum-exp of every evaluated node
-    # (and the residue) and exceeds it by at most count e^-60 relative, up
-    # to the rounding of the two sums and their logs (a few eps of the
-    # shifts they add)
+    # the guard's log L1 norm leaves out the nodes dropped below e^-60 of the
+    # largest, at most count e^-60 of a norm >= 1: it is the log-sum-exp of
+    # every evaluated node (and the residue) up to the rounding of the two
+    # sums and their logs (a few eps of the shifts they add)
     params = ModelParams(d=d, tau=tau, n=4096)
     z = edge_point_sample(params, 7).z
     u, v = np.zeros(d), 0.4 * np.exp(1j * np.arange(d))

@@ -86,6 +86,7 @@ def test_trace_identity_integrates_every_coordinate_at_d3():
     assert rep.passed
     (series,) = rep.series
     assert [n for n, _ in series.samples] == [2, 4]
+    assert series.note == "skipped_n=16"
     assert all(err <= 1e-13 for _, err in series.samples)
 
 
