@@ -37,12 +37,14 @@ expansions of saddle and the max_principle experiment use, for every
 0 <= tau < 1.
 
 The trapezoid rule on a circle converges geometrically in the node count
-with rate set by the angular distance to the nearest singularity, here
-the pole at relative distance ~ offset/sqrt(n); the start count 64
-sqrt(n) resolves it (Trefethen and Weideman, SIAM Review 2014).  The rules
-are nested: the even-indexed half of the N start nodes is the N/2-node
-rule, so a value certified against it costs N node evaluations; only a
-failed check doubles, evaluating the midpoints of the current rule.
+at a rate set by the nearest singularity, the pole at relative distance
+~ offset/sqrt(n), whose N-node aliasing is exact (Trefethen and Weideman,
+SIAM Review 2014): each estimate cancels it, adding 1/(r^N - 1) on a
+circle |t| = r around the pole, -r^N/(1 - r^N) beside it.  The start
+count 32 sqrt(n) resolves the rest, ~ 1/sqrt(n) wide about the saddle.
+The rules are nested: the even-indexed half of the N start nodes is the
+N/2-node rule, so a value certified against it costs N node evaluations;
+only a failed check doubles, evaluating the midpoints of the current rule.
 
 Each pass computes every node's log magnitude in real arithmetic from a
 cached table of cos, sin, 1 -+ cos, sin 2 theta and 2 sin^2 theta, free
@@ -122,10 +124,10 @@ class ContourConfig:
     sign chosen away from the pole.
     """
 
-    node_count: int = 512
+    node_count: int = 128
     radius_offset: float = 1.0
     tolerance: float = 1e-10
-    max_doublings: int = 8
+    max_doublings: int = 9
 
     def __post_init__(self) -> None:
         if self.node_count < 64:
@@ -222,9 +224,7 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     return shift.tolist(), [float(weights[a:b].sum()) for a, b in zip(bounds, bounds[1:])], terms
 
 
-def _nested_trapezoid(
-    node_values: Callable, count: int, residue: list, config: ContourConfig, radii: list, n: int
-) -> list:
+def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: ContourConfig, n: int) -> list:
     """Adaptive trapezoid rule for each row of a block, certified by its
     embedded half: the row's value, or its error.
 
@@ -233,21 +233,24 @@ def _nested_trapezoid(
     tolerance ends a row.  The other rows double together, a shrinking
     active set, each doubling evaluating only the midpoints: T_2N = (S_N +
     S_mid) / 2N with S the plain node sums, kept as e^shift times a complex
-    total and an L1 norm.  The residue +1 joins each estimate after the
-    weighting.  Every estimate from T_N on passes the cancellation guard,
-    whose L1 norm covers every evaluated node; radii are the radii it states.
-    A row whose largest log magnitude is nan or +inf is refused."""
-    out: list = [None] * len(radii)
+    total and an L1 norm; circles are the rows' (r, residue, stated radius).
+    Each estimate, and the guard's L1 norm of every evaluated node, joins
+    the residue +1 and the pole part's N-node aliasing e^-a/(-expm1(-a)),
+    a = N |log r|, added inside |t| = r and subtracted outside.  A row
+    whose largest log magnitude is nan or +inf is refused."""
+    out: list = [None] * len(circles)
 
-    def estimate(i: int, shift: float, total: complex, nodes: int) -> LogMagnitudePhase:
-        shift -= math.log(nodes)
-        if residue[i]:
-            top = max(shift, 0.0)
-            total = total * math.exp(shift - top) + math.exp(-top)
-            shift = top
-        return LogMagnitudePhase.from_shifted(shift, total)
+    def estimate(i: int, shift: float, total, nodes: int, l1: bool = False):
+        r, residue, _ = circles[i]
+        a = nodes * abs(math.log(r))
+        alias, shift = -a - math.log(-math.expm1(-a)), shift - math.log(nodes)
+        top = max(shift, alias, 0.0 if residue else alias)
+        total = total * math.exp(shift - top) + (1.0 if l1 or r > 1.0 else -1.0) * math.exp(alias - top)
+        if residue:
+            total += math.exp(-top)
+        return top + math.log(total) if l1 else LogMagnitudePhase.from_shifted(top, total)
 
-    active = list(range(len(radii)))
+    active = list(range(len(circles)))
     shift, l1, terms = _node_pass(node_values, active, count)
     prev, odd = np.add.reduce(terms[:, ::2], axis=1).tolist(), np.add.reduce(terms[:, 1::2], axis=1).tolist()
     total = [half + rest for half, rest in zip(prev, odd)]
@@ -271,11 +274,8 @@ def _nested_trapezoid(
             if not doubling:
                 prev[i] = estimate(i, shift[i], prev[i], count // 2)
             val = estimate(i, shift[i], total[i], count)
-            l1_log = shift[i] + math.log(l1[i]) - math.log(count)  # l1 >= 1: the largest node weighs 1
-            if residue[i]:  # log(e^l1_log + 1)
-                l1_log = max(l1_log, 0.0) + math.log1p(math.exp(-abs(l1_log)))
-            try:
-                _reject_hopeless_cancellation(l1_log, val, radii[i], n)
+            try:  # l1[i] >= 1, as the largest node weighs 1
+                _reject_hopeless_cancellation(estimate(i, shift[i], l1[i], count, True), val, circles[i][2], n)
             except ContourError as exc:
                 out[i] = exc
                 continue
@@ -289,14 +289,14 @@ def _nested_trapezoid(
         if not active:
             return out
     for i in active:
-        out[i] = QuadratureError(f"contour integral did not converge: n={n}, radius={radii[i]:.6g}, "
+        out[i] = QuadratureError(f"contour integral did not converge: n={n}, radius={circles[i][2]:.6g}, "
                                  f"final node count {count}, tolerance {config.tolerance:g}")
     return out
 
 
 def _start_count(config: ContourConfig, n: int) -> int:
     """Start node count, rounded up to even so its even-indexed half is a rule."""
-    count = max(config.node_count, 64 * math.isqrt(n - 1) + 64)
+    count = max(config.node_count, 32 * math.isqrt(n - 1) + 32)
     return count + count % 2
 
 
@@ -502,7 +502,7 @@ def _integral_rows(
     raises: each row sets up its circle, then the rows run the nested rule
     together in blocks of at most _BLOCK_NODES start nodes."""
     out: list = []
-    todo = []  # (row, (X, Q, r), residue, shown radius)
+    todo = []  # (row, (X, Q, r), (r, residue, shown radius))
     for i, inv in enumerate(zip(x, q_sum, p_sum)):
         try:
             circle = _circle(params, *inv, config, include_residue)
@@ -510,13 +510,13 @@ def _integral_rows(
             circle = exc
         out.append(LogMagnitudePhase(0.0, 1.0 + 0.0j) if circle is None else circle)
         if isinstance(circle, tuple):
-            todo.append((i, (*inv[:2], circle[0]), *circle[1:]))
+            todo.append((i, (*inv[:2], circle[0]), circle))
     count = _start_count(config, params.n)
     size = max(1, _BLOCK_NODES // count)
     for start in range(0, len(todo), size):
-        rows, circles, residue, radii = zip(*todo[start : start + size])
-        node_values = functools.partial(_quadrature, params, circles)
-        for i, val in zip(rows, _nested_trapezoid(node_values, count, residue, config, radii, params.n)):
+        rows, nodes, circles = zip(*todo[start : start + size])
+        node_values = functools.partial(_quadrature, params, nodes)
+        for i, val in zip(rows, _nested_trapezoid(node_values, count, circles, config, params.n)):
             out[i] = val
     return out
 
@@ -549,7 +549,7 @@ def integral_I_tau(
         return LogMagnitudePhase(0.0, 1.0 + 0.0j)
     node_values = functools.partial(_quadrature, params, [(x, q_sum, circle[0])])
     count = _start_count(config, params.n)
-    return _checked(_nested_trapezoid(node_values, count, [circle[1]], config, [circle[2]], params.n))[0]
+    return _checked(_nested_trapezoid(node_values, count, [circle], config, params.n))[0]
 
 
 def _invariants(zp: np.ndarray, wp: np.ndarray) -> list:

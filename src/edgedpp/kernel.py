@@ -110,10 +110,10 @@ class ModelParams:
 
 def as_point(params: ModelParams, coords) -> np.ndarray:
     """Validate and convert kernel arguments to a length-d complex vector."""
-    arr = np.atleast_1d(np.asarray(coords, dtype=complex))
+    arr = np.array(coords, dtype=complex, ndmin=1, copy=None)
     if arr.ndim != 1 or arr.size != params.d:
         raise UsageError(f"point must have {params.d} coordinates, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # complex isfinite: both parts finite
+    if not all(map(cmath.isfinite, arr.tolist())):  # both parts finite
         raise DomainError("point coordinates must be finite")
     return arr
 

@@ -412,12 +412,21 @@ def _record_passes(monkeypatch, node_function):
     return counts, radii
 
 
-def _single_pass(node_values, count, residue):
-    """The plain count-node trapezoid sum, all nodes evaluated at once."""
+def _pole_alias(count, r):
+    """What the rule adds to the count-node sum on |t| = r: minus its error
+    on the pole part -t/(t - 1), whose exact mean is -1 inside and 0 outside."""
+    return 1.0 / (r**count - 1.0) if r > 1.0 else -(r**count) / (1.0 - r**count)
+
+
+def _single_pass(node_values, count, residue, r):
+    """The count-node trapezoid sum, all nodes evaluated at once, with the
+    pole part's aliasing and the residue added."""
     lg, ph = _all_nodes(node_values, count)
+    alias = _pole_alias(count, r)
+    lg, ph = np.append(lg - math.log(count), math.log(abs(alias))), np.append(ph, math.copysign(1.0, alias))
     if residue:
-        return stable_sum_arrays(np.append(lg - math.log(count), 0.0), np.append(ph, 1.0 + 0.0j))
-    return stable_sum_arrays(lg - math.log(count), ph)
+        return stable_sum_arrays(np.append(lg, 0.0), np.append(ph, 1.0 + 0.0j))
+    return stable_sum_arrays(lg, ph)
 
 
 def _route_cases():
@@ -452,33 +461,52 @@ def _grid_values(even, odd, mid_even, mid_odd):
     return node_values
 
 
+def _doubling_cases():
+    """Edge pairs at tau > 0 and n = 64 whose integrand the start count's
+    half rule does not resolve to 1e-12, one circle outside the pole and
+    one enclosing it: params, the integral and the node values as in
+    _route_cases."""
+    for d, tau, seed in [(1, 0.8, 11), (2, 0.5, 3)]:
+        params = ModelParams(d=d, tau=tau, n=64)
+        inv = edge_invariants(params, seed)
+        yield (
+            params,
+            lambda config, residue, params=params, inv=inv: integral_I_tau(params, *inv, config, residue),
+            lambda r, params=params, inv=inv: _circle_values(params, inv[0], inv[1], r),
+        )
+
+
 def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # the even-indexed half of the N start nodes is the N/2-node rule: when
     # it agrees with T_N the nodes are evaluated once and T_N is returned;
     # when it does not, one doubling evaluates the N midpoints only and the
-    # nested value is the 2N-node rule summed in one pass.  The strict
-    # config puts the circle nearer the pole, where the half rule misses.
-    strict = ContourConfig(radius_offset=0.5, tolerance=1e-12, max_doublings=1)
+    # nested value is the 2N-node rule summed in one pass.  With the pole's
+    # aliasing cancelled, the route cases settle at the start count, and
+    # under a 1e-12 tolerance the doubling cases need the midpoints
     for params, integral, node_values in _route_cases():
-        count = 64 * math.isqrt(params.n - 1) + 64
+        count = 32 * math.isqrt(params.n - 1) + 32
         for include_residue in (True, False):
             counts, radii = _record_passes(monkeypatch, _quadrature)
             val = integral(ContourConfig(), include_residue)
             assert counts == [count]
             r = radii[0]
             residue = include_residue and r > 1.0
-            ref = _single_pass(node_values(r), count, residue)
+            ref = _single_pass(node_values(r), count, residue, r)
             assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
+            monkeypatch.undo()
 
-            counts.clear()
-            radii.clear()
+    strict = ContourConfig(tolerance=1e-12, max_doublings=1)
+    for params, integral, node_values in _doubling_cases():
+        count = 32 * math.isqrt(params.n - 1) + 32
+        for include_residue in (True, False):
+            counts, radii = _record_passes(monkeypatch, _quadrature)
             val = integral(strict, include_residue)
             assert counts == [count, count]
             r = radii[0]
             residue = include_residue and r > 1.0
-            half = _single_pass(node_values(r), count // 2, residue)
-            ref = _single_pass(node_values(r), count, residue)
-            ref2 = _single_pass(node_values(r), 2 * count, residue)
+            half = _single_pass(node_values(r), count // 2, residue, r)
+            ref = _single_pass(node_values(r), count, residue, r)
+            ref2 = _single_pass(node_values(r), 2 * count, residue, r)
             assert abs(ref.ratio_to(half) - 1.0) > strict.tolerance
             assert abs(ref2.ratio_to(ref) - 1.0) < 0.1 * strict.tolerance
             assert abs(val.ratio_to(ref2) - 1.0) <= 1e-13
@@ -490,7 +518,8 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     counts, _ = _record_passes(monkeypatch, _quadrature)
     nodes = _grid_values(1.0, 2.5, 1.75, 1.75)
     loose = ContourConfig(tolerance=0.5, max_doublings=1)
-    (val,) = contour._nested_trapezoid(nodes, 64, [False], loose, [0.9], 16)
+    # on |t| = 0.5, where the pole part's aliasing (0.5^64) is below rounding
+    (val,) = contour._nested_trapezoid(nodes, 64, [(0.5, False, 0.5)], loose, 16)
     assert counts == [64, 64]
     assert abs(val.value - 1.75) <= 1e-14
 
@@ -514,15 +543,18 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
 )
 def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residue, log_delta, mid_spread, raises_at):
     # the value is delta at every estimate: the nodes are delta +- 1 and the
-    # midpoints delta +- mid_spread (less 1 with the residue, which then
-    # supplies the 1), so the spread over delta sets the digits lost.  The
-    # guard's scalar log L1 must equal a log-sum-exp over every evaluated
-    # node (and the residue), and it must refuse exactly where that array
-    # form exceeds 34 nats.
+    # midpoints delta +- mid_spread, less the pole part's aliasing on |t| =
+    # r (and less 1 with the residue, which then supplies the 1), so the
+    # spread over delta sets the digits lost.  The guard's scalar log L1
+    # must equal a log-sum-exp over every evaluated node, the aliasing (and
+    # the residue), and it must refuse exactly where that array form
+    # exceeds 34 nats.  The circle encloses the pole where the residue joins
     delta = math.exp(log_delta)
-    base = delta - 1.0 if residue else delta
+    r = 1.1 if residue else 0.9
+    base = delta - residue - _pole_alias(64, r)
+    mid = 2.0 * (delta - residue - _pole_alias(128, r)) - base  # T_128 = (T_64 + mid) / 2
     evaluated, guarded = [], []
-    hand_built = _grid_values(base + 1.0, base - 1.0, base + mid_spread, base - mid_spread)
+    hand_built = _grid_values(base + 1.0, base - 1.0, mid + mid_spread, mid - mid_spread)
 
     def node_values(rows, table, midpoints):
         lg, phase_of = hand_built(rows, table, midpoints)
@@ -536,13 +568,14 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
     original = contour._reject_hopeless_cancellation
     monkeypatch.setattr(contour, "_reject_hopeless_cancellation", guard)
     loose = ContourConfig(tolerance=0.5, max_doublings=1)
-    (got,) = contour._nested_trapezoid(node_values, 64, [residue], loose, [0.9], 16)
+    (got,) = contour._nested_trapezoid(node_values, 64, [(r, residue, r)], loose, 16)
     raised = len(guarded) - 1 if isinstance(got, ContourError) else None
     assert raised == raises_at
 
     count = 64
     for i, (l1_log, val) in enumerate(guarded):
         weighted = np.concatenate(evaluated[: i + 1]) - math.log(count)
+        weighted = np.append(weighted, math.log(abs(_pole_alias(count, r))))
         if residue:
             weighted = np.append(weighted, 0.0)
         shift = float(np.max(weighted))
@@ -552,9 +585,30 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
         count *= 2
 
 
+@pytest.mark.parametrize("r, bare, raw_miss", [(1.05, -1.0, 4.6e-2), (0.95, 0.0, 3.9e-2)])
+def test_rule_cancels_the_aliasing_of_a_pure_pole(monkeypatch, r, bare, raw_miss):
+    # node values of the pole part -t/(t - 1) alone on |t| = r: the raw
+    # 64-node rule misses its bare integral (-1 around the pole, 0 beside
+    # it) by 1/(r^64 - 1) or r^64/(1 - r^64), and the first estimate, with
+    # the aliasing cancelled, is the bare value to rounding
+    def node_values(rows, table, midpoints):
+        t = r * (table[0] + 1j * table[1])
+        h = -t / (t - 1.0)
+        return np.log(np.abs(h)), lambda at_row, keep, flat: (h / np.abs(h))[keep]
+
+    t = r * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert math.isclose(abs(np.mean(-t / (t - 1.0)) - bare), raw_miss, rel_tol=0.02)
+    estimates = []
+    monkeypatch.setattr(contour, "_reject_hopeless_cancellation", lambda l1_log, val, *_: estimates.append(val))
+    contour._nested_trapezoid(node_values, 64, [(r, False, r)], ContourConfig(max_doublings=1), 16)
+    assert abs(estimates[0].value - bare) <= 1e-15
+
+
 # A config under which some rows of a block double, some fail, and some
-# settle at the start count.
-_STRICT = ContourConfig(radius_offset=0.5, tolerance=1e-13, max_doublings=1)
+# settle at the start count: with the pole's aliasing cancelled, the n = 64
+# rows at tau = 0 meet 1e-13 at the start count, so the tolerance sits at
+# the rounding of the sums.
+_STRICT = ContourConfig(radius_offset=0.5, tolerance=1e-15, max_doublings=1)
 
 
 def _block_invariants(params):
@@ -638,7 +692,7 @@ def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_err
     # one-row call raises, with its type and message: a QuadratureError or,
     # read in reverse, the UsageError of X = 0 at tau = 0 without residue
     params = ModelParams(d=1, tau=0.0, n=64)
-    rng = np.random.default_rng(11)  # rows 8 and 10 fail the rule under _STRICT without the residue
+    rng = np.random.default_rng(11)  # rows 6, 8, 10, 12 and 14 fail the rule under _STRICT without the residue
     zs = [s * edge_point_sample(params, seed).z for seed, s in enumerate(rng.choice([0.5, 1.0, 1.5], 16))] + [[0.0]]
     us = [rng.uniform(-0.5, 0.5, 1) + 1j * rng.uniform(-0.5, 0.5, 1) for _ in range(16)] + [[0.0]]
     vs = [rng.uniform(-0.5, 0.5, 1) + 1j * rng.uniform(-0.5, 0.5, 1) for _ in range(16)] + [[0.0]]
@@ -802,9 +856,9 @@ def test_contour_route_is_continuous_as_tau_goes_to_zero(tau):
 def test_quadrature_error_when_rule_cannot_converge():
     never = ContourConfig(tolerance=1e-300, max_doublings=1)
     params = ModelParams(d=1, tau=0.5, n=256)
-    with pytest.raises(QuadratureError, match="final node count 2048, tolerance 1e-300"):
+    with pytest.raises(QuadratureError, match="final node count 1024, tolerance 1e-300"):
         integral_I_tau(params, *edge_invariants(params, 3), never)
-    with pytest.raises(QuadratureError, match="final node count 2048, tolerance 1e-300"):
+    with pytest.raises(QuadratureError, match="final node count 1024, tolerance 1e-300"):
         integral_zero(ModelParams(d=1, tau=0.0, n=256), 0.95 + 0.1j, never)
 
 
