@@ -56,8 +56,8 @@ t^2|^2, not formed at rho = 0.  Only the nodes within 60 nats of the
 largest get a weight and a phase; the rest add at most count e^-60 of it,
 below the sum's rounding.  The turn (n - 1) theta of the phase is reduced
 modulo 2 pi in integers.  The pairs of one call run together in row blocks
-of at most 4,096 nodes, which stay in cache (a cell's 20 rows of 512 nodes
-in one array ran no faster than one row per call); each row gets the
+of at most 4,096 nodes, which stay in cache (20 rows at the old 512-node
+start in one array ran no faster than one row per call); each row gets the
 floats of its one-row call.  A lone row keeps its numbers as floats and
 its arrays 1-D.  N comes from integral_I_tau (one row of invariants) or
 normalized_integral_many (edge-scaled pairs), the kernel from
