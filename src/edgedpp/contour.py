@@ -236,19 +236,18 @@ def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: 
     total and an L1 norm; circles are the rows' (r, residue, stated radius).
     Each estimate, and the guard's L1 norm of every evaluated node, joins
     the residue +1 and the pole part's N-node aliasing e^-a/(-expm1(-a)),
-    a = N |log r|, added inside |t| = r and subtracted outside.  A row
-    whose largest log magnitude is nan or +inf is refused."""
+    a = N |log r|, added inside |t| = r and subtracted outside (the L1 norm
+    adds it).  A row whose largest log magnitude is nan or +inf is refused."""
     out: list = [None] * len(circles)
 
-    def estimate(i: int, shift: float, total, nodes: int, l1: bool = False):
+    def estimate(i: int, shift: float, total, nodes: int, alias_sign: float) -> tuple:
+        """(top, sum / e^top) of e^shift total / nodes, the residue and alias_sign times the alias."""
         r, residue, _ = circles[i]
         a = nodes * abs(math.log(r))
         alias, shift = -a - math.log(-math.expm1(-a)), shift - math.log(nodes)
         top = max(shift, alias, 0.0 if residue else alias)
-        total = total * math.exp(shift - top) + (1.0 if l1 or r > 1.0 else -1.0) * math.exp(alias - top)
-        if residue:
-            total += math.exp(-top)
-        return top + math.log(total) if l1 else LogMagnitudePhase.from_shifted(top, total)
+        total = total * math.exp(shift - top) + alias_sign * math.exp(alias - top)
+        return top, total + math.exp(-top) if residue else total
 
     active = list(range(len(circles)))
     shift, l1, terms = _node_pass(node_values, active, count)
@@ -271,11 +270,13 @@ def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: 
             if not shift[i] < math.inf:  # nan or +inf
                 out[i] = DomainError("log magnitudes must be < +inf and not nan")
                 continue
+            sign = 1.0 if circles[i][0] > 1.0 else -1.0
             if not doubling:
-                prev[i] = estimate(i, shift[i], prev[i], count // 2)
-            val = estimate(i, shift[i], total[i], count)
+                prev[i] = LogMagnitudePhase.from_shifted(*estimate(i, shift[i], prev[i], count // 2, sign))
+            val = LogMagnitudePhase.from_shifted(*estimate(i, shift[i], total[i], count, sign))
+            top, norm = estimate(i, shift[i], l1[i], count, 1.0)
             try:  # l1[i] >= 1, as the largest node weighs 1
-                _reject_hopeless_cancellation(estimate(i, shift[i], l1[i], count, True), val, circles[i][2], n)
+                _reject_hopeless_cancellation(top + math.log(norm), val, circles[i][2], n)
             except ContourError as exc:
                 out[i] = exc
                 continue
@@ -412,8 +413,7 @@ def _phase_t(tau: float, q_sum: complex, p_sum: complex, t: complex) -> tuple[co
 def _outer_root(z: complex, c: float) -> complex:
     """z + sqrt(z^2 - c) with the branch of modulus >= sqrt(c)."""
     r = cmath.sqrt(z * z - c)
-    w1 = z + r
-    w2 = z - r
+    w1, w2 = z + r, z - r
     return w1 if abs(w1) >= abs(w2) else w2
 
 

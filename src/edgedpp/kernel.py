@@ -110,7 +110,7 @@ class ModelParams:
 
 def as_point(params: ModelParams, coords) -> np.ndarray:
     """Validate and convert kernel arguments to a length-d complex vector."""
-    arr = np.array(coords, dtype=complex, ndmin=1, copy=None)
+    arr = np.array(coords, dtype=complex, ndmin=1)
     if arr.ndim != 1 or arr.size != params.d:
         raise UsageError(f"point must have {params.d} coordinates, got shape {arr.shape}")
     if not all(map(cmath.isfinite, arr.tolist())):  # both parts finite

@@ -817,6 +817,21 @@ def test_contour_route_near_tau_one_agrees_or_refuses():
     assert agreed >= 30
 
 
+def test_small_n_row_near_tau_one_reaches_fewer_nodes():
+    # below n = 50 the start count sits at or near the node_count floor (128
+    # to 224 nodes), so max_doublings = 9 reaches 65,536 to 114,688 nodes,
+    # where from n = 50 on a row reaches start * 2^9 >= 131,072.  This
+    # d = 4, n = 8 near-edge pair on the circle |s| = 0.99898 (the one
+    # QuadratureError of 1,000 draws at n < 50 and tau in [0.99, 0.999])
+    # needs 131,072: it is refused at 65,536 and agrees with one more doubling
+    params = ModelParams(d=4, tau=0.9975024200150832, n=8)
+    z, w = _near_edge_pair(params, 541629842, 0.6372655376675443, 0.08740262684367495)
+    with pytest.raises(QuadratureError, match="n=8, radius=0.99898, final node count 65536"):
+        kernel_via_contour_log(params, z, w)
+    exact = kernel_exact_log(params, math.sqrt(8) * z, math.sqrt(8) * w)
+    assert abs(kernel_via_contour_log(params, z, w, ContourConfig(max_doublings=10)).ratio_to(exact) - 1.0) <= 1e-8
+
+
 @pytest.mark.parametrize("tau", [0.997, 0.998, 0.999, 0.9999])
 def test_bulk_side_point_has_no_circle_from_tau_0_998(tau):
     # a bulk-side point (half the seed-5 edge point, d = 1, n = 64) takes the
