@@ -28,7 +28,15 @@ max(0.93, (1 + tau)/2)/tau below the branch points t = +-1/tau, and is
 nudged away from the pole, an uncapped circle at most halfway to the
 branch points.  A saddle past |t| ~ 1e154, for pairs near the origin at
 tau < 7.5e-155, gives way to the circle |t| = 1e150, which encloses the
-pole: by Cauchy's theorem N is the same.  X, Q and P are summed
+pole: by Cauchy's theorem N is the same.  At n <= 64 a circle that keeps
+its residue then moves in to where the start rule settles, as Bornemann
+(Found. Comput. Math. 2011) weighs a Cauchy radius: to |s| = 0.8
+tol^(2/N0), at which the branch points' bound (tau r)^(N0/2) on the
+error of the N0/2-node half meets the tolerance, but by at most 6 nats of
+cancellation n log(r/r') against the t^-n of the integrand; a circle
+crossing the pole drops its residue, and N is the same.  Past n = 64 the
+budget allows little move, and near tau = 1 the moved circles refuse
+more pairs (from n = 379 in a sweep).  X, Q and P are summed
 coordinate by coordinate; forming Q or P from X and the square sums
 loses accuracy on near-real pairs.
 The same zhat_pm, saddles and phase F(t) = G(t) - log t with its
@@ -114,6 +122,14 @@ _KEEP_NATS = 60.0
 # The rows of one call run the rule together in blocks of at most this many
 # start nodes, whose arrays stay in cache.
 _BLOCK_NODES = 4096
+# A row at n <= _SETTLE_MAX_N keeping its residue moves its circle in to |s| =
+# _SETTLE_FACTOR tol^(2/N0), where the N0/2-node half's error (tau r)^(N0/2)
+# meets the tolerance, by at most _SETTLE_NATS of cancellation, n log(r/r').
+# From sweeps of representation_equivalence (seeds 1-10, 20260401) and of near-
+# edge draws at tau in [0.9, 0.999]: factor 1.0 (0.9) evaluates 38% (13%) more
+# nodes, 0.6 2% fewer at 3 times the route gap; 4 nats 8% more, no budget 5
+# more refusals at n < 50; with no n limit the draws refuse 9 more, from n = 379.
+_SETTLE_MAX_N, _SETTLE_FACTOR, _SETTLE_NATS = 64, 0.8, 6.0
 
 @dataclass(frozen=True)
 class ContourConfig:
@@ -141,22 +157,6 @@ class ContourConfig:
 
 
 DEFAULT_CONTOUR = ContourConfig()
-
-
-def _choose_radius(base: float, pole: float, n: int, offset: float) -> tuple[float, bool]:
-    """Radius near the saddle circle, nudged away from (or past) the pole.
-
-    The natural gap base - pole decides the side: positive gap keeps the
-    pole inside, nonpositive pushes the circle inward so the pole stays
-    outside.  The relative nudge offset/sqrt(n) (capped at 5% so small n
-    stays near the saddle circle) adds to the gap on the same side, so
-    |r - pole| >= base * nudge always.
-    """
-    gap = base - pole
-    sign = 1.0 if gap > 0.0 else -1.0
-    nudge = min(offset / math.sqrt(n), 0.05)
-    r = base * (1.0 + sign * nudge)
-    return r, r > pole
 
 
 def _reject_hopeless_cancellation(l1_log: float, val: LogMagnitudePhase, r: float, n: int) -> None:
@@ -477,7 +477,11 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
         raise ContourError(f"the saddle is out of reach: |tau a| rounds to {ta:g}")
     cap = max(_RADIUS_CAP_TAU, 0.5 * (1.0 + tau))
     capped = tau >= cap * ta  # 1/|tau a| >= cap/tau, never at tau = 0
-    r, pole_inside = _choose_radius(cap / tau if capped else 1.0 / ta, 1.0, n, config.radius_offset)
+    # off the pole t = 1 on the side of the saddle circle (or cap), by a relative
+    # offset/sqrt(n) at most 5% so small n stays near it: |r - 1| >= base nudge
+    base, nudge = cap / tau if capped else 1.0 / ta, min(config.radius_offset / math.sqrt(n), 0.05)
+    r = base * (1.0 + nudge if base > 1.0 else 1.0 - nudge)
+    pole_inside = r > 1.0
     if capped:
         # never below the cap, which lies above the pole: past tau = 0.96
         # the clip alone would shrink the circle inside the pole it counts
@@ -492,6 +496,12 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
         raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
     if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
         raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
+    if residue and tau > 0.0 and n <= _SETTLE_MAX_N:  # Cauchy: crossing the pole drops the residue
+        settled = _SETTLE_FACTOR * config.tolerance ** (2.0 / _start_count(config, n)) / tau
+        low = max(settled, r * math.exp(-_SETTLE_NATS / n))
+        low = 1.0 + nudge if abs(low - 1.0) < nudge else low  # no nearer the pole than the nudge
+        if low < r:
+            r, pole_inside, shown = low, low > 1.0, tau * low
     return r, pole_inside and residue, shown
 
 

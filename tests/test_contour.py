@@ -4,6 +4,7 @@ import collections
 import functools
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from edgedpp.contour import (
 from edgedpp.errors import ContourError, DomainError, EdgeDppError, QuadratureError, UsageError
 from edgedpp.geometry import edge_point_sample
 from edgedpp.harness import default_spec, run_experiment
-from edgedpp.kernel import ModelParams, kernel_exact_log
+from edgedpp.kernel import ModelParams, kernel_exact_log, kernel_exact_log_many
 from edgedpp.special import LogMagnitudePhase, stable_sum_arrays
 from oracles import (
     frame_of_invariants,
@@ -294,11 +295,14 @@ def _value_or_refusal(integral):
 def test_trimmed_node_pass_gives_the_reference_floats(monkeypatch, d, tau, n):
     # weights and phases only at the kept nodes, no tau terms at rho = 0 and
     # the gathered rows change no bit of the integral: equal floats, not a
-    # tolerance (or the same refusal), with the pole inside (half an edge
-    # point) and outside (1.2 times it), with and without the residue
+    # tolerance (or the same refusal), with and without the residue, at half
+    # an edge point and 1.2 times it.  Bare circles enclose the pole at the
+    # half point and not at 1.2; a circle keeping its residue at small n and
+    # tau = 0.95 moves inside the pole, so both sides are asserted as the
+    # circles the code picks
     params = ModelParams(d=d, tau=tau, n=n)
     edge = edge_point_sample(params, 5).z
-    inside = []
+    inside, sides = [], set()
 
     def recorded(params, circles, rows, *table):
         inside.append(circles[rows[0]][2] > 1.0)
@@ -314,8 +318,10 @@ def test_trimmed_node_pass_gives_the_reference_floats(monkeypatch, d, tau, n):
             inside.clear()
             got = _value_or_refusal(integral)
             assert got == _with_reference_nodes(monkeypatch, functools.partial(_value_or_refusal, integral))
-            assert inside[0] == (scale == 0.5)
+            assert residue or inside[0] == (scale == 0.5)
+            sides.add(inside[0])
             values += isinstance(got, LogMagnitudePhase)
+    assert sides == {True, False}
     # only a bare integral inside the pole may cancel past double precision
     assert values >= 3
 
@@ -465,8 +471,9 @@ def _doubling_cases():
     """Edge pairs at tau > 0 and n = 64 whose integrand the start count's
     half rule does not resolve to 1e-12, one circle outside the pole and
     one enclosing it: params, the integral and the node values as in
-    _route_cases."""
-    for d, tau, seed in [(1, 0.8, 11), (2, 0.5, 3)]:
+    _route_cases.  At tau <= 0.6 the small-n circle rule's settling radius
+    lies past these circles, so it leaves them where they are."""
+    for d, tau, seed in [(1, 0.6, 15), (2, 0.5, 3)]:
         params = ModelParams(d=d, tau=tau, n=64)
         inv = edge_invariants(params, seed)
         yield (
@@ -496,6 +503,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
             monkeypatch.undo()
 
     strict = ContourConfig(tolerance=1e-12, max_doublings=1)
+    sides = set()
     for params, integral, node_values in _doubling_cases():
         count = 32 * math.isqrt(params.n - 1) + 32
         for include_residue in (True, False):
@@ -503,6 +511,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
             val = integral(strict, include_residue)
             assert counts == [count, count]
             r = radii[0]
+            sides.add(r > 1.0)
             residue = include_residue and r > 1.0
             half = _single_pass(node_values(r), count // 2, residue, r)
             ref = _single_pass(node_values(r), count, residue, r)
@@ -511,6 +520,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
             assert abs(ref2.ratio_to(ref) - 1.0) < 0.1 * strict.tolerance
             assert abs(val.ratio_to(ref2) - 1.0) <= 1e-13
             monkeypatch.undo()
+    assert sides == {True, False}
 
     # the half is the even-indexed nodes: T_N = 1.75 sits 0.75 (relative)
     # from the even half's 1.0 but only 0.3 from the odd half's 2.5, so only
@@ -817,19 +827,83 @@ def test_contour_route_near_tau_one_agrees_or_refuses():
     assert agreed >= 30
 
 
-def test_small_n_row_near_tau_one_reaches_fewer_nodes():
-    # below n = 50 the start count sits at or near the node_count floor (128
-    # to 224 nodes), so max_doublings = 9 reaches 65,536 to 114,688 nodes,
-    # where from n = 50 on a row reaches start * 2^9 >= 131,072.  This
-    # d = 4, n = 8 near-edge pair on the circle |s| = 0.99898 (the one
-    # QuadratureError of 1,000 draws at n < 50 and tau in [0.99, 0.999])
-    # needs 131,072: it is refused at 65,536 and agrees with one more doubling
+def test_small_n_row_near_tau_one_settles_inside_the_pole(monkeypatch):
+    # this d = 4, n = 8 near-edge pair has its saddle circle at |s| =
+    # 0.99898, next to the branch points, where the rule needed 131,072 nodes
+    # (more than max_doublings = 9 reaches from the 128 start nodes below
+    # n = 10).  The small-n rule moves the circle inside the pole to |s| =
+    # 0.56, where the start count settles, and the value agrees with the
+    # exact route
     params = ModelParams(d=4, tau=0.9975024200150832, n=8)
     z, w = _near_edge_pair(params, 541629842, 0.6372655376675443, 0.08740262684367495)
-    with pytest.raises(QuadratureError, match="n=8, radius=0.99898, final node count 65536"):
-        kernel_via_contour_log(params, z, w)
+    counts, radii = _record_passes(monkeypatch, _quadrature)
+    via = kernel_via_contour_log(params, z, w)
+    assert counts == [128] and 0.55 < radii[0] < 0.57
     exact = kernel_exact_log(params, math.sqrt(8) * z, math.sqrt(8) * w)
-    assert abs(kernel_via_contour_log(params, z, w, ContourConfig(max_doublings=10)).ratio_to(exact) - 1.0) <= 1e-8
+    assert abs(via.ratio_to(exact) - 1.0) <= 1e-8
+
+
+def test_small_n_block_settles_in_one_pass(monkeypatch):
+    # 20 pairs drawn as representation_equivalence draws them (kernel
+    # arguments uniform in |c| <= 1.5 per coordinate) at d = 2, tau = 0.7,
+    # n = 16, where the saddle circles reach |s| = 0.96 and rows used to
+    # double to 1,024-2,048 nodes: on the small-n circles every row settles
+    # at the 128 start nodes of one block pass, and matches the exact route
+    params = ModelParams(d=2, tau=0.7, n=16)
+    rng = np.random.default_rng(16)
+    points = rng.uniform(-1.5, 1.5, (200, 2)).view(complex)[:, 0]
+    big_zs, big_ws = points[np.abs(points) <= 1.5][:80].reshape(20, 2, 2).transpose(1, 0, 2)
+    with monkeypatch.context() as patched:
+        log = _record_blocks(patched)
+        vias = kernel_via_contour_log_many(params, big_zs / 4.0, big_ws / 4.0)
+    assert log["passes"] == [(20, False)] and log["tables"] == [(128, False)]
+    for via, exact in zip(vias, kernel_exact_log_many(params, big_zs, big_ws)):
+        assert abs(via.ratio_to(exact) - 1.0) <= 1e-12
+
+
+def test_small_n_circle_stops_the_nudge_off_the_pole():
+    # at tau = 0.8 tol^(2/128) the settling radius at n = 16 is the pole t =
+    # 1 itself: the circle stops the nudge (5%) outside it, keeps its
+    # residue, and agrees with the exact route
+    params = ModelParams(d=1, tau=0.8 * 1e-10 ** (2 / 128), n=16)
+    z = 0.8 * edge_point_sample(params, 5).z
+    w = z + 0.075
+    r, residue, _ = contour._circle(params, *pair_invariants(z, w), ContourConfig(), True)
+    assert r == 1.0 + 0.05 and residue
+    exact = kernel_exact_log(params, 4.0 * z, 4.0 * w)
+    assert abs(kernel_via_contour_log(params, z, w).ratio_to(exact) - 1.0) <= 1e-12
+
+
+def _circles(monkeypatch, params, rows, residue, settle_max_n):
+    """_circle's (r, residue, stated radius) or refusal for each (X, Q, P)
+    row, the small-n rule applying up to settle_max_n (0: never)."""
+    with monkeypatch.context() as patched:
+        patched.setattr(contour, "_SETTLE_MAX_N", settle_max_n)
+        return [_value_or_refusal(functools.partial(contour._circle, params, *row, ContourConfig(), residue))
+                for row in rows]
+
+
+def test_small_n_rule_keeps_bare_tau_0_and_large_n_circles(monkeypatch):
+    # bit for bit the circle of the rule switched off: every bare integral,
+    # every tau = 0 row, and every pair of the benchmark's contour_offdiag
+    # cells (n >= 256) at four seeds.  Small-n rows at tau > 0 that keep
+    # their residue do move
+    limit, moved = contour._SETTLE_MAX_N, 0
+    for d, tau in [(1, 0.0), (1, 5e-324), (2, 0.5), (3, 0.93)]:
+        params = ModelParams(d=d, tau=tau, n=16)
+        rows = _block_invariants(params)
+        assert _circles(monkeypatch, params, rows, False, limit) == _circles(monkeypatch, params, rows, False, 0)
+        got, unmoved = (_circles(monkeypatch, params, rows, True, cap) for cap in (limit, 0))
+        assert tau > 1e-300 or got == unmoved
+        moved += sum(a != b for a, b in zip(got, unmoved))
+    assert moved > 0
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import offdiag_cells
+
+    for seed in (1, 11, 24, 20260401):
+        for cell in offdiag_cells(seed, tiny=False):
+            rows = [pair_invariants(z, w) for z, w in cell.pairs]
+            assert _circles(monkeypatch, cell.params, rows, True, limit) == _circles(monkeypatch, cell.params, rows, True, 0)
 
 
 @pytest.mark.parametrize("tau", [0.997, 0.998, 0.999, 0.9999])
