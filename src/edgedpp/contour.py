@@ -494,14 +494,14 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
     shown = tau * r if tau > 0.0 else r
     if tau * r >= _MAX_RADIUS_TAU:
         raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
-    if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
-        raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
     if residue and tau > 0.0 and n <= _SETTLE_MAX_N:  # Cauchy: crossing the pole drops the residue
         settled = _SETTLE_FACTOR * config.tolerance ** (2.0 / _start_count(config, n)) / tau
         low = max(settled, r * math.exp(-_SETTLE_NATS / n))
         low = 1.0 + nudge if abs(low - 1.0) < nudge else low  # no nearer the pole than the nudge
         if low < r:
             r, pole_inside, shown = low, low > 1.0, tau * low
+    if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
+        raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
     return r, pole_inside and residue, shown
 
 

@@ -872,6 +872,10 @@ def test_small_n_circle_stops_the_nudge_off_the_pole():
     assert r == 1.0 + 0.05 and residue
     exact = kernel_exact_log(params, 4.0 * z, 4.0 * w)
     assert abs(kernel_via_contour_log(params, z, w).ratio_to(exact) - 1.0) <= 1e-12
+    # a nudge below the pole guard's 1e-3 r/sqrt(n) is refused on the moved
+    # circle as on the saddle circle
+    with pytest.raises(ContourError, match="pole lies within"):
+        contour._circle(params, *pair_invariants(z, w), ContourConfig(radius_offset=1e-3), True)
 
 
 def _circles(monkeypatch, params, rows, residue, settle_max_n):
