@@ -481,7 +481,6 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
     # offset/sqrt(n) at most 5% so small n stays near it: |r - 1| >= base nudge
     base, nudge = cap / tau if capped else 1.0 / ta, min(config.radius_offset / math.sqrt(n), 0.05)
     r = base * (1.0 + nudge if base > 1.0 else 1.0 - nudge)
-    pole_inside = r > 1.0
     if capped:
         # never below the cap, which lies above the pole: past tau = 0.96
         # the clip alone would shrink the circle inside the pole it counts
@@ -499,10 +498,10 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
         low = max(settled, r * math.exp(-_SETTLE_NATS / n))
         low = 1.0 + nudge if abs(low - 1.0) < nudge else low  # no nearer the pole than the nudge
         if low < r:
-            r, pole_inside, shown = low, low > 1.0, tau * low
+            r, shown = low, tau * low
     if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
         raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
-    return r, pole_inside and residue, shown
+    return r, r > 1.0 and residue, shown  # the clips and cap keep r on its side of the pole
 
 
 def _integral_rows(

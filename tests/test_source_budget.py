@@ -1,10 +1,10 @@
-"""The package's source budget: src/edgedpp/*.py totals at most 2,726 lines,
+"""The package's source budget: src/edgedpp/*.py totals at most 2,725 lines,
 the size the design aim in ROADMAP.md holds it to, so the package cannot
 grow back past it unnoticed."""
 
 from pathlib import Path
 
-SOURCE_LINE_BUDGET = 2726
+SOURCE_LINE_BUDGET = 2725
 
 
 def test_package_source_stays_within_its_line_budget():
