@@ -64,14 +64,15 @@ t^2|^2, not formed at rho = 0.  Only the nodes within 60 nats of the
 largest get a weight and a phase; the rest add at most count e^-60 of it,
 below the sum's rounding.  The turn (n - 1) theta of the phase is reduced
 modulo 2 pi in integers.  The pairs of one call run together in row blocks
-of at most 4,096 nodes, which stay in cache (20 rows at the old 512-node
-start in one array ran no faster than one row per call); each row gets the
-floats of its one-row call.  A lone row keeps its numbers as floats and
-its arrays 1-D.  N comes from integral_I_tau (one row of invariants) or
-normalized_integral_many (edge-scaled pairs), the kernel from
-kernel_via_contour_log (one pair) or kernel_via_contour_log_many.  The
-one-pair calls set up their row directly, without the batch path's row
-lists, block loop and array round trips, about a tenth of their time.
+of at most 4,096 nodes, which stay in cache (one row per block cost
+representation_equivalence 57% more); a block gathers the node columns
+some row keeps, and each row gets the floats of its one-row call.  A
+lone row keeps its numbers as floats and its arrays 1-D.  N comes from
+integral_I_tau (one row of invariants) or normalized_integral_many
+(edge-scaled pairs), the kernel from kernel_via_contour_log (one pair) or
+kernel_via_contour_log_many.  The one-pair calls set up their row
+directly, without the batch path's row lists, block loop and array round
+trips, about a tenth of their time.
 """
 
 from __future__ import annotations
@@ -202,26 +203,27 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     block: each row's largest log magnitude, the L1 norm of its weights
     e^{log_mag - shift}, and its terms weight * phase, a row of a (rows,
     count) array.  Only nodes within _KEEP_NATS of their row's largest get
-    a weight and a phase; the others' terms are zero and the L1 norm leaves
-    them out."""
+    a weight, and only the nodes some row keeps a phase; the others' terms
+    are +0 and each L1 norm sums its row's kept weights in node order."""
     log_mag, phase_of = node_values(rows, _trapezoid_nodes(count, midpoints), midpoints)
-    if log_mag.ndim == 1:  # one row: its numbers are floats and need no row index
+    if log_mag.ndim == 1:  # one row: its numbers are floats
         shift = float(np.maximum.reduce(log_mag))
         keep = (log_mag >= (shift - _KEEP_NATS if shift < math.inf else math.nan)).nonzero()[0]
         weights = np.exp(log_mag[keep] - shift)
         terms = np.zeros(count, dtype=complex)
-        terms[keep] = weights * phase_of(None, keep, keep)
+        terms[keep] = weights * phase_of(keep)
         return [shift], [float(np.add.reduce(weights))], terms[None]
     shift = log_mag.max(axis=1)
     floor = shift - _KEEP_NATS
     floor[~(shift < math.inf)] = math.nan
-    flat = np.flatnonzero(log_mag >= floor[:, None])  # the kept nodes' flat indices, rows and nodes
-    at_row, at_node = np.divmod(flat, count)
-    bounds = [0, *np.searchsorted(at_row, range(1, len(rows))).tolist(), flat.size]
-    weights = np.exp(log_mag.reshape(-1)[flat] - shift[at_row])
+    keep = log_mag >= floor[:, None]
+    cols = np.flatnonzero(keep.any(axis=0))  # the nodes some row keeps: a row dropping one gets a +0 term
+    keep = keep[:, cols]
+    # a nan or +inf row keeps no node and forms no weight
+    weights = np.exp(np.subtract(log_mag[:, cols], shift[:, None], out=np.full(keep.shape, -math.inf), where=keep))
     terms = np.zeros(log_mag.shape, dtype=complex)
-    terms.reshape(-1)[flat] = weights * phase_of(at_row, at_node, flat)
-    return shift.tolist(), [float(weights[a:b].sum()) for a, b in zip(bounds, bounds[1:])], terms
+    terms[:, cols] = np.where(keep, weights * phase_of(cols), 0.0)
+    return shift.tolist(), [float(np.add.reduce(w[k])) for w, k in zip(weights, keep)], terms
 
 
 def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: ContourConfig, n: int) -> list:
@@ -302,10 +304,10 @@ def _start_count(config: ContourConfig, n: int) -> int:
 
 
 def _phase_on_circle(tau: float, x, q_sum, r, table: np.ndarray, tau_terms: bool) -> tuple:
-    """Re G on |t| = r for X = x and Q = q_sum, Im G at given kept nodes,
-    and |1 - tau^2 t^2|^2, for G(t) = q X t/(1 + tau t) - (q Q/2) tau
-    t^2/(1 - tau^2 t^2), each fraction a scale times a real part over the
-    grid.  x, q_sum and r are one circle's numbers, whose arrays are 1-D,
+    """Re G on |t| = r for X = x and Q = q_sum, Im G at given nodes of
+    every row, and |1 - tau^2 t^2|^2, for G(t) = q X t/(1 + tau t) - (q
+    Q/2) tau t^2/(1 - tau^2 t^2), each fraction a scale times a real part
+    over the grid.  x, q_sum and r are one circle's numbers, whose arrays are 1-D,
     or (rows, 1) columns of a block.  Without tau_terms (every rho = tau r
     is 0) the second fraction (0), the first's scale r/|1 + tau t|^2 (r)
     and |1 - tau^2 t^2|^2 (1; None) are not formed.
@@ -323,15 +325,13 @@ def _phase_on_circle(tau: float, x, q_sum, r, table: np.ndarray, tau_terms: bool
     re_g = a_scale * (qx.real * a_re - qx.imag * sin)
     if tau_terms:
         re_g -= b_scale * (qq.real * b_re - qq.imag * sin_2)
-    coefs = (qx.real, qx.imag, qq.real, qq.imag, r)
 
-    def im_g(at_row: np.ndarray | None, flat: np.ndarray, sin: np.ndarray, sin_2: np.ndarray | None) -> np.ndarray:
-        """Im G at kept nodes: flat indices into the grid, the rows at_row
-        of a block (None: one circle), and the nodes' sin and sin 2 theta."""
-        qx_re, qx_im, qq_re, qq_im, r = coefs if at_row is None else [c.take(at_row) for c in coefs]
-        im = (a_scale.take(flat) if tau_terms else r) * (qx_re * sin + qx_im * a_re.take(flat))
+    def im_g(at_node: np.ndarray, sin: np.ndarray, sin_2: np.ndarray | None) -> np.ndarray:
+        """Im G of every row at the nodes at_node, with their sin and sin 2 theta."""
+        scale = a_scale.take(at_node, axis=-1) if tau_terms else r
+        im = scale * (qx.real * sin + qx.imag * a_re.take(at_node, axis=-1))
         if tau_terms:
-            im -= b_scale.take(flat) * (qq_re * sin_2 + qq_im * b_re.take(flat))
+            im -= b_scale.take(at_node, axis=-1) * (qq.real * sin_2 + qq.imag * b_re.take(at_node, axis=-1))
         return im
 
     return re_g, im_g, branch_sq
@@ -344,11 +344,10 @@ def _g_at_pole(tau: float, x: complex, q_sum: complex) -> complex:
 
 def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarray, midpoints: bool) -> tuple:
     """Per-node log magnitude of the normalized integrand on |t| = r for the
-    (X, Q, r) circles at the given rows, and its phases at kept nodes: the
-    rows, nodes and flat (row, node) indices of a block's, or a lone row's
-    nodes (at_row None, flat the nodes).  A lone row's numbers are floats,
-    a block's (rows, 1) columns, which round as floats do (log r and
-    (1 - r)^2 are per row).
+    (X, Q, r) circles at the given rows, and its phases at given nodes of
+    every row.  A lone row's numbers are floats, a block's (rows, 1)
+    columns, which broadcast against the nodes and round as floats do
+    (log r and (1 - r)^2 are per row).
 
     Node t contributes, before the 1/count weight, -e^{n (G(t) - log t -
     G(1))} (1-tau^2)^{d/2} t / ((t - 1) (1 - tau^2 t^2)^{d/2}), with t - 1 =
@@ -371,20 +370,19 @@ def _quadrature(params: ModelParams, circles: list, rows: list, table: np.ndarra
     if tau_terms:
         log_mag -= (0.25 * d) * np.log(branch_sq)
     log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
-    parts = (f_pole.imag, r, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho)
+    f_im, r_less, c0, rho_sq, neg_rho_sq = f_pole.imag, r - 1.0, (1.0 - rho) * (1.0 + rho), rho * rho, -rho * rho
     count = table.shape[1]
     step = (n - 1) % (2 * count)  # (n - 1) m modulo 2 count
     nodes = table[1], table[2], table[4], table[5]  # sin, 1 - cos, sin 2 theta, 2 sin^2 theta
 
-    def phase_of(at_row: np.ndarray | None, at_node: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        f_im, r, r_less, c0, rho_sq, neg_rho_sq = parts if at_row is None else [c.take(at_row) for c in parts]
+    def phase_of(at_node: np.ndarray) -> np.ndarray:
         sin, one_minus_cos = nodes[0][at_node], nodes[1][at_node]
         sin_2 = nodes[2][at_node] if tau_terms else None
         # the turn (n - 1) theta modulo 2 pi, in integers: theta = pi m / count, m = 2k (+ 1 at midpoints)
         m = (2 * step) * at_node
         if midpoints:
             m += step
-        phi = n * (im_g(at_row, flat, sin, sin_2) - f_im) - (m % (2 * count)) * (math.pi / count)
+        phi = n * (im_g(at_node, sin, sin_2) - f_im) - (m % (2 * count)) * (math.pi / count)
         phi -= np.arctan2(r * sin, r_less - r * one_minus_cos)  # arg(t - 1)
         if tau_terms:
             phi -= (0.5 * d) * np.arctan2(neg_rho_sq * sin_2, c0 + rho_sq * nodes[3][at_node])  # arg(1 - tau^2 t^2)
@@ -491,14 +489,14 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
         r = _FAR_RADIUS
     # refusals state the radius in s = tau t, where the rules above are set
     shown = tau * r if tau > 0.0 else r
-    if tau * r >= _MAX_RADIUS_TAU:
-        raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
     if residue and tau > 0.0 and n <= _SETTLE_MAX_N:  # Cauchy: crossing the pole drops the residue
         settled = _SETTLE_FACTOR * config.tolerance ** (2.0 / _start_count(config, n)) / tau
         low = max(settled, r * math.exp(-_SETTLE_NATS / n))
         low = 1.0 + nudge if abs(low - 1.0) < nudge else low  # no nearer the pole than the nudge
         if low < r:
             r, shown = low, tau * low
+    if tau * r >= _MAX_RADIUS_TAU:
+        raise ContourError(f"contour radius {shown:.6f} reaches the branch region at |s| = 1")
     if abs(r - 1.0) < _MIN_POLE_GAP * r / math.sqrt(n):
         raise ContourError("pole lies within 1e-3 r/sqrt(n) of the contour of radius r")
     return r, r > 1.0 and residue, shown  # the clips and cap keep r on its side of the pole

@@ -590,7 +590,7 @@ def quadrature_reference(params: ModelParams, circles, rows, table: np.ndarray, 
     log_mag += log_r + 0.5 * d * math.log1p(-tau * tau)
     count = table.shape[1]
 
-    def phase_of(at_row, keep: np.ndarray, flat) -> np.ndarray:
+    def phase_of(keep: np.ndarray) -> np.ndarray:
         r_sin = r * sin[keep]
         arg_pole = np.arctan2(r_sin, (r - 1.0) - r * one_minus_cos[keep])
         branch_re = (1.0 - rho) * (1.0 + rho) + rho * rho * two_sin_sq[keep]
@@ -615,7 +615,7 @@ def node_pass_all_nodes(node_values, rows, count: int, midpoints: bool = False):
     weights = np.exp(log_mag - shift)
     keep = np.flatnonzero(log_mag >= shift - contour._KEEP_NATS)
     terms = np.zeros(count, dtype=complex)
-    terms[keep] = weights[keep] * phase_of(None, keep, keep)
+    terms[keep] = weights[keep] * phase_of(keep)
     return [shift], [float(np.sum(weights))], terms[None]
 
 

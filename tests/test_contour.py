@@ -142,7 +142,7 @@ def _all_nodes(node_values, count, midpoints=False):
     """Log magnitudes and phases of every node of a count-node table, one row."""
     lg, phase_of = node_values([0], _trapezoid_nodes(count, midpoints), midpoints)
     every = np.arange(count)
-    return lg, phase_of(None, every, every)
+    return lg, phase_of(every)
 
 
 def test_pole_side_consistency():
@@ -224,7 +224,7 @@ def test_nodes_match_the_complex_expression(d, tau, n):
     for (log_mag, phase_of), (ref_log, ref_phase), scale in _node_cases(d, tau, n):
         tol = 8 * EPS * scale
         assert np.all(np.abs(log_mag - ref_log) <= tol)
-        assert np.all(np.abs(phase_of(None, every, every) - ref_phase) <= tol)
+        assert np.all(np.abs(phase_of(every) - ref_phase) <= tol)
 
         (shift,), _, terms = contour._node_pass(lambda *_: (log_mag, phase_of), [0], count)
         got = LogMagnitudePhase.from_shifted(shift - math.log(count), complex(np.sum(terms[0])))
@@ -462,7 +462,7 @@ def _grid_values(even, odd, mid_even, mid_odd):
         odd_index = np.arange(table.shape[1]) % 2 == 1
         values = np.where(odd_index, mid_odd if midpoints else odd, mid_even if midpoints else even)
         values = values.astype(complex)
-        return np.log(np.abs(values)), lambda at_row, keep, flat: (values / np.abs(values))[keep]
+        return np.log(np.abs(values)), lambda keep: (values / np.abs(values))[keep]
 
     return node_values
 
@@ -604,7 +604,7 @@ def test_rule_cancels_the_aliasing_of_a_pure_pole(monkeypatch, r, bare, raw_miss
     def node_values(rows, table, midpoints):
         t = r * (table[0] + 1j * table[1])
         h = -t / (t - 1.0)
-        return np.log(np.abs(h)), lambda at_row, keep, flat: (h / np.abs(h))[keep]
+        return np.log(np.abs(h)), lambda keep: (h / np.abs(h))[keep]
 
     t = r * np.exp(2j * np.pi * np.arange(64) / 64)
     assert math.isclose(abs(np.mean(-t / (t - 1.0)) - bare), raw_miss, rel_tol=0.02)
@@ -642,8 +642,9 @@ def _block_invariants(params):
 
 def _record_blocks(monkeypatch):
     """Record (rows, midpoints) of each node pass, each node-table read, each
-    guarded estimate, and the (X, Q, r) circles of each pass's rows."""
-    log = {"passes": [], "tables": [], "guarded": [], "circles": []}
+    guarded estimate, and the (X, Q, r) circles and log magnitudes of each
+    pass's rows."""
+    log = {"passes": [], "tables": [], "guarded": [], "circles": [], "log_mags": []}
     node_pass, nodes, guard, quadrature = (
         contour._node_pass, contour._trapezoid_nodes, contour._reject_hopeless_cancellation, contour._quadrature
     )
@@ -654,7 +655,9 @@ def _record_blocks(monkeypatch):
 
     def recorded_nodes(params, circles, rows, *args):
         log["circles"].append([circles[i] for i in rows])
-        return quadrature(params, circles, rows, *args)
+        log_mag, phase_of = quadrature(params, circles, rows, *args)
+        log["log_mags"].append(log_mag)
+        return log_mag, phase_of
 
     monkeypatch.setattr(contour, "_node_pass", recorded_pass)
     monkeypatch.setattr(contour, "_trapezoid_nodes", lambda *a: log["tables"].append(a) or nodes(*a))
@@ -670,12 +673,20 @@ def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
     # and settle, rows that fail in the rule or before it, X = 0 at tau = 0,
     # and at tau = 5e-324 rows with tau r = 0 beside rows with tau r > 0.
     # Each pass reads one node table and each row estimate passes the
-    # cancellation guard once: bench/spans.py counts those calls
+    # cancellation guard once (bench/spans.py counts those calls), with
+    # the (log L1, value) of its one-row call: equal L1 norms, not only
+    # equal values.  Some pass gathers a node column that one of its rows
+    # drops, so that row's +0 term there is covered
     params = ModelParams(d=d, tau=tau, n=n)
     rows = _block_invariants(params)
     kinds, settled_after_doubling = collections.Counter(), 0
     for residue in (True, False):
-        ones = [_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)) for row in rows]
+        ones, one_guards = [], []  # each row's guard calls, None for a row that stops before the rule
+        for row in rows:
+            with monkeypatch.context() as patched:
+                one_log = _record_blocks(patched)
+                ones.append(_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)))
+            one_guards.append([call[:2] for call in one_log["guarded"]] if one_log["passes"] else None)
         with monkeypatch.context() as patched:
             log = _record_blocks(patched)
             got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
@@ -686,6 +697,15 @@ def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
         for val, one in zip(got, ones):
             kinds[type(val).__name__] += 1
             assert (val if isinstance(val, LogMagnitudePhase) else (type(val), str(val))) == one
+        # a block guards its rows round by round, each round in row order
+        todo, expected = [calls for calls in one_guards if calls is not None], []
+        for size in starts:
+            block, todo = todo[:size], todo[size:]
+            for j in range(max(map(len, block))):
+                expected += [calls[j] for calls in block if j < len(calls)]
+        assert [call[:2] for call in log["guarded"]] == expected
+        keeps = [lm >= lm.max(axis=1, keepdims=True) - contour._KEEP_NATS for lm in log["log_mags"] if lm.ndim == 2]
+        assert any((keep.any(axis=0) & ~keep).any() for keep in keeps)
         # with one doubling allowed, the rows that doubled and did not fail later settled
         late = [val for val in got if isinstance(val, QuadratureError) or str(val).startswith("cancellation")]
         settled_after_doubling += sum(doubled) - len(late)
@@ -694,6 +714,34 @@ def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
     assert settled_after_doubling > 0 and kinds["DomainError"] == 2
     assert (kinds["DegenerateSaddleError"] > 0) == (tau >= 1e-3)
     assert (kinds["UsageError"] > 0) == (tau == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_with_nan_and_inf_rows_refuses_them_without_a_warning():
+    # a hand-built block of rows [finite, nan, +inf, finite] on 64 nodes:
+    # the rows with a nan or +inf log magnitude form no weight (no invalid
+    # subtraction +inf - +inf is warned of) and are refused, and the finite
+    # rows, whose kept nodes differ, get their one-row values (==)
+    k = np.arange(64.0)
+    log_mags = np.array([-k, np.where(k == 5, math.nan, 0.0), np.where(k == 7, math.inf, 0.0), k - 63.0])
+    phases = np.exp(1j * (0.1 * k + np.arange(4.0)[:, None]))
+
+    def node_values(rows, table, midpoints):
+        log_mag, phase = log_mags[rows] - 0.5 * midpoints, phases[rows]
+        if len(rows) == 1:
+            return log_mag[0], lambda at_node: phase[0, at_node]
+        return log_mag, lambda at_node: phase[:, at_node]
+
+    loose = ContourConfig(tolerance=0.5, max_doublings=1)
+    circles = [(0.5, False, 0.5)] * 4
+    got = contour._nested_trapezoid(node_values, 64, circles, loose, 16)
+    for i, val in enumerate(got):
+        (one,) = contour._nested_trapezoid(lambda rows, *args, i=i: node_values([i], *args), 64, circles[:1], loose, 16)
+        if i in (1, 2):
+            assert isinstance(val, DomainError) and str(val) == "log magnitudes must be < +inf and not nan"
+            assert isinstance(one, DomainError) and str(one) == str(val)
+        else:
+            assert isinstance(val, LogMagnitudePhase) and val == one
 
 
 def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_error():
@@ -912,21 +960,26 @@ def test_small_n_rule_keeps_bare_tau_0_and_large_n_circles(monkeypatch):
 
 @pytest.mark.parametrize("tau", [0.997, 0.998, 0.999, 0.9999])
 def test_bulk_side_point_has_no_circle_from_tau_0_998(tau):
-    # a bulk-side point (half the seed-5 edge point, d = 1, n = 64) takes the
-    # capped circle |s| = (1 + tau)/2; from tau = 0.998 on that reaches
-    # |s| = 0.999, where the branch region starts, and the route refuses
-    # with its typed error.  Just below, it agrees with the exact route
-    # (2.7e-15 at tau = 0.997)
+    # a bulk-side point (half the seed-5 edge point, d = 1) takes the capped
+    # circle |s| = (1 + tau)/2; from tau = 0.998 on that reaches |s| = 0.999,
+    # where the branch region starts.  At n = 64 the circle that keeps its
+    # residue moves inside the pole before the branch region is checked, and
+    # agrees with the exact route (2.2e-13 at tau = 0.999); the bare integral
+    # there, and the residue circle at n = 65, which does not move, have no
+    # circle and refuse with the typed error
     params = ModelParams(d=1, tau=tau, n=64)
     z = 0.5 * edge_point_sample(params, 5).z
     w = z + 0.01
+    exact = kernel_exact_log(params, 8.0 * z, 8.0 * w)
+    assert abs(kernel_via_contour_log(params, z, w).ratio_to(exact) - 1.0) <= 1e-12
     if tau < 0.998:
-        exact = kernel_exact_log(params, 8.0 * z, 8.0 * w)
-        assert abs(kernel_via_contour_log(params, z, w).ratio_to(exact) - 1.0) <= 1e-12
         return
     shown = re.escape(f"{0.5 * (1.0 + tau):.6f}")
-    with pytest.raises(ContourError, match=rf"^contour radius {shown} reaches the branch region at \|s\| = 1$"):
-        kernel_via_contour_log(params, z, w)
+    refusal = rf"^contour radius {shown} reaches the branch region at \|s\| = 1$"
+    with pytest.raises(ContourError, match=refusal):
+        integral_I_tau(params, *pair_invariants(z, w), include_residue=False)
+    with pytest.raises(ContourError, match=refusal):
+        kernel_via_contour_log(ModelParams(d=1, tau=tau, n=65), z, w)
 
 
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-200, 1e-100, 1e-12])
