@@ -10,21 +10,20 @@ Subcommands:
                         two-term prediction along the outward normal
 
 Configuration is a plain INI-style key=value file with one section per
-experiment kind plus [global] and [contour]; every key has a built-in
-default (see config_defaults).
+experiment kind plus [global]; every key has a built-in default (see
+config_defaults).  The contour rule has no keys: its constants live in
+the contour module.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from .contour import ContourConfig
 from .errors import EdgeDppError
 from .geometry import edge_point_sample
 from .harness import (
@@ -44,11 +43,8 @@ _FIXED_GRID_KINDS = ("refined_d1", "saddle_pole", "max_principle", "phi_expansio
 
 
 def config_defaults() -> dict:
-    """Built-in configuration: global keys, contour knobs, per-kind grids."""
-    cfg = {
-        "global": {"seed": DEFAULT_SEED},
-        "contour": {f.name: f.default for f in dataclasses.fields(ContourConfig)},
-    }
+    """Built-in configuration: global keys and per-kind grids."""
+    cfg = {"global": {"seed": DEFAULT_SEED}}
     for kind in EXPERIMENT_KINDS:
         spec = default_spec(kind)
         cfg[kind] = {"n_grid": ",".join(str(n) for n in spec.n_grid)} if spec.n_grid else {}
@@ -105,10 +101,6 @@ def _spec_from_config(kind: str, cfg: dict):
     return default_spec(kind, seed=int(cfg["global"]["seed"]), **overrides)
 
 
-def _contour_from_config(cfg: dict) -> ContourConfig:
-    return ContourConfig(**cfg["contour"])
-
-
 def _parse_point(text: str, d: int) -> np.ndarray:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != d:
@@ -120,10 +112,9 @@ def _cmd_verify(args) -> int:
     """Run the selected kinds (all of them if one is "all"), print one line
     per kind and per series, and optionally write a report."""
     cfg = load_config(args.config)
-    contour = _contour_from_config(cfg)
     reports = []
     for kind in EXPERIMENT_KINDS if "all" in args.kind else args.kind:
-        rep = run_experiment(_spec_from_config(kind, cfg), contour)
+        rep = run_experiment(_spec_from_config(kind, cfg))
         print(f"[{'PASS' if rep.passed else 'FAIL'}] {kind}")
         for s in rep.series:
             worst = max(e for _, e in s.samples)

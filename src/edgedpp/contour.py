@@ -80,7 +80,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -90,8 +89,6 @@ from .kernel import ModelParams, _as_points, as_point, log_weight_omega
 from .special import LogMagnitudePhase
 
 __all__ = [
-    "ContourConfig",
-    "DEFAULT_CONTOUR",
     "integral_I_tau",
     "normalized_integral_many",
     "kernel_via_contour_log",
@@ -131,33 +128,10 @@ _BLOCK_NODES = 4096
 # nodes, 0.6 2% fewer at 3 times the route gap; 4 nats 8% more, no budget 5
 # more refusals at n < 50; with no n limit the draws refuse 9 more, from n = 379.
 _SETTLE_MAX_N, _SETTLE_FACTOR, _SETTLE_NATS = 64, 0.8, 6.0
-
-@dataclass(frozen=True)
-class ContourConfig:
-    """Quadrature knobs for the circle contour.
-
-    radius_offset is the relative radius shift in units of 1/sqrt(n): the
-    circle is |t| = |tau a|^{-1} (1 +- radius_offset/sqrt(n)), with the
-    sign chosen away from the pole.
-    """
-
-    node_count: int = 128
-    radius_offset: float = 1.0
-    tolerance: float = 1e-10
-    max_doublings: int = 9
-
-    def __post_init__(self) -> None:
-        if self.node_count < 64:
-            raise DomainError("node_count must be >= 64")
-        if not (self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive")
-        if not (0.0 < self.radius_offset < 100.0):
-            raise DomainError("radius_offset must lie in (0, 100)")
-        if self.max_doublings < 1:
-            raise DomainError("max_doublings must be >= 1")
-
-
-DEFAULT_CONTOUR = ContourConfig()
+# The rule: at least _MIN_NODES start nodes, a relative _TOLERANCE between T_N
+# and its half, at most _MAX_DOUBLINGS doublings, and the circle nudged off the
+# saddle by _RADIUS_OFFSET/sqrt(n), away from the pole.
+_MIN_NODES, _TOLERANCE, _MAX_DOUBLINGS, _RADIUS_OFFSET = 128, 1e-10, 9, 1.0
 
 
 def _reject_hopeless_cancellation(l1_log: float, val: LogMagnitudePhase, r: float, n: int) -> None:
@@ -226,7 +200,7 @@ def _node_pass(node_values: Callable, rows: list, count: int, midpoints: bool = 
     return shift.tolist(), [float(np.add.reduce(w[k])) for w, k in zip(weights, keep)], terms
 
 
-def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: ContourConfig, n: int) -> list:
+def _nested_trapezoid(node_values: Callable, count: int, circles: list, n: int) -> list:
     """Adaptive trapezoid rule for each row of a block, certified by its
     embedded half: the row's value, or its error.
 
@@ -255,7 +229,7 @@ def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: 
     shift, l1, terms = _node_pass(node_values, active, count)
     prev, odd = np.add.reduce(terms[:, ::2], axis=1).tolist(), np.add.reduce(terms[:, 1::2], axis=1).tolist()
     total = [half + rest for half, rest in zip(prev, odd)]
-    for doubling in range(config.max_doublings + 1):
+    for doubling in range(_MAX_DOUBLINGS + 1):
         if doubling:
             size = max(1, _BLOCK_NODES // count)  # the midpoint passes keep the block cap, as memory grows with count
             for rows in (active[start : start + size] for start in range(0, len(active), size)):
@@ -283,7 +257,7 @@ def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: 
                 out[i] = exc
                 continue
             a, b = val.log_mag, prev[i].log_mag  # converged: two exact zeros, or a relative change within tolerance
-            if a == b == -math.inf or (min(a, b) > -math.inf and abs(val.ratio_to(prev[i]) - 1.0) <= config.tolerance):
+            if a == b == -math.inf or (min(a, b) > -math.inf and abs(val.ratio_to(prev[i]) - 1.0) <= _TOLERANCE):
                 out[i] = val
             else:
                 prev[i] = val
@@ -293,13 +267,13 @@ def _nested_trapezoid(node_values: Callable, count: int, circles: list, config: 
             return out
     for i in active:
         out[i] = QuadratureError(f"contour integral did not converge: n={n}, radius={circles[i][2]:.6g}, "
-                                 f"final node count {count}, tolerance {config.tolerance:g}")
+                                 f"final node count {count}, tolerance {_TOLERANCE:g}")
     return out
 
 
-def _start_count(config: ContourConfig, n: int) -> int:
+def _start_count(n: int) -> int:
     """Start node count, rounded up to even so its even-indexed half is a rule."""
-    count = max(config.node_count, 32 * math.isqrt(n - 1) + 32)
+    count = max(_MIN_NODES, 32 * math.isqrt(n - 1) + 32)
     return count + count % 2
 
 
@@ -458,7 +432,7 @@ def _saddles_t(tau: float, x: complex, q_sum: complex, p_sum: complex) -> tuple[
     return 1.0 / ta, ta / (tau * tau), b / tau, 1.0 / (tau * b)
 
 
-def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, config: ContourConfig, residue: bool):
+def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, residue: bool):
     """The circle r of X, Q and P, whether its residue joins, and the radius
     refusals state; None where the residue alone is the value."""
     tau, n = params.tau, params.n
@@ -477,7 +451,7 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
     capped = tau >= cap * ta  # 1/|tau a| >= cap/tau, never at tau = 0
     # off the pole t = 1 on the side of the saddle circle (or cap), by a relative
     # offset/sqrt(n) at most 5% so small n stays near it: |r - 1| >= base nudge
-    base, nudge = cap / tau if capped else 1.0 / ta, min(config.radius_offset / math.sqrt(n), 0.05)
+    base, nudge = cap / tau if capped else 1.0 / ta, min(_RADIUS_OFFSET / math.sqrt(n), 0.05)
     r = base * (1.0 + nudge if base > 1.0 else 1.0 - nudge)
     if capped:
         # never below the cap, which lies above the pole: past tau = 0.96
@@ -490,7 +464,7 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
     # refusals state the radius in s = tau t, where the rules above are set
     shown = tau * r if tau > 0.0 else r
     if residue and tau > 0.0 and n <= _SETTLE_MAX_N:  # Cauchy: crossing the pole drops the residue
-        settled = _SETTLE_FACTOR * config.tolerance ** (2.0 / _start_count(config, n)) / tau
+        settled = _SETTLE_FACTOR * _TOLERANCE ** (2.0 / _start_count(n)) / tau
         low = max(settled, r * math.exp(-_SETTLE_NATS / n))
         low = 1.0 + nudge if abs(low - 1.0) < nudge else low  # no nearer the pole than the nudge
         if low < r:
@@ -502,9 +476,7 @@ def _circle(params: ModelParams, x: complex, q_sum: complex, p_sum: complex, con
     return r, r > 1.0 and residue, shown  # the clips and cap keep r on its side of the pole
 
 
-def _integral_rows(
-    params: ModelParams, x: list, q_sum: list, p_sum: list, config: ContourConfig, include_residue: bool
-) -> list:
+def _integral_rows(params: ModelParams, x: list, q_sum: list, p_sum: list, include_residue: bool) -> list:
     """N of each row of the invariants, or the error its one-row call
     raises: each row sets up its circle, then the rows run the nested rule
     together in blocks of at most _BLOCK_NODES start nodes."""
@@ -512,18 +484,18 @@ def _integral_rows(
     todo = []  # (row, (X, Q, r), (r, residue, shown radius))
     for i, inv in enumerate(zip(x, q_sum, p_sum)):
         try:
-            circle = _circle(params, *inv, config, include_residue)
+            circle = _circle(params, *inv, include_residue)
         except EdgeDppError as exc:
             circle = exc
         out.append(LogMagnitudePhase(0.0, 1.0 + 0.0j) if circle is None else circle)
         if isinstance(circle, tuple):
             todo.append((i, (*inv[:2], circle[0]), circle))
-    count = _start_count(config, params.n)
+    count = _start_count(params.n)
     size = max(1, _BLOCK_NODES // count)
     for start in range(0, len(todo), size):
         rows, nodes, circles = zip(*todo[start : start + size])
         node_values = functools.partial(_quadrature, params, nodes)
-        for i, val in zip(rows, _nested_trapezoid(node_values, count, circles, config, params.n)):
+        for i, val in zip(rows, _nested_trapezoid(node_values, count, circles, params.n)):
             out[i] = val
     return out
 
@@ -537,8 +509,7 @@ def _checked(values: list) -> list:
 
 
 def integral_I_tau(
-    params: ModelParams, x: complex, q_sum: complex, p_sum: complex,
-    config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True,
+    params: ModelParams, x: complex, q_sum: complex, p_sum: complex, include_residue: bool = True
 ) -> LogMagnitudePhase:
     """Pole-normalized contour value N = (1-tau^2)^{d/2} e^{-n G(1)} I of the
     pair invariants X = x, Q = q_sum and P = p_sum, for every 0 <= tau < 1.
@@ -551,12 +522,11 @@ def integral_I_tau(
     the residue polynomial, exactly 1.  The row runs as a one-row block.
     """
     x, q_sum = complex(x), complex(q_sum)
-    circle = _circle(params, x, q_sum, complex(p_sum), config, include_residue)
+    circle = _circle(params, x, q_sum, complex(p_sum), include_residue)
     if circle is None:
         return LogMagnitudePhase(0.0, 1.0 + 0.0j)
     node_values = functools.partial(_quadrature, params, [(x, q_sum, circle[0])])
-    count = _start_count(config, params.n)
-    return _checked(_nested_trapezoid(node_values, count, [circle], config, params.n))[0]
+    return _checked(_nested_trapezoid(node_values, _start_count(params.n), [circle], params.n))[0]
 
 
 def _invariants(zp: np.ndarray, wp: np.ndarray) -> list:
@@ -566,9 +536,7 @@ def _invariants(zp: np.ndarray, wp: np.ndarray) -> list:
     return np.add.reduce([zp * wc, (zp - wc) ** 2, (zp + wc) ** 2], axis=-1).tolist()
 
 
-def normalized_integral_many(
-    params: ModelParams, zs, us, vs, config: ContourConfig = DEFAULT_CONTOUR, include_residue: bool = True
-) -> list[LogMagnitudePhase]:
+def normalized_integral_many(params: ModelParams, zs, us, vs, include_residue: bool = True) -> list[LogMagnitudePhase]:
     """N at each row of the kernel arguments (sqrt(n) z + u, sqrt(n) z + v)
     of three (B, d) arrays: the pair z + u/sqrt(n), z + v/sqrt(n).  The rows
     run in blocks; the first failing row raises the error its one-row call
@@ -576,7 +544,7 @@ def normalized_integral_many(
     """
     z, u, v = _as_points(params, zs, us, vs)
     rn = math.sqrt(params.n)
-    return _checked(_integral_rows(params, *_invariants(z + u / rn, z + v / rn), config, include_residue))
+    return _checked(_integral_rows(params, *_invariants(z + u / rn, z + v / rn), include_residue))
 
 
 def _kernel_value(params: ModelParams, zb: list, wb: list, x: complex, q_sum: complex, big_n) -> LogMagnitudePhase:
@@ -586,7 +554,7 @@ def _kernel_value(params: ModelParams, zb: list, wb: list, x: complex, q_sum: co
     return big_n * LogMagnitudePhase.from_log(log_pole)
 
 
-def kernel_via_contour_log_many(params: ModelParams, zs, ws, config: ContourConfig = DEFAULT_CONTOUR) -> list:
+def kernel_via_contour_log_many(params: ModelParams, zs, ws) -> list:
     """K_n(sqrt(n) z_b, sqrt(n) w_b) = pi^{-d} prod_k sqrt(omega(sqrt n z_k)
     omega(sqrt n w_k)) e^{n G(1)} N for every pair b of two (B, d) arrays
     of droplet-coordinate points: the route independent of the degree
@@ -596,17 +564,17 @@ def kernel_via_contour_log_many(params: ModelParams, zs, ws, config: ContourConf
     z, w = _as_points(params, zs, ws)
     rn = math.sqrt(params.n)
     x, q_sum, p_sum = _invariants(z, w)
-    values = _checked(_integral_rows(params, x, q_sum, p_sum, config, True))
+    values = _checked(_integral_rows(params, x, q_sum, p_sum, True))
     return [_kernel_value(params, *row) for row in zip((rn * z).tolist(), (rn * w).tolist(), x, q_sum, values)]
 
 
-def kernel_via_contour_log(params: ModelParams, z, w, config: ContourConfig = DEFAULT_CONTOUR) -> LogMagnitudePhase:
+def kernel_via_contour_log(params: ModelParams, z, w) -> LogMagnitudePhase:
     """kernel_via_contour_log_many for one pair: K_n(sqrt(n) z, sqrt(n) w),
     with N from integral_I_tau."""
     z, w = as_point(params, z), as_point(params, w)
     rn = math.sqrt(params.n)
     x, q_sum, p_sum = _invariants(z, w)
-    big_n = integral_I_tau(params, x, q_sum, p_sum, config)
+    big_n = integral_I_tau(params, x, q_sum, p_sum)
     return _kernel_value(params, [rn * c for c in z.tolist()], [rn * c for c in w.tolist()], x, q_sum, big_n)
 
 

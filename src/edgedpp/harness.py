@@ -31,10 +31,10 @@ normalized_kernel_many for the edge kernels), and its contour values
 with one batched call, which runs the cell's pairs in row blocks.
 
 spec.settings holds the inputs a configuration can set (pairs, points,
-frames, grid_frames, grid_size); the fixed inputs are the module
-constants below _DEFAULTS.  A series that fits no rate carries
-fitted_exponent None; one whose n grid leaves it no sample raises
-UsageError rather than pass having checked nothing.
+frames, grid_frames, grid_size), each a count of at least 1; the fixed
+inputs are the module constants below _DEFAULTS.  A series that fits no
+rate carries fitted_exponent None; one whose n grid leaves it no sample
+raises UsageError rather than pass having checked nothing.
 
 All randomness flows from counter-based generators keyed off the
 experiment seed, so a fixed seed reproduces reports byte for byte.
@@ -53,7 +53,6 @@ from typing import Sequence
 import numpy as np
 
 from .contour import (
-    ContourConfig,
     _invariants,
     _invariants_of_hat,
     _phase_t,
@@ -132,6 +131,9 @@ class ExperimentSpec:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise DomainError("n_grid must be strictly increasing")
+        for key, val in self.settings.items():  # a count of 0 would check nothing
+            if not val >= 1:
+                raise DomainError(f"{key} must be >= 1, got {val}")
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def _cells(spec: ExperimentSpec, stride: int = 0, points: int = 0):
 # ----------------------------------------------------------------------
 
 
-def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_representation_equivalence(spec: ExperimentSpec) -> list[SeriesResult]:
     pairs = int(spec.settings["pairs"])
     radius = _SAMPLE_RADIUS
     tol = spec.tolerances["max_error"]
@@ -326,7 +328,7 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
             # as sqrt(n) times the droplet coordinates Z/sqrt(n).
             big_zs, big_ws = disc_points(rng, 2 * pairs * d).reshape(pairs, 2, d).transpose(1, 0, 2)
             exacts = kernel_exact_log_many(params, big_zs, big_ws)
-            vias = kernel_via_contour_log_many(params, big_zs / rn, big_ws / rn, contour)
+            vias = kernel_via_contour_log_many(params, big_zs / rn, big_ws / rn)
             worst = max(abs(via.ratio_to(exact) - 1.0) for via, exact in zip(vias, exacts))
             if tau == 0.0:
                 closed = (kernel_tau0_closed_log(params, z, w) for z, w in zip(big_zs, big_ws))
@@ -340,7 +342,7 @@ def _run_representation_equivalence(spec: ExperimentSpec, contour: ContourConfig
     return results
 
 
-def _run_trace_identity(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_trace_identity(spec: ExperimentSpec) -> list[SeriesResult]:
     results = []
     for d, tau, grid, _, skipped in _cells(spec):
         samples = []
@@ -382,7 +384,7 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
     return stable_sum_arrays(logs, np.array([k.phase for k in values])).value.real
 
 
-def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_bulk_limit(spec: ExperimentSpec) -> list[SeriesResult]:
     results = []
     for d, tau, grid, (base,), _ in _cells(spec, 17, 1):
         z_half = 0.5 * base.z
@@ -394,7 +396,7 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
         samples = []
         for params in grid:
             worst_log = -math.inf
-            devs = normalized_integral_many(params, [z_half] * len(us), us, vs, contour, include_residue=False)
+            devs = normalized_integral_many(params, [z_half] * len(us), us, vs, include_residue=False)
             for u, v, dev in zip(us, vs, devs):
                 scale = abs(bulk_prediction(d, u, v))
                 worst_log = max(worst_log, dev.log_mag + math.log(scale))
@@ -427,7 +429,7 @@ def _run_bulk_limit(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
     return results
 
 
-def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_edge_density(spec: ExperimentSpec) -> list[SeriesResult]:
     results = []
     for d, tau, grid, edges, skipped in _cells(spec, 101, _DENSITY_POINTS):
         samples = []
@@ -463,7 +465,7 @@ def _run_edge_density(spec: ExperimentSpec, contour: ContourConfig) -> list[Seri
     return results
 
 
-def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_edge_kernel(spec: ExperimentSpec) -> list[SeriesResult]:
     n_points = int(spec.settings["points"])
     results = []
     for d, tau, grid, edges, _ in _cells(spec, 211, n_points):
@@ -478,7 +480,7 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[Serie
         scales = [envelope * abs(np.exp(-0.5 * s * s)) for s in shifts]
         qs = []
         for params in grid:
-            samps = normalized_kernel_many(params, edges, [u] * len(edges), [v] * len(edges), contour)
+            samps = normalized_kernel_many(params, edges, [u] * len(edges), [v] * len(edges))
             vals = (abs(samp.L - pred) * math.sqrt(params.n) / scale for samp, pred, scale in zip(samps, preds, scales))
             qs.append((params.n, max(vals)))
         band = max(q for _, q in qs) / min(q for _, q in qs)
@@ -495,14 +497,14 @@ def _run_edge_kernel(spec: ExperimentSpec, contour: ContourConfig) -> list[Serie
     return results
 
 
-def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_refined_d1(spec: ExperimentSpec) -> list[SeriesResult]:
     results = []
     for d, tau, grid, edges, _ in _cells(spec, 307, _REFINED_POINTS):
         us = [_REFINED_U * ep.normal for ep in edges]
         vs = [_REFINED_V * ep.normal for ep in edges]
         samples = []
         for params in grid:
-            samps = normalized_kernel_many(params, edges, us, vs, contour)
+            samps = normalized_kernel_many(params, edges, us, vs)
             errs = (abs(s.L - asymptotic_I_tau(params, s.z.eta, *delta_pm(params, s.z, s.u, s.v))) for s in samps)
             samples.append((params.n, max(errs)))
         slope, passed = _rate_within(samples, spec.tolerances["exponent"])
@@ -510,7 +512,7 @@ def _run_refined_d1(spec: ExperimentSpec, contour: ContourConfig) -> list[Series
     return results
 
 
-def _run_saddle_pole(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_saddle_pole(spec: ExperimentSpec) -> list[SeriesResult]:
     l1, l2 = _POLE_PATH
     fp_floor = spec.tolerances["fp_floor"]
     cases = [(-0.4j, 50), (0.2 - 0.3j, 200)]
@@ -545,12 +547,10 @@ def _random_frame(rng: np.random.Generator, tau: float) -> tuple[complex, comple
     return _invariants_of_hat(tau, scale * cmath.cosh(complex(xi_p, eta_p)), scale * cmath.cosh(complex(xi_m, eta_m)))
 
 
-def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_max_principle(spec: ExperimentSpec) -> list[SeriesResult]:
     frames = int(spec.settings["frames"])
     grid_frames = int(spec.settings["grid_frames"])
     grid_size = int(spec.settings["grid_size"])
-    if grid_frames < 1:  # the violation sample is the maximum over these frames
-        raise DomainError(f"grid_frames must be >= 1, got {grid_frames}")
     results = []
     for d, tau in spec.params_grid:
         params = ModelParams(d=d, tau=tau, n=2)
@@ -582,7 +582,7 @@ def _run_max_principle(spec: ExperimentSpec, contour: ContourConfig) -> list[Ser
     return results
 
 
-def _run_phi_expansion(spec: ExperimentSpec, contour: ContourConfig) -> list[SeriesResult]:
+def _run_phi_expansion(spec: ExperimentSpec) -> list[SeriesResult]:
     lam = _PHI_LAMBDA
     results = []
     for d, tau, grid, _, _ in _cells(spec):
@@ -636,10 +636,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, contour: ContourConfig | None = None) -> ConvergenceReport:
+def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
     """Run one experiment; deterministic for a fixed spec seed."""
-    contour = contour or ContourConfig()
-    series = _RUNNERS[spec.kind](spec, contour)
+    series = _RUNNERS[spec.kind](spec)
     return ConvergenceReport(
         kind=spec.kind,
         seed=spec.seed,

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import DEFAULT_CONTOUR, ContourConfig, normalized_integral_many
+from .contour import normalized_integral_many
 from .errors import ConsistencyError, DomainError, UsageError
 from .geometry import EdgePoint
 from .kernel import ModelParams, _as_points, as_point, kernel_exact_log_many
@@ -114,9 +114,7 @@ def gaussian_normalizer_log(d: int, u: np.ndarray, v: np.ndarray) -> complex:
     return d * math.log(math.pi) + 0.5 * (uu + vv) - dot_product(u, v)
 
 
-def normalized_kernel(
-    params: ModelParams, edge: EdgePoint, u, v, config: ContourConfig = DEFAULT_CONTOUR
-) -> NormalizedKernelSample:
+def normalized_kernel(params: ModelParams, edge: EdgePoint, u, v) -> NormalizedKernelSample:
     """The normalized kernel L at a boundary point, by both routes.
 
     Route A: exact kernel at the scaled arguments times cofactors and the
@@ -125,12 +123,10 @@ def normalized_kernel(
     1e-6 raises ConsistencyError.  The returned L is the route B value.
     normalized_kernel_many for one triple.
     """
-    return normalized_kernel_many(params, [edge], as_point(params, u)[None], as_point(params, v)[None], config)[0]
+    return normalized_kernel_many(params, [edge], as_point(params, u)[None], as_point(params, v)[None])[0]
 
 
-def normalized_kernel_many(
-    params: ModelParams, edges, us, vs, config: ContourConfig = DEFAULT_CONTOUR
-) -> list[NormalizedKernelSample]:
+def normalized_kernel_many(params: ModelParams, edges, us, vs) -> list[NormalizedKernelSample]:
     """normalized_kernel at every (edge, u, v) triple, in order: route A's
     exact kernels from one kernel_exact_log_many call, route B's contour
     values from one normalized_integral_many call, which raises the error
@@ -141,7 +137,7 @@ def normalized_kernel_many(
     tau, n, d = params.tau, params.n, params.d
     rn = math.sqrt(n)
     exact = kernel_exact_log_many(params, rn * z + us, rn * z + vs)
-    route_b = normalized_integral_many(params, z, us, vs, config)
+    route_b = normalized_integral_many(params, z, us, vs)
     out = []
     for edge, u, v, k, b in zip(edges, us, vs, exact, route_b):
         cof = cofactor_cn(tau, n, edge.z, u) * np.conj(cofactor_cn(tau, n, edge.z, v))

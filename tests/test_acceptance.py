@@ -24,7 +24,6 @@ import time
 
 import pytest
 
-from edgedpp.contour import ContourConfig
 from edgedpp.harness import default_spec, run_experiment
 
 SEED = 20260401
@@ -38,35 +37,30 @@ def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def contour():
-    return ContourConfig()
-
-
-@pytest.fixture(scope="module")
-def rep_equivalence(contour):
+def rep_equivalence():
     start = time.time()
-    report = run_experiment(default_spec("representation_equivalence", seed=SEED), contour)
+    report = run_experiment(default_spec("representation_equivalence", seed=SEED))
     return report, time.time() - start
 
 
 @pytest.fixture(scope="module")
-def rep_trace(contour):
-    return run_experiment(default_spec("trace_identity", seed=SEED), contour)
+def rep_trace():
+    return run_experiment(default_spec("trace_identity", seed=SEED))
 
 
 @pytest.fixture(scope="module")
-def rep_bulk(contour):
-    return run_experiment(default_spec("bulk_limit", seed=SEED), contour)
+def rep_bulk():
+    return run_experiment(default_spec("bulk_limit", seed=SEED))
 
 
 @pytest.fixture(scope="module")
-def rep_density(contour):
-    return run_experiment(default_spec("edge_density", seed=SEED), contour)
+def rep_density():
+    return run_experiment(default_spec("edge_density", seed=SEED))
 
 
 @pytest.fixture(scope="module")
-def rep_kernel(contour):
-    return run_experiment(default_spec("edge_kernel", seed=SEED), contour)
+def rep_kernel():
+    return run_experiment(default_spec("edge_kernel", seed=SEED))
 
 
 def test_criterion_01_representation_equivalence(rep_equivalence):
@@ -117,24 +111,24 @@ def test_criterion_06_faddeeva_plasma_kernel(rep_kernel):
     assert ok
 
 
-def test_criterion_07_refined_d1(contour):
-    rep = run_experiment(default_spec("refined_d1", seed=SEED), contour)
+def test_criterion_07_refined_d1():
+    rep = run_experiment(default_spec("refined_d1", seed=SEED))
     slopes = [s.fitted_exponent for s in rep.series]
     ok = rep.passed and all(sl <= -0.8 for sl in slopes)
     _report(7, "two-term kernel expansion, d=1", ok, f"slope {slopes[0]:.2f}")
     assert ok
 
 
-def test_criterion_08_pole_gaussian(contour):
-    rep = run_experiment(default_spec("saddle_pole", seed=SEED), contour)
+def test_criterion_08_pole_gaussian():
+    rep = run_experiment(default_spec("saddle_pole", seed=SEED))
     worst = max(e for s in rep.series for _, e in s.samples)
     ok = rep.passed
     _report(8, "pole/Gaussian identity", ok, f"worst abs err {worst:.2e}")
     assert ok
 
 
-def test_criterion_09_saddles_and_max_principle(contour):
-    rep = run_experiment(default_spec("max_principle", seed=SEED), contour)
+def test_criterion_09_saddles_and_max_principle():
+    rep = run_experiment(default_spec("max_principle", seed=SEED))
     # one series per quantity and tau, told apart by their notes
     fprime = max(e for s in rep.series if s.note.startswith("saddle residual") for _, e in s.samples)
     violation = max(e for s in rep.series if s.note.startswith("max principle") for _, e in s.samples)
@@ -143,8 +137,8 @@ def test_criterion_09_saddles_and_max_principle(contour):
     assert ok
 
 
-def test_criterion_10_conformal_map_expansions(contour):
-    rep = run_experiment(default_spec("phi_expansion", seed=SEED), contour)
+def test_criterion_10_conformal_map_expansions():
+    rep = run_experiment(default_spec("phi_expansion", seed=SEED))
     series_slopes = [s.fitted_exponent for s in rep.series]
     spec_slopes = [float(s.note.split("=")[1]) for s in rep.series]
     ok = rep.passed and all(sl <= -1.2 for sl in series_slopes + spec_slopes)

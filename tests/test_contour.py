@@ -1,6 +1,7 @@
 """Contour quadrature of the single-integral kernel representations."""
 
 import collections
+import contextlib
 import functools
 import math
 import re
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from edgedpp import contour
 from edgedpp.contour import (
-    ContourConfig,
     _quadrature,
     _trapezoid_nodes,
     integral_I_tau,
@@ -49,9 +49,20 @@ def edge_invariants(params, seed):
     return pair_invariants(z, z)
 
 
-def integral_zero(params, zeta, config=ContourConfig(), include_residue=True):
+@contextlib.contextmanager
+def rule(**constants):
+    """The contour rule with the given constants: rule(tolerance=1e-11) sets
+    contour._TOLERANCE, and so on for min_nodes, max_doublings and
+    radius_offset."""
+    with pytest.MonkeyPatch.context() as patched:
+        for name, value in constants.items():
+            patched.setattr(contour, f"_{name.upper()}", value)
+        yield
+
+
+def integral_zero(params, zeta, include_residue=True):
     """The tau = 0 integral of the phase zeta t."""
-    return integral_I_tau(params, *ginibre_invariants(zeta), config, include_residue)
+    return integral_I_tau(params, *ginibre_invariants(zeta), include_residue)
 
 
 def test_integral_zero_matches_partial_sum():
@@ -116,10 +127,10 @@ def test_kernel_representation_small_grid():
 def test_quadrature_order_robustness():
     params = ModelParams(d=2, tau=0.4, n=256)
     inv = edge_invariants(params, 11)
-    base = integral_I_tau(params, *inv, ContourConfig(tolerance=1e-11))
-    finer = integral_I_tau(
-        params, *inv, ContourConfig(node_count=3 * 512, tolerance=1e-11)
-    )
+    with rule(tolerance=1e-11):
+        base = integral_I_tau(params, *inv)
+    with rule(min_nodes=3 * 512, tolerance=1e-11):
+        finer = integral_I_tau(params, *inv)
     assert abs(finer.ratio_to(base) - 1.0) <= 1e-10
 
 
@@ -128,7 +139,8 @@ def test_radius_offset_robustness():
     inv = edge_invariants(params, 13)
     vals = []
     for offset in (0.5, 1.0, 1.5):
-        vals.append(integral_I_tau(params, *inv, ContourConfig(radius_offset=offset)))
+        with rule(radius_offset=offset):
+            vals.append(integral_I_tau(params, *inv))
     for v in vals[1:]:
         assert abs(v.ratio_to(vals[0]) - 1.0) <= 1e-9
 
@@ -436,20 +448,20 @@ def _single_pass(node_values, count, residue, r):
 
 
 def _route_cases():
-    """Per case: params, the integral of (config, include_residue) and the
-    node values on a radius |t| = r, which encloses the pole t = 1 when r > 1."""
+    """Per case: params, the integral as a function of include_residue and
+    the node values on a radius |t| = r, which encloses the pole t = 1 when r > 1."""
     params = ModelParams(d=2, tau=0.4, n=256)
     inv = edge_invariants(params, 11)
     yield (
         params,
-        lambda config, residue: integral_I_tau(params, *inv, config, residue),
+        lambda residue: integral_I_tau(params, *inv, residue),
         lambda r: _circle_values(params, inv[0], inv[1], r),
     )
     params0 = ModelParams(d=1, tau=0.0, n=1024)
     for zeta in (0.99 + 0.01j, 1.01 - 0.01j):
         yield (
             params0,
-            lambda config, residue, zeta=zeta: integral_zero(params0, zeta, config, residue),
+            lambda residue, zeta=zeta: integral_zero(params0, zeta, residue),
             lambda r, zeta=zeta: _circle_values(params0, zeta, 0j, r),
         )
 
@@ -478,7 +490,7 @@ def _doubling_cases():
         inv = edge_invariants(params, seed)
         yield (
             params,
-            lambda config, residue, params=params, inv=inv: integral_I_tau(params, *inv, config, residue),
+            lambda residue, params=params, inv=inv: integral_I_tau(params, *inv, residue),
             lambda r, params=params, inv=inv: _circle_values(params, inv[0], inv[1], r),
         )
 
@@ -494,7 +506,7 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
         count = 32 * math.isqrt(params.n - 1) + 32
         for include_residue in (True, False):
             counts, radii = _record_passes(monkeypatch, _quadrature)
-            val = integral(ContourConfig(), include_residue)
+            val = integral(include_residue)
             assert counts == [count]
             r = radii[0]
             residue = include_residue and r > 1.0
@@ -502,13 +514,13 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
             assert abs(val.ratio_to(ref) - 1.0) <= 1e-13
             monkeypatch.undo()
 
-    strict = ContourConfig(tolerance=1e-12, max_doublings=1)
-    sides = set()
+    tolerance, sides = 1e-12, set()
     for params, integral, node_values in _doubling_cases():
         count = 32 * math.isqrt(params.n - 1) + 32
         for include_residue in (True, False):
             counts, radii = _record_passes(monkeypatch, _quadrature)
-            val = integral(strict, include_residue)
+            with rule(tolerance=tolerance, max_doublings=1):
+                val = integral(include_residue)
             assert counts == [count, count]
             r = radii[0]
             sides.add(r > 1.0)
@@ -516,8 +528,8 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
             half = _single_pass(node_values(r), count // 2, residue, r)
             ref = _single_pass(node_values(r), count, residue, r)
             ref2 = _single_pass(node_values(r), 2 * count, residue, r)
-            assert abs(ref.ratio_to(half) - 1.0) > strict.tolerance
-            assert abs(ref2.ratio_to(ref) - 1.0) < 0.1 * strict.tolerance
+            assert abs(ref.ratio_to(half) - 1.0) > tolerance
+            assert abs(ref2.ratio_to(ref) - 1.0) < 0.1 * tolerance
             assert abs(val.ratio_to(ref2) - 1.0) <= 1e-13
             monkeypatch.undo()
     assert sides == {True, False}
@@ -527,9 +539,9 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # the even half misses the 0.5 tolerance and forces the doubling
     counts, _ = _record_passes(monkeypatch, _quadrature)
     nodes = _grid_values(1.0, 2.5, 1.75, 1.75)
-    loose = ContourConfig(tolerance=0.5, max_doublings=1)
     # on |t| = 0.5, where the pole part's aliasing (0.5^64) is below rounding
-    (val,) = contour._nested_trapezoid(nodes, 64, [(0.5, False, 0.5)], loose, 16)
+    with rule(tolerance=0.5, max_doublings=1):
+        (val,) = contour._nested_trapezoid(nodes, 64, [(0.5, False, 0.5)], 16)
     assert counts == [64, 64]
     assert abs(val.value - 1.75) <= 1e-14
 
@@ -537,7 +549,8 @@ def test_half_rule_check_evaluates_n_nodes(monkeypatch):
     # and the value stays exact (N_0 = e^{-zeta} at n = 1)
     for zeta in (0.7, 1.3 - 0.4j):
         counts.clear()
-        val = integral_zero(ModelParams(d=1, tau=0.0, n=1), zeta, ContourConfig(node_count=65))
+        with rule(min_nodes=65):
+            val = integral_zero(ModelParams(d=1, tau=0.0, n=1), zeta)
         assert counts[0] == 66
         assert abs(val.value - np.exp(-zeta)) <= 1e-12 * abs(np.exp(-zeta))
 
@@ -577,8 +590,8 @@ def test_cancellation_guard_matches_log_sum_exp_of_all_nodes(monkeypatch, residu
 
     original = contour._reject_hopeless_cancellation
     monkeypatch.setattr(contour, "_reject_hopeless_cancellation", guard)
-    loose = ContourConfig(tolerance=0.5, max_doublings=1)
-    (got,) = contour._nested_trapezoid(node_values, 64, [(r, residue, r)], loose, 16)
+    with rule(tolerance=0.5, max_doublings=1):
+        (got,) = contour._nested_trapezoid(node_values, 64, [(r, residue, r)], 16)
     raised = len(guarded) - 1 if isinstance(got, ContourError) else None
     assert raised == raises_at
 
@@ -610,15 +623,16 @@ def test_rule_cancels_the_aliasing_of_a_pure_pole(monkeypatch, r, bare, raw_miss
     assert math.isclose(abs(np.mean(-t / (t - 1.0)) - bare), raw_miss, rel_tol=0.02)
     estimates = []
     monkeypatch.setattr(contour, "_reject_hopeless_cancellation", lambda l1_log, val, *_: estimates.append(val))
-    contour._nested_trapezoid(node_values, 64, [(r, False, r)], ContourConfig(max_doublings=1), 16)
+    with rule(max_doublings=1):
+        contour._nested_trapezoid(node_values, 64, [(r, False, r)], 16)
     assert abs(estimates[0].value - bare) <= 1e-15
 
 
-# A config under which some rows of a block double, some fail, and some
+# Rule constants under which some rows of a block double, some fail, and some
 # settle at the start count: with the pole's aliasing cancelled, the n = 64
 # rows at tau = 0 meet 1e-13 at the start count, so the tolerance sits at
 # the rounding of the sums.
-_STRICT = ContourConfig(radius_offset=0.5, tolerance=1e-15, max_doublings=1)
+_STRICT = dict(radius_offset=0.5, tolerance=1e-15, max_doublings=1)
 
 
 def _block_invariants(params):
@@ -683,13 +697,13 @@ def test_every_row_of_a_block_is_its_one_row_value(monkeypatch, d, tau, n):
     for residue in (True, False):
         ones, one_guards = [], []  # each row's guard calls, None for a row that stops before the rule
         for row in rows:
-            with monkeypatch.context() as patched:
+            with monkeypatch.context() as patched, rule(**_STRICT):
                 one_log = _record_blocks(patched)
-                ones.append(_value_or_refusal(functools.partial(integral_I_tau, params, *row, _STRICT, residue)))
+                ones.append(_value_or_refusal(functools.partial(integral_I_tau, params, *row, residue)))
             one_guards.append([call[:2] for call in one_log["guarded"]] if one_log["passes"] else None)
-        with monkeypatch.context() as patched:
+        with monkeypatch.context() as patched, rule(**_STRICT):
             log = _record_blocks(patched)
-            got = contour._integral_rows(params, *zip(*rows), _STRICT, residue)
+            got = contour._integral_rows(params, *zip(*rows), residue)
         starts = [size for size, midpoints in log["passes"] if not midpoints]
         doubled = [size for size, midpoints in log["passes"] if midpoints]
         assert len(log["tables"]) == len(log["passes"]) and len(log["guarded"]) == sum(starts) + sum(doubled)
@@ -732,11 +746,12 @@ def test_block_with_nan_and_inf_rows_refuses_them_without_a_warning():
             return log_mag[0], lambda at_node: phase[0, at_node]
         return log_mag, lambda at_node: phase[:, at_node]
 
-    loose = ContourConfig(tolerance=0.5, max_doublings=1)
     circles = [(0.5, False, 0.5)] * 4
-    got = contour._nested_trapezoid(node_values, 64, circles, loose, 16)
-    for i, val in enumerate(got):
-        (one,) = contour._nested_trapezoid(lambda rows, *args, i=i: node_values([i], *args), 64, circles[:1], loose, 16)
+    with rule(tolerance=0.5, max_doublings=1):
+        got = contour._nested_trapezoid(node_values, 64, circles, 16)
+        ones = [contour._nested_trapezoid(lambda rows, *args, i=i: node_values([i], *args), 64, circles[:1], 16)[0]
+                for i in range(4)]
+    for i, (val, one) in enumerate(zip(got, ones)):
         if i in (1, 2):
             assert isinstance(val, DomainError) and str(val) == "log magnitudes must be < +inf and not nan"
             assert isinstance(one, DomainError) and str(one) == str(val)
@@ -758,25 +773,27 @@ def test_batched_routes_give_each_rows_value_or_raise_its_first_failing_rows_err
     pairs = [(z + np.asarray(u) / 8.0, z + np.asarray(v) / 8.0) for z, u, v in rows]
     assert kernel_via_contour_log_many(params, *zip(*pairs)) == [kernel_via_contour_log(params, *p) for p in pairs]
     def one_row(row):
-        return normalized_integral_many(params, *([a] for a in row), _STRICT, False)[0]
+        return normalized_integral_many(params, *([a] for a in row), False)[0]
 
-    ones = [_value_or_refusal(functools.partial(one_row, row)) for row in rows]
-    values = [(row, one) for row, one in zip(rows, ones) if isinstance(one, LogMagnitudePhase)]
-    assert normalized_integral_many(params, *zip(*(row for row, _ in values)), _STRICT, False) == [v for _, v in values]
+    with rule(**_STRICT):
+        ones = [_value_or_refusal(functools.partial(one_row, row)) for row in rows]
+        values = [(row, one) for row, one in zip(rows, ones) if isinstance(one, LogMagnitudePhase)]
+        assert normalized_integral_many(params, *zip(*(row for row, _ in values)), False) == [v for _, v in values]
     # under an unreachable tolerance every rule fails, each naming its radius
-    never = ContourConfig(tolerance=1e-300, max_doublings=1)
-    kernel_ones = [_value_or_refusal(functools.partial(kernel_via_contour_log, params, *p, never)) for p in pairs]
+    never = dict(tolerance=1e-300, max_doublings=1)
+    with rule(**never):
+        kernel_ones = [_value_or_refusal(functools.partial(kernel_via_contour_log, params, *p)) for p in pairs]
     firsts = set()
     for order in (slice(None), slice(None, None, -1)):
         first = next(one for one in ones[order] if isinstance(one, tuple))
-        with pytest.raises(EdgeDppError) as caught:
-            normalized_integral_many(params, *zip(*rows[order]), _STRICT, False)
+        with pytest.raises(EdgeDppError) as caught, rule(**_STRICT):
+            normalized_integral_many(params, *zip(*rows[order]), False)
         assert (type(caught.value), str(caught.value)) == first
         firsts.add(first[0])
         first = next(one for one in kernel_ones[order] if isinstance(one, tuple))
         assert kernel_ones.count(first) == 1
-        with pytest.raises(first[0], match=f"^{re.escape(first[1])}$"):
-            kernel_via_contour_log_many(params, *zip(*pairs[order]), never)
+        with pytest.raises(first[0], match=f"^{re.escape(first[1])}$"), rule(**never):
+            kernel_via_contour_log_many(params, *zip(*pairs[order]))
     assert firsts == {QuadratureError, UsageError}
 
 
@@ -916,14 +933,14 @@ def test_small_n_circle_stops_the_nudge_off_the_pole():
     params = ModelParams(d=1, tau=0.8 * 1e-10 ** (2 / 128), n=16)
     z = 0.8 * edge_point_sample(params, 5).z
     w = z + 0.075
-    r, residue, _ = contour._circle(params, *pair_invariants(z, w), ContourConfig(), True)
+    r, residue, _ = contour._circle(params, *pair_invariants(z, w), True)
     assert r == 1.0 + 0.05 and residue
     exact = kernel_exact_log(params, 4.0 * z, 4.0 * w)
     assert abs(kernel_via_contour_log(params, z, w).ratio_to(exact) - 1.0) <= 1e-12
     # a nudge below the pole guard's 1e-3 r/sqrt(n) is refused on the moved
     # circle as on the saddle circle
-    with pytest.raises(ContourError, match="pole lies within"):
-        contour._circle(params, *pair_invariants(z, w), ContourConfig(radius_offset=1e-3), True)
+    with pytest.raises(ContourError, match="pole lies within"), rule(radius_offset=1e-3):
+        contour._circle(params, *pair_invariants(z, w), True)
 
 
 def _circles(monkeypatch, params, rows, residue, settle_max_n):
@@ -931,8 +948,7 @@ def _circles(monkeypatch, params, rows, residue, settle_max_n):
     row, the small-n rule applying up to settle_max_n (0: never)."""
     with monkeypatch.context() as patched:
         patched.setattr(contour, "_SETTLE_MAX_N", settle_max_n)
-        return [_value_or_refusal(functools.partial(contour._circle, params, *row, ContourConfig(), residue))
-                for row in rows]
+        return [_value_or_refusal(functools.partial(contour._circle, params, *row, residue)) for row in rows]
 
 
 def test_small_n_rule_keeps_bare_tau_0_and_large_n_circles(monkeypatch):
@@ -1000,12 +1016,12 @@ def test_contour_route_is_continuous_as_tau_goes_to_zero(tau):
 
 
 def test_quadrature_error_when_rule_cannot_converge():
-    never = ContourConfig(tolerance=1e-300, max_doublings=1)
     params = ModelParams(d=1, tau=0.5, n=256)
-    with pytest.raises(QuadratureError, match="final node count 1024, tolerance 1e-300"):
-        integral_I_tau(params, *edge_invariants(params, 3), never)
-    with pytest.raises(QuadratureError, match="final node count 1024, tolerance 1e-300"):
-        integral_zero(ModelParams(d=1, tau=0.0, n=256), 0.95 + 0.1j, never)
+    with rule(tolerance=1e-300, max_doublings=1):
+        with pytest.raises(QuadratureError, match="final node count 1024, tolerance 1e-300"):
+            integral_I_tau(params, *edge_invariants(params, 3))
+        with pytest.raises(QuadratureError, match="final node count 1024, tolerance 1e-300"):
+            integral_zero(ModelParams(d=1, tau=0.0, n=256), 0.95 + 0.1j)
 
 
 def test_branch_safety_on_contour():
@@ -1077,10 +1093,6 @@ def test_normalized_integral_is_the_tau_route_of_its_arguments():
 
 
 def test_contour_config_validation():
-    with pytest.raises(DomainError):
-        ContourConfig(node_count=32)
-    with pytest.raises(DomainError):
-        ContourConfig(tolerance=0.0)
     # X = 0 at tau = 0: the residue alone, exactly 1, with no bare integral
     assert integral_I_tau(ModelParams(d=2, tau=0.0, n=4), 0.0, 1.0, 1.0).value == 1.0
     with pytest.raises(UsageError):

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgedpp.cli import _contour_from_config, config_defaults, load_config, main
-from edgedpp.contour import DEFAULT_CONTOUR
+from edgedpp.cli import config_defaults, load_config, main
 from edgedpp.errors import DegenerateFitError, DomainError, EdgeDppError, UsageError
 from edgedpp.harness import (
     EXPERIMENT_KINDS,
@@ -193,12 +192,23 @@ def test_every_setting_changes_the_outcome(kind, key):
     assert changed != base
 
 
-@pytest.mark.parametrize("grid_frames", [0, -1])
-def test_max_principle_refuses_an_empty_violation_sample(grid_frames):
-    # with no grid frame the signed violation would be -inf, which JSON cannot carry
-    spec = default_spec("max_principle", params_grid=((1, 0.5),), settings={"grid_frames": grid_frames})
-    with pytest.raises(DomainError, match="grid_frames must be >= 1"):
-        run_experiment(spec)
+_COUNT_KINDS = {"frames": "max_principle", "grid_frames": "max_principle", "pairs": "representation_equivalence",
+                "points": "edge_kernel"}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", sorted(_COUNT_KINDS))
+def test_max_principle_refuses_an_empty_violation_sample(tmp_path, capsys, key, value):
+    # a count of 0 would check nothing: no frame gave [PASS] on the sample
+    # (0, 0.0), no grid frame a violation of -inf, which JSON cannot carry, no
+    # pair an untyped max() of nothing; the spec refuses it, and the CLI exits 2
+    kind = _COUNT_KINDS[key]
+    with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {value}$"):
+        default_spec(kind, settings={key: value})
+    conf = tmp_path / "zero.ini"
+    conf.write_text(f"[{kind}]\n{key} = {value}\n")
+    assert main(["verify", kind, "--config", str(conf)]) == 2
+    assert f"error: {key} must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_spec_validation():
@@ -213,14 +223,16 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg["global"]["seed"] == 20260401
     assert "representation_equivalence" in cfg
     path = tmp_path / "conf.ini"
-    path.write_text(
-        "[global]\nseed = 7\n\n[contour]\ntolerance = 1e-9\n"
-        "\n[edge_density]\nn_grid = 64,128\n"
-    )
+    path.write_text("[global]\nseed = 7\n\n[edge_density]\nn_grid = 64,128\n")
     loaded = load_config(str(path))
     assert loaded["global"]["seed"] == 7
-    assert loaded["contour"]["tolerance"] == 1e-9
     assert loaded["edge_density"]["n_grid"] == "64,128"
+    # the contour rule has no keys: its old section is refused, not ignored
+    old = tmp_path / "contour.ini"
+    old.write_text("[global]\nseed = 7\n\n[contour]\ntolerance = 1e-9\n")
+    with pytest.raises(EdgeDppError, match=r"^unknown config section \[contour\]$"):
+        load_config(str(old))
+    assert main(["verify", "saddle_pole", "--config", str(old)]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[global]\nnope = 3\n")
     with pytest.raises(EdgeDppError):
@@ -237,7 +249,6 @@ def test_example_config_is_the_defaults():
     for section in parser.sections():
         assert set(parser[section]) == set(defaults[section]), section
     assert load_config(str(path)) == defaults
-    assert _contour_from_config(defaults) == DEFAULT_CONTOUR
 
 
 def test_cli_kernel_eval(capsys):

@@ -8,8 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from edgedpp import predictors
-from edgedpp.contour import ContourConfig
+from edgedpp import contour, predictors
 from edgedpp.errors import ConsistencyError, QuadratureError
 from edgedpp.geometry import edge_point_sample
 from edgedpp.kernel import ModelParams, rho1_density, truncated_exp_series
@@ -259,8 +258,10 @@ def test_normalized_kernel_many_raises_route_b_errors(monkeypatch):
     edges = [edge_point_sample(params, seed) for seed in (1, 2)]
     us = [np.array([0.3 + 0.2j, -0.1j]), np.zeros(2)]
     vs = [np.array([-0.2j, 0.1 + 0.1j]), np.array([0.4, 0.2j])]
-    with pytest.raises(QuadratureError, match="did not converge"):
-        normalized_kernel_many(params, edges, us, vs, ContourConfig(tolerance=1e-300, max_doublings=1))
+    with monkeypatch.context() as patched, pytest.raises(QuadratureError, match="did not converge"):
+        patched.setattr(contour, "_TOLERANCE", 1e-300)
+        patched.setattr(contour, "_MAX_DOUBLINGS", 1)
+        normalized_kernel_many(params, edges, us, vs)
     monkeypatch.setattr(predictors, "_ROUTE_GAP_TOL", 0.0)
     with pytest.raises(ConsistencyError, match="routes disagree"):
         normalized_kernel_many(params, edges, us, vs)
