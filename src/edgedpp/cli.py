@@ -11,8 +11,9 @@ Subcommands:
 
 Configuration is a plain INI-style key=value file with one section per
 experiment kind plus [global]; every key has a built-in default (see
-config_defaults).  The contour rule has no keys: its constants live in
-the contour module.
+config_defaults).  It sets only the seed, the grids and the counts: the
+acceptance bounds are constants of the harness module, and the contour
+rule's constants live in the contour module.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _FIXED_GRID_KINDS = ("refined_d1", "saddle_pole", "max_principle", "phi_expansio
 
 
 def config_defaults() -> dict:
-    """Built-in configuration: global keys and per-kind grids."""
+    """Built-in configuration: the seed, and per-kind grids and counts."""
     cfg = {"global": {"seed": DEFAULT_SEED}}
     for kind in EXPERIMENT_KINDS:
         spec = default_spec(kind)
@@ -51,7 +52,6 @@ def config_defaults() -> dict:
         if kind not in _FIXED_GRID_KINDS:
             cfg[kind]["d_grid"] = ",".join(str(d) for d in sorted({d for d, _ in spec.params_grid}))
             cfg[kind]["tau_grid"] = ",".join(repr(t) for t in sorted({t for _, t in spec.params_grid}))
-        cfg[kind].update(spec.tolerances)
         cfg[kind].update(spec.settings)
     return cfg
 
@@ -75,23 +75,13 @@ def load_config(path: str | None) -> dict:
                 continue
             if key not in cfg[section]:
                 raise EdgeDppError(f"unknown config key {key!r} in [{section}]")
-            default = cfg[section][key]
-            if isinstance(default, str):
-                cfg[section][key] = raw
-            elif isinstance(default, int) and not isinstance(default, bool):
-                cfg[section][key] = int(raw)
-            else:
-                cfg[section][key] = float(raw)
+            cfg[section][key] = raw if isinstance(cfg[section][key], str) else int(raw)
     return cfg
 
 
 def _spec_from_config(kind: str, cfg: dict):
     sec = cfg[kind]
-    base = default_spec(kind)
-    overrides = {
-        "tolerances": {key: float(sec[key]) for key in base.tolerances},
-        "settings": {key: type(val)(sec[key]) for key, val in base.settings.items() if key in sec},
-    }
+    overrides = {"settings": {key: sec[key] for key in default_spec(kind).settings}}
     if "n_grid" in sec:
         overrides["n_grid"] = tuple(int(x) for x in sec["n_grid"].split(","))
     if kind not in _FIXED_GRID_KINDS:

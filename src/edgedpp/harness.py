@@ -32,9 +32,10 @@ with one batched call, which runs the cell's pairs in row blocks.
 
 spec.settings holds the inputs a configuration can set (pairs, points,
 frames, grid_frames, grid_size), each a count of at least 1; the fixed
-inputs are the module constants below _DEFAULTS.  A series that fits no
-rate carries fitted_exponent None; one whose n grid leaves it no sample
-raises UsageError rather than pass having checked nothing.
+inputs are the module constants below _DEFAULTS, and the acceptance
+bounds (spec.tolerances) are the kind's entry in _DEFAULTS.  A series
+that fits no rate carries fitted_exponent None; one whose n grid leaves
+it no sample raises UsageError rather than pass having checked nothing.
 
 All randomness flows from counter-based generators keyed off the
 experiment seed, so a fixed seed reproduces reports byte for byte.
@@ -43,6 +44,7 @@ experiment seed, so a fixed seed reproduces reports byte for byte.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -117,13 +119,12 @@ EXPERIMENT_KINDS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: parameter grid, n grid, seed, and tolerance table."""
+    """One experiment: parameter grid, n grid, seed and counts; its bounds are the kind's."""
 
     kind: str
     params_grid: tuple[tuple[int, float], ...]
     n_grid: tuple[int, ...]
     seed: int
-    tolerances: dict[str, float] = field(default_factory=dict)
     settings: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -131,9 +132,15 @@ class ExperimentSpec:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise DomainError("n_grid must be strictly increasing")
+        if self.seed < 0:  # the generators' keys are unsigned
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         for key, val in self.settings.items():  # a count of 0 would check nothing
             if not val >= 1:
                 raise DomainError(f"{key} must be >= 1, got {val}")
+
+    @property
+    def tolerances(self) -> dict[str, float]:
+        return dict(_DEFAULTS[self.kind]["tolerances"])
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ _DEFAULTS: dict[str, dict] = {
     "trace_identity": dict(
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.3, 0.7)),
         n_grid=(2, 4, 8, 16),
-        tolerances={"d1_rel": 1e-6, "d2_rel": 5e-3},
+        tolerances={"rel_error": 1e-11},
     ),
     "bulk_limit": dict(
         params_grid=tuple((d, t) for d in (1, 2) for t in (0.0, 0.25)),
@@ -248,16 +255,15 @@ _N_CAP_AT_D2 = {"edge_density": 1024, "trace_identity": 8}
 
 
 def default_spec(kind: str, seed: int = DEFAULT_SEED, **overrides) -> ExperimentSpec:
-    """The built-in specification of one experiment kind, seed applied."""
+    """The built-in specification of one experiment kind, seed applied, with
+    what a run varies overridden: params_grid, n_grid and some settings."""
     if kind not in _DEFAULTS:
         raise UsageError(f"unknown experiment kind {kind!r}")
-    base = {k: (dict(v) if isinstance(v, dict) else v) for k, v in _DEFAULTS[kind].items()}
-    for key, val in overrides.items():
-        if key in ("tolerances", "settings"):
-            base.setdefault(key, {}).update(val)
-        else:
-            base[key] = val
-    return ExperimentSpec(kind=kind, seed=seed, **base)
+    if not overrides.keys() <= {"params_grid", "n_grid", "settings"}:
+        raise UsageError(f"only params_grid, n_grid and settings can be overridden, got {sorted(overrides)}")
+    base = {k: v for k, v in _DEFAULTS[kind].items() if k != "tolerances"}
+    settings = {**base.get("settings", {}), **overrides.pop("settings", {})}
+    return ExperimentSpec(kind=kind, seed=seed, **{**base, **overrides, "settings": settings})
 
 
 def fit_convergence_rate(samples: Sequence[tuple[int, float]]) -> float:
@@ -345,14 +351,8 @@ def _run_representation_equivalence(spec: ExperimentSpec) -> list[SeriesResult]:
 def _run_trace_identity(spec: ExperimentSpec) -> list[SeriesResult]:
     results = []
     for d, tau, grid, _, skipped in _cells(spec):
-        samples = []
-        passed = True
-        tol = spec.tolerances["d1_rel"] if d == 1 else spec.tolerances["d2_rel"]
-        for params in grid:
-            target = float(params.point_count)
-            err = abs(_trace_gauss_hermite(params) - target) / target
-            samples.append((params.n, err))
-            passed = passed and err <= tol
+        samples = [(p.n, abs(_trace_gauss_hermite(p) - p.point_count) / p.point_count) for p in grid]
+        passed = all(err <= spec.tolerances["rel_error"] for _, err in samples)
         results.append(SeriesResult(d=d, tau=tau, samples=samples, passed=passed, note=skipped))
     return results
 
@@ -371,7 +371,7 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
     all from one batched kernel_exact_log_many call.
     """
     tau, n = params.tau, params.n
-    s, w = np.polynomial.hermite.hermgauss(n)
+    s, w = _hermite_rule(n)
     # hermgauss returns symmetric nodes, with an exact 0.0 in the middle for odd n
     s, w = s[n // 2 :], w[n // 2 :]
     log_w = np.log(w) + s * s + np.where(s > 0.0, math.log(2.0), 0.0)
@@ -382,6 +382,14 @@ def _trace_gauss_hermite(params: ModelParams) -> float:
     values = kernel_exact_log_many(params, points, points)
     logs = np.sum(node_log_w[idx], axis=1) + np.array([k.log_mag for k in values])
     return stable_sum_arrays(logs, np.array([k.phase for k in values])).value.real
+
+
+@functools.lru_cache(maxsize=16)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Hermite rule, computed once per n; shared, so read-only."""
+    for a in (rule := np.polynomial.hermite.hermgauss(n)):
+        a.setflags(write=False)
+    return rule
 
 
 def _run_bulk_limit(spec: ExperimentSpec) -> list[SeriesResult]:

@@ -124,9 +124,9 @@ def log_weight_omega(zeta: complex, tau: float) -> float:
 
 
 def _pairwise_sum(terms: list):
-    """numpy's pairwise sum of float or complex terms, per component, so
-    real terms give the same bits in either type."""
-    a = np.array(terms)
+    """numpy's pairwise sum of terms all float or all complex, per component,
+    so real terms give the same bits in either type."""
+    a = np.fromiter(terms, type(terms[0]), len(terms))
     return float(a.sum()) if a.dtype.kind == "f" else complex(a.real.sum(), a.imag.sum())
 
 

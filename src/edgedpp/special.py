@@ -186,13 +186,11 @@ class LogMagnitudePhase:
 
     @property
     def value(self) -> complex:
-        """Collapse to an ordinary complex; overflows to inf if log_mag > ~709."""
+        """Collapse to an ordinary complex; a component that exceeds the float range is +-inf."""
         if self.log_mag == -math.inf:
             return 0.0 + 0.0j
         if self.log_mag > 709.0:
-            re = math.copysign(math.inf, self.phase.real) if self.phase.real != 0 else 0.0
-            im = math.copysign(math.inf, self.phase.imag) if self.phase.imag != 0 else 0.0
-            return complex(re, im)
+            return _exp_times(self.log_mag, self.phase)
         return math.exp(self.log_mag) * self.phase
 
     def __mul__(self, other: "LogMagnitudePhase") -> "LogMagnitudePhase":
@@ -207,15 +205,22 @@ class LogMagnitudePhase:
         return self * LogMagnitudePhase.from_complex(factor)
 
     def ratio_to(self, other: "LogMagnitudePhase") -> complex:
-        """self / other as an ordinary complex (inf if magnitudes differ wildly)."""
+        """self / other as an ordinary complex; a component that exceeds the float range is +-inf."""
         if other.log_mag == -math.inf:
             raise UsageError("ratio against an exact zero")
         if self.log_mag == -math.inf:
             return 0.0 + 0.0j
         diff = self.log_mag - other.log_mag
         if diff > 709.0:
-            return complex(math.inf, 0.0)
+            return _exp_times(diff, self.phase / other.phase)
         return math.exp(diff) * self.phase / other.phase
+
+
+def _exp_times(x: float, c: complex) -> complex:
+    """exp(x) c for x > 709 by four factors exp(x / 4), whose partial products grow from |c|:
+    a component is +-inf only where it overflows, as every nonzero one does from x = 1456 on."""
+    h = math.exp(min(x, 1456.0) / 4)
+    return complex(c.real * h * h * h * h, c.imag * h * h * h * h)
 
 
 @functools.lru_cache(maxsize=16)

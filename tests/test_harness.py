@@ -144,6 +144,22 @@ _REMOVED_KEYS = (
     ("saddle_pole", "l2"),
     ("phi_expansion", "lam"),
     ("phi_expansion", "nu"),
+    # acceptance bounds are constants of the harness, not config keys
+    ("representation_equivalence", "max_error"),
+    ("representation_equivalence", "closed_form"),
+    ("trace_identity", "d1_rel"),
+    ("trace_identity", "d2_rel"),
+    ("bulk_limit", "ratio"),
+    ("bulk_limit", "pointwise_half"),
+    ("bulk_limit", "pointwise_edge"),
+    ("edge_density", "exponent"),
+    ("edge_density", "leading_factor"),
+    ("edge_kernel", "band"),
+    ("refined_d1", "exponent"),
+    ("saddle_pole", "fp_floor"),
+    ("max_principle", "fprime"),
+    ("max_principle", "violation"),
+    ("phi_expansion", "exponent"),
 )
 
 
@@ -155,12 +171,14 @@ _REMOVED_KEYS = (
         *(pytest.param(kind, key, id=f"{kind}.{key}") for kind, key in _REMOVED_KEYS),
     ],
 )
-def test_n_grid_rejected_where_no_runner_reads_it(tmp_path, kind, key):
-    # also the fixed inputs that are module constants, not settings
+def test_n_grid_rejected_where_no_runner_reads_it(tmp_path, capsys, kind, key):
+    # also the fixed inputs and the bounds that are module constants, not settings
     path = tmp_path / "conf.ini"
     path.write_text(f"[{kind}]\n{key} = 1\n")
     with pytest.raises(EdgeDppError, match=f"unknown config key '{key}'"):
         load_config(str(path))
+    assert main(["verify", kind, "--config", str(path)]) == 2
+    assert f"error: unknown config key '{key}' in [{kind}]" in capsys.readouterr().err
 
 
 # Every settings key, a small grid for its kind, and another value.  The
@@ -216,11 +234,27 @@ def test_spec_validation():
         default_spec("no_such_kind")
     with pytest.raises(DomainError):
         default_spec("edge_density", n_grid=(1024, 256))
+    # a run varies its grids and counts, never its acceptance bounds
+    with pytest.raises(UsageError, match="only params_grid, n_grid and settings"):
+        default_spec("saddle_pole", tolerances={"fp_floor": 0.0})
+    assert default_spec("saddle_pole").tolerances == {"fp_floor": 1e-13}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_kind_refuses_a_negative_seed(tmp_path, capsys, kind):
+    # saddle_pole and trace_identity draw nothing, yet refuse it as the others do
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        default_spec(kind, seed=-1)
+    conf = tmp_path / "negative.ini"
+    conf.write_text("[global]\nseed = -1\n")
+    assert main(["verify", kind, "--config", str(conf)]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_config_defaults_and_overrides(tmp_path):
     cfg = config_defaults()
     assert cfg["global"]["seed"] == 20260401
+    assert sum(len(keys) for keys in cfg.values()) == 23  # the seed, grids and counts
     assert "representation_equivalence" in cfg
     path = tmp_path / "conf.ini"
     path.write_text("[global]\nseed = 7\n\n[edge_density]\nn_grid = 64,128\n")
@@ -328,16 +362,6 @@ def test_cli_usage_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_acceptance_failure_exit_code(tmp_path, capsys):
-    # an unattainable tolerance forces a clean FAIL with exit code 1
-    conf = tmp_path / "strict.ini"
-    conf.write_text("[saddle_pole]\nfp_floor = 0.0\n")
-    rc = main(["verify", "saddle_pole", "--config", str(conf)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "[FAIL] saddle_pole" in out
-
-
 def test_cli_refuses_a_series_with_no_samples(tmp_path, capsys):
     # trace_identity runs d >= 2 only at n <= 8, so this grid leaves every
     # d = 2 series empty: a usage error (exit 2), not "worst=nan ok"
@@ -351,10 +375,10 @@ def test_cli_refuses_a_series_with_no_samples(tmp_path, capsys):
 
 
 def test_cli_edge_density_fails_without_its_leading_order_n(tmp_path, capsys):
-    # the leading-order check runs at n = 1024; a grid without it fails and
-    # names the missing n, even under a factor no grid could meet
+    # the leading-order check runs at n = 1024; a grid without it fails
+    # (exit 1) and names the missing n
     conf = tmp_path / "no1024.ini"
-    conf.write_text("[edge_density]\nn_grid = 256,512,2048\nleading_factor = 0.0001\n")
+    conf.write_text("[edge_density]\nn_grid = 256,512,2048\n")
     rc = main(["verify", "edge_density", "--config", str(conf)])
     out = capsys.readouterr().out
     assert rc == 1

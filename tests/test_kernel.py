@@ -341,6 +341,18 @@ def test_degree_sum_at_tau_zero_gives_the_difference_form_floats(tau, n):
     assert (got[0] > 0.0) == (n == 4096)  # |X| = 2n rescaled at n = 4096
 
 
+@pytest.mark.parametrize("size", [1, 2, 9, 128, 129, 4096, 20_000])
+def test_pairwise_sum_is_numpys_sum_per_component(size):
+    # degree_sum_reference calls kernel._pairwise_sum itself, so it is checked here
+    rng = np.random.default_rng(size)
+    reals = (rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))).tolist()
+    got = kernel._pairwise_sum(reals)
+    assert type(got) is float and got == np.array(reals).sum()
+    zs = [complex(x, y) for x, y in zip(reals, rng.standard_normal(size) * 1e3)]
+    got, ref = kernel._pairwise_sum(zs), np.array(zs)
+    assert type(got) is complex and got == complex(ref.real.sum(), ref.imag.sum())
+
+
 def test_diagonal_kernel_values_have_phase_exactly_one():
     rng = np.random.default_rng(31)
     for d in (1, 2, 3):

@@ -236,6 +236,33 @@ def test_log_magnitude_phase_invariants():
     assert abs(prod.value - (3.0 - 4.0j) * 2.0j) <= 1e-13 * 10.0
 
 
+def _close(got: complex, ref: complex, rel: float) -> bool:
+    return all(math.isclose(g, r, rel_tol=rel) for g, r in ((got.real, ref.real), (got.imag, ref.imag)))
+
+
+def test_values_past_log_709_overflow_only_where_they_must():
+    # exp(709.5) = 1.35e308 is finite: so are the values and ratios that carry it
+    big = math.exp(709.5)
+    assert _close(LogMagnitudePhase(709.5, 1.0).value, complex(big, 0.0), 1e-15)
+    assert _close(LogMagnitudePhase(709.5, -1.0j).value, complex(0.0, -big), 1e-15)
+    # the phase's modulus 1.0000005 moves into log_mag and costs its rounding
+    assert _close(LogMagnitudePhase(709.5, 0.001 + 1j).value, complex(0.001 * big, big), 1e-13)
+    for gap in (709.2, 709.5, 709.7):
+        ratio = LogMagnitudePhase(1000.0, 1j).ratio_to(LogMagnitudePhase(1000.0 - gap, 1.0))
+        assert _close(ratio, 1j * math.exp(1000.0 - (1000.0 - gap)), 1e-15), gap
+    assert LogMagnitudePhase(709.5, 1.0).ratio_to(LogMagnitudePhase(-0.5, 1.0)) == complex(math.inf, 0.0)
+    # past log(max float) = 709.78 only the components that overflow are infinite
+    wide = LogMagnitudePhase(709.9, 0.001 + 1j)
+    assert wide.value.imag == math.inf
+    ref = math.exp(wide.log_mag - 10.0) * wide.phase.real * math.exp(10.0)
+    assert math.isclose(wide.value.real, ref, rel_tol=1e-13)
+    assert LogMagnitudePhase(2000.0, -1.0).value == complex(-math.inf, 0.0)
+    # a subnormal component keeps a finite product far past the range of exp
+    tiny = LogMagnitudePhase(1420.0, 1.0 + 1e-310j)
+    assert tiny.value.real == math.inf
+    assert math.isclose(tiny.value.imag, math.exp(1420.0 + math.log(tiny.phase.imag)), rel_tol=1e-12)
+
+
 def test_gauss_legendre_is_cached_and_read_only():
     x, w = gauss_legendre(40)
     ref_x, ref_w = np.polynomial.legendre.leggauss(40)

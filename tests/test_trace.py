@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from edgedpp.cli import load_config
 from edgedpp.errors import EdgeDppError
-from edgedpp.harness import _trace_gauss_hermite, default_spec, emit_report, run_experiment
+from edgedpp.harness import _hermite_rule, _trace_gauss_hermite, default_spec, emit_report, run_experiment
 from edgedpp.kernel import ModelParams, kernel_exact
 
 
@@ -66,6 +66,15 @@ def test_one_node_fewer_is_not_exact(d, n):
 def test_gauss_hermite_trace_is_exact_property(d, tau, n):
     params = ModelParams(d=d, tau=tau, n=n)
     assert abs(_trace_gauss_hermite(params) / params.point_count - 1.0) <= 1e-12
+
+
+def test_hermite_rule_is_cached_and_read_only():
+    s, w = _hermite_rule(7)
+    ref_s, ref_w = np.polynomial.hermite.hermgauss(7)
+    assert np.array_equal(s, ref_s) and np.array_equal(w, ref_w)
+    assert _hermite_rule(7)[0] is s
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_trace_identity_report_passes_and_ignores_the_seed():
